@@ -16,10 +16,10 @@ from .errors import (AllTrialsCapped, DanglingNode, EmptyGraph,
 from .generators import FAMILIES, TopologySpec, generate, lazify
 from .graphs import (DirectedGraph, SccDecomposition, condensation,
                      scc_decompose, scc_period)
-from .kron import ProductOperator, ProductSccReport, kron, kron_graph, product_scc_check
+from .kron import ProductSccReport, kron, kron_graph, product_scc_check
 from .limits import (ClosedLimit, LimitReport, SocialPower, TransientBlock,
                      absorbing_probabilities, closed_limit, limit_matrix,
-                     open_limit, social_power, structural_limit, stubborn_limit)
+                     social_power, structural_limit, stubborn_limit)
 from .mixing import (AbsorbingTimes, CouplingEstimate, MixingReport,
                      analyze_mixing, coupling_bound, distance_to_limit_curve,
                      eigen_bounds, estimate_coupling_time,

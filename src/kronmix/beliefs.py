@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import NonConvergent, TooLarge
 from .graphs import DirectedGraph, scc_decompose
@@ -126,19 +127,20 @@ def oblivious_set(system: BeliefSystem) -> frozenset[int]:
     """Largest set of lambda=1 agents closed under their in-neighborhoods.
 
     Agent i listens to j when A[i, j] > 0; members must only listen inside
-    the set, so no stubborn influence can reach them.
+    the set, so no stubborn influence can reach them. Equivalently, an agent
+    is oblivious iff no agent with lambda < 1 is reachable from it in A's
+    graph: one breadth-first pass on the reversed graph, from a super-source
+    joined to every agent with lambda < 1, finds all the others.
     """
-    candidates = {int(i) for i in np.flatnonzero(system.lam >= 1.0)}
-    csr = system.a.csr
-    changed = True
-    while changed and candidates:
-        changed = False
-        for i in list(candidates):
-            listens_to = csr.indices[csr.indptr[i]: csr.indptr[i + 1]]
-            if any(int(j) not in candidates for j in listens_to):
-                candidates.discard(i)
-                changed = True
-    return frozenset(candidates)
+    n = system.n
+    coo = system.a.csr.tocoo()
+    anchored = np.flatnonzero(system.lam < 1.0)
+    src = np.concatenate([coo.col, np.full(anchored.size, n)])
+    dst = np.concatenate([coo.row, anchored])
+    reverse = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n + 1, n + 1))
+    oblivious = np.ones(n + 1, dtype=bool)
+    oblivious[csgraph.breadth_first_order(reverse, n, return_predecessors=False)] = False
+    return frozenset(np.flatnonzero(oblivious).tolist())
 
 
 def converges(system: BeliefSystem) -> ConvergenceVerdict:

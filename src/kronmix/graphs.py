@@ -8,10 +8,11 @@ leaves it, i.e. it is the recurrent part of the walk.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import StructuralError
 
@@ -19,9 +20,10 @@ from .errors import StructuralError
 class DirectedGraph:
     """Immutable sparse directed graph with optional non-negative edge weights.
 
-    Duplicate (source, target) pairs are merged at construction: weights are
-    summed when present, otherwise the duplicates collapse to a single edge.
-    Undirected input is stored as symmetric directed edge pairs.
+    `edges` is an (E, 2) integer array or any sequence of (source, target)
+    pairs. Duplicate pairs are merged at construction: weights are summed when
+    present, otherwise the duplicates collapse to a single edge. Undirected
+    input is stored as symmetric directed edge pairs.
     """
 
     __slots__ = ("node_count", "sources", "targets", "weights", "directed",
@@ -35,30 +37,22 @@ class DirectedGraph:
         self.directed = bool(directed)
         self._meta = dict(meta) if meta else {}
 
-        edges = list(edges)
-        if weights is not None:
-            weights = [float(w) for w in weights]
-            if len(weights) != len(edges):
-                raise StructuralError("weights length must match edges length")
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        w = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()
+        if w is not None and w.size != len(edges):
+            raise StructuralError("weights length must match edges length")
 
         if not directed:
             # symmetrize; self-loops stay single
-            extra, extra_w = [], []
-            for idx, (s, t) in enumerate(edges):
-                if s != t:
-                    extra.append((t, s))
-                    if weights is not None:
-                        extra_w.append(weights[idx])
-            edges = edges + extra
-            if weights is not None:
-                weights = weights + extra_w
+            mirror = edges[:, 0] != edges[:, 1]
+            edges = np.concatenate([edges, edges[mirror, ::-1]])
+            if w is not None:
+                w = np.concatenate([w, w[mirror]])
 
-        src = np.asarray([e[0] for e in edges], dtype=np.int64)
-        dst = np.asarray([e[1] for e in edges], dtype=np.int64)
+        src, dst = edges[:, 0], edges[:, 1]
         if src.size:
             if src.min() < 0 or dst.min() < 0 or src.max() >= node_count or dst.max() >= node_count:
                 raise StructuralError("edge endpoint out of range")
-        w = None if weights is None else np.asarray(weights, dtype=np.float64)
         if w is not None and w.size and (not np.all(np.isfinite(w)) or w.min() < 0):
             raise StructuralError("weights must be finite and non-negative")
 
@@ -71,17 +65,12 @@ class DirectedGraph:
             keep = np.ones(src.size, dtype=bool)
             keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
             if w is not None:
-                group = np.cumsum(keep) - 1
-                merged = np.zeros(int(group[-1]) + 1)
-                np.add.at(merged, group, w)
-                w = merged
+                w = np.bincount(np.cumsum(keep) - 1, weights=w)
             src, dst = src[keep], dst[keep]
         self.sources = src
         self.targets = dst
         self.weights = w
-        self._indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.add.at(self._indptr, src + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
 
     # -- accessors -----------------------------------------------------
 
@@ -113,19 +102,17 @@ class DirectedGraph:
         return set(zip(self.sources.tolist(), self.targets.tolist()))
 
     def reverse(self) -> "DirectedGraph":
-        return DirectedGraph(self.node_count,
-                             list(zip(self.targets.tolist(), self.sources.tolist())),
-                             None if self.weights is None else self.weights.tolist())
+        return DirectedGraph(self.node_count, np.column_stack([self.targets, self.sources]),
+                             self.weights)
 
     def subgraph(self, nodes) -> "DirectedGraph":
-        """Induced subgraph; node order follows the given sequence."""
+        """Induced subgraph; its nodes are the given ones in ascending order."""
         nodes = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
         remap = -np.ones(self.node_count, dtype=np.int64)
         remap[nodes] = np.arange(nodes.size)
         mask = (remap[self.sources] >= 0) & (remap[self.targets] >= 0)
-        edges = list(zip(remap[self.sources[mask]].tolist(),
-                         remap[self.targets[mask]].tolist()))
-        w = None if self.weights is None else self.weights[mask].tolist()
+        edges = np.column_stack([remap[self.sources[mask]], remap[self.targets[mask]]])
+        w = None if self.weights is None else self.weights[mask]
         return DirectedGraph(nodes.size, edges, w, meta={"parent_nodes": nodes})
 
     def __repr__(self):
@@ -168,112 +155,49 @@ class SccDecomposition:
 
 
 def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
-    """Tarjan's algorithm (iterative) plus condensation, closed flags, periods.
+    """Strong components plus condensation, closed flags and periods.
 
-    Components come out in reverse topological order of the condensation, so
-    `topo_order` is just the reversed discovery order.
+    Components come from scipy's strong `connected_components`, which numbers
+    them in the order they complete, i.e. in reverse topological order of the
+    condensation: every condensation edge (s, t) has s > t, and `topo_order`
+    is just the ids from last to first. Periods are the gcd of
+    |level[u] + 1 - level[w]| over the component's edges (u, w), with BFS
+    levels taken from one shortest-path pass out of a super-source that
+    feeds the smallest node of each component.
     """
     n = graph.node_count
-    indptr, targets = graph._indptr, graph.targets
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    comp_of = np.full(n, -1, dtype=np.int64)
-    stack: list[int] = []
-    components: list[np.ndarray] = []
-    counter = 0
+    src, dst, indptr = graph.sources, graph.targets, graph._indptr
+    # scipy's DFS takes a node's successors last to first, so each row is fed
+    # in descending order: the DFS then visits successors in ascending order
+    # and numbers the components as a recursive DFS from node 0 up would
+    descending = dst[(indptr[:-1] + indptr[1:] - 1)[src] - np.arange(src.size)]
+    count, labels = csgraph.connected_components(
+        sp.csr_matrix((np.ones(src.size), descending, indptr), shape=(n, n)),
+        directed=True, connection="strong")
+    comp_of = labels.astype(np.int64)
+    members = np.argsort(comp_of, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(comp_of, minlength=count))])
+    components = [members[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # explicit DFS stack of (node, next-edge-cursor)
-        work = [(root, indptr[root])]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, cursor = work[-1]
-            if cursor < indptr[v + 1]:
-                work[-1] = (v, cursor + 1)
-                w = int(targets[cursor])
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, indptr[w]))
-                elif on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[v] < lowlink[parent]:
-                        lowlink[parent] = lowlink[v]
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        comp_of[u] = len(components)
-                        comp.append(u)
-                        if u == v:
-                            break
-                    components.append(np.asarray(sorted(comp), dtype=np.int64))
+    cs, ct = comp_of[src], comp_of[dst]
+    cross = cs != ct
+    cond = np.unique(np.column_stack([cs[cross], ct[cross]]), axis=0)
+    closed = np.ones(count, dtype=bool)
+    closed[cond[:, 0]] = False
 
-    # condensation edges (deduplicated) and closed flags
-    k = len(components)
-    closed = np.ones(k, dtype=bool)
-    cond: set[tuple[int, int]] = set()
-    for s, t in zip(graph.sources.tolist(), graph.targets.tolist()):
-        cs, ct = int(comp_of[s]), int(comp_of[t])
-        if cs != ct:
-            cond.add((cs, ct))
-            closed[cs] = False
+    u, w = src[~cross], dst[~cross]
+    feed_src = np.concatenate([u, np.full(count, n)])
+    feed_dst = np.concatenate([w, members[starts[:-1]]])
+    feed = sp.csr_matrix((np.ones(feed_src.size), (feed_src, feed_dst)), shape=(n + 1, n + 1))
+    level = csgraph.shortest_path(feed, unweighted=True, indices=n).astype(np.int64)
+    gaps = np.zeros(count, dtype=np.int64)
+    np.gcd.at(gaps, cs[~cross], np.abs(level[u] + 1 - level[w]))
+    trivial = gaps == 0  # no edge inside: a loop-free singleton, period 1
+    periods = np.where(trivial, 1, gaps)
 
-    periods, trivial = [], []
-    for comp in components:
-        p, tflag = _component_period(graph, comp, comp_of)
-        periods.append(p)
-        trivial.append(tflag)
-
-    # Tarjan emits components in reverse topological order
-    topo = list(range(k - 1, -1, -1))
-    return SccDecomposition(comp_of, components, sorted(cond), closed,
-                            periods, trivial, topo)
-
-
-def _component_period(graph: DirectedGraph, comp: np.ndarray, comp_of: np.ndarray):
-    """(period, trivial_flag) via BFS levels restricted to the component."""
-    cid = comp_of[comp[0]]
-    if comp.size == 1:
-        v = int(comp[0])
-        if graph.has_edge(v, v):
-            return 1, False
-        return 1, True  # loop-free singleton: period 1 by convention
-    level = {int(comp[0]): 0}
-    queue = [int(comp[0])]
-    g = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in graph.successors(u):
-                w = int(w)
-                if comp_of[w] != cid:
-                    continue
-                if w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    for u in comp.tolist():
-        lu = level[u]
-        for w in graph.successors(u):
-            w = int(w)
-            if comp_of[w] == cid:
-                g = math.gcd(g, lu + 1 - level[w])
-    return (abs(g) if g else 1), False
+    return SccDecomposition(comp_of, components, list(map(tuple, cond.tolist())),
+                            closed, periods.tolist(), trivial.tolist(),
+                            list(range(count - 1, -1, -1)))
 
 
 def scc_period(graph: DirectedGraph, component) -> int:
@@ -282,34 +206,13 @@ def scc_period(graph: DirectedGraph, component) -> int:
     Raises StructuralError when the set is not strongly connected within the
     graph. A singleton without a self-loop returns 1 (convention).
     """
-    comp = np.asarray(sorted(set(int(v) for v in component)), dtype=np.int64)
-    if comp.size == 0:
+    sub = graph.subgraph(component)
+    if sub.node_count == 0:
         raise StructuralError("empty component")
-    sub = graph.subgraph(comp)
-    if not _is_strongly_connected(sub):
+    decomp = scc_decompose(sub)
+    if decomp.count != 1:
         raise StructuralError("component is not strongly connected")
-    comp_of = np.zeros(sub.node_count, dtype=np.int64)
-    p, _ = _component_period(sub, np.arange(sub.node_count), comp_of)
-    return p
-
-
-def _is_strongly_connected(graph: DirectedGraph) -> bool:
-    n = graph.node_count
-    if n <= 1:
-        return True
-    for g in (graph, graph.reverse()):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for w in g.successors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(int(w))
-        if not seen.all():
-            return False
-    return True
+    return decomp.periods[0]
 
 
 def condensation(decomp: SccDecomposition) -> DirectedGraph:

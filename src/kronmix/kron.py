@@ -19,52 +19,13 @@ from .stochastic import StochasticMatrix
 MATERIALIZE_CAP = 10_000_000
 
 
-@dataclass
-class ProductOperator:
-    """Implicit left * right Kronecker product; never materialized.
-
-    Acting on a row vector with `apply_left` matches the materialized product
-    (v' (L x R)); `row` returns one row of the product on demand.
-    """
-
-    left: StochasticMatrix
-    right: StochasticMatrix
-
-    @property
-    def n(self) -> int:
-        return self.left.n * self.right.n
-
-    @property
-    def nnz(self) -> int:
-        return self.left.nnz * self.right.nnz
-
-    def apply_left(self, vec: np.ndarray) -> np.ndarray:
-        """v' (L x R) via the reshape identity (L' V R for V = v as a grid)."""
-        n, m = self.left.n, self.right.n
-        v = np.asarray(vec, dtype=np.float64).reshape(n, m)
-        out = self.left.csr.T @ v  # (L' V)
-        out = (self.right.csr.T @ out.T).T  # (L' V) R
-        return out.reshape(n * m)
-
-    def row(self, index: int) -> np.ndarray:
-        i, u = divmod(int(index), self.right.n)
-        return np.kron(self.left.row(i), self.right.row(u))
-
-
 def kron(left: StochasticMatrix, right: StochasticMatrix,
-         materialize: bool | None = None,
-         cap: int = MATERIALIZE_CAP) -> StochasticMatrix | ProductOperator:
-    """Kronecker product of two stochastic matrices.
+         cap: int = MATERIALIZE_CAP) -> StochasticMatrix:
+    """Kronecker product of two stochastic matrices as a sparse matrix.
 
-    `materialize=None` picks automatically: a sparse matrix when the nonzero
-    count fits under `cap`, an implicit ProductOperator otherwise. Forcing
-    materialization past the cap raises TooLarge.
+    Raises TooLarge when the product would hold more than `cap` nonzeros.
     """
     nnz = left.nnz * right.nnz
-    if materialize is None:
-        materialize = nnz <= cap
-    if not materialize:
-        return ProductOperator(left, right)
     if nnz > cap:
         raise TooLarge(f"product has {nnz} nonzeros, cap is {cap}")
     prod = sp.kron(left.csr, right.csr, format="csr")
@@ -81,8 +42,8 @@ def kron_graph(g1: DirectedGraph, g2: DirectedGraph) -> DirectedGraph:
     t = (g1.targets[:, None] * m + g2.targets[None, :]).ravel()
     weights = None
     if g1.weights is not None and g2.weights is not None:
-        weights = (g1.weights[:, None] * g2.weights[None, :]).ravel().tolist()
-    return DirectedGraph(g1.node_count * m, list(zip(s.tolist(), t.tolist())), weights)
+        weights = (g1.weights[:, None] * g2.weights[None, :]).ravel()
+    return DirectedGraph(g1.node_count * m, np.column_stack([s, t]), weights)
 
 
 @dataclass

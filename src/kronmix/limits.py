@@ -133,26 +133,6 @@ def closed_limit(system: BeliefSystem, component) -> ClosedLimit:
     return ClosedLimit(float(pi @ x0_s), pi, agents, topics)
 
 
-def open_limit(system: BeliefSystem, decomp: SccDecomposition,
-               recurrent_values: np.ndarray,
-               block: TransientBlock | None = None) -> np.ndarray:
-    """Limits of transient nodes: absorption-weighted recurrent limits.
-
-    `recurrent_values` holds the limiting value of every recurrent node of
-    the system graph (NaN elsewhere); a NaN on a reachable recurrent node is
-    an ordering error.
-    """
-    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
-    if block is None:
-        block = absorbing_probabilities(matrix, decomp)
-    values = np.asarray(recurrent_values, dtype=np.float64).ravel()
-    rec_vals = values[block.recurrent]
-    if np.isnan(rec_vals).any():
-        missing = block.recurrent[np.isnan(rec_vals)][:5]
-        raise StructuralError(f"missing downstream limits for nodes {missing.tolist()}")
-    return block.absorb @ rec_vals
-
-
 def structural_limit(system: BeliefSystem) -> LimitReport:
     """Full-system limit from the component structure (no iteration).
 
@@ -229,20 +209,9 @@ def limit_matrix(system: BeliefSystem) -> np.ndarray:
     matrix = StochasticMatrix(system_matrix(system), renormalize=True)
     decomp = scc_decompose(matrix.to_graph())
     w = np.zeros((system.dim, system.dim))
-    nm = system.n * system.m
     for cid in decomp.closed_components():
         comp = decomp.components[cid]
-        if comp[0] >= nm:
-            w[comp[0], comp[0]] = 1.0
-            continue
-        agents = np.unique(comp // system.m)
-        topics = np.unique(comp % system.m)
-        if agents.size * topics.size != comp.size:
-            raise NotErgodic("periodic closed component has no limit")
-        pi_a = stationary(StochasticMatrix(system.a.minor(agents)))
-        pi_c = stationary(StochasticMatrix(system.c.minor(topics)))
-        pi = np.kron(pi_a, pi_c)
-        w[np.ix_(comp, comp)] = np.tile(pi, (comp.size, 1))
+        w[np.ix_(comp, comp)] = closed_limit(system, comp).stationary
     transient = decomp.transient_nodes()
     if transient.size:
         block = absorbing_probabilities(matrix, decomp)

@@ -57,10 +57,8 @@ def load_edgelist(path: str, directed: bool = True) -> DirectedGraph:
                 raise ParseError(lineno, f"non-integer endpoint in {text!r}") from None
     if not pairs:
         raise EmptyGraph(f"{path} contains no edges")
-    ids = np.unique(np.asarray(pairs, dtype=np.int64))
-    index = {int(v): i for i, v in enumerate(ids)}
-    edges = [(index[s], index[t]) for s, t in pairs]
-    graph = DirectedGraph(ids.size, edges, directed=directed,
+    ids, edges = np.unique(np.asarray(pairs, dtype=np.int64), return_inverse=True)
+    graph = DirectedGraph(ids.size, edges.reshape(-1, 2), directed=directed,
                           meta={"id_map": ids, "path": path})
     return graph
 

@@ -57,9 +57,7 @@ class StochasticMatrix:
     def to_graph(self) -> DirectedGraph:
         """Nonzero pattern as a directed graph (edge i->j iff M[i,j] > 0)."""
         coo = self.csr.tocoo()
-        return DirectedGraph(self.n,
-                             list(zip(coo.row.tolist(), coo.col.tolist())),
-                             coo.data.tolist())
+        return DirectedGraph(self.n, np.column_stack([coo.row, coo.col]), coo.data)
 
     def minor(self, rows, cols=None) -> sp.csr_matrix:
         rows = np.asarray(rows, dtype=np.int64)
@@ -161,7 +159,9 @@ def stationary(matrix: StochasticMatrix, tol: float = 1e-12,
     v = np.full(n, 1.0 / n)
     for _ in range(int(max_iter)):
         w = mt @ v
-        if np.abs(w - v).sum() <= tol:  # certified: ||v'M - v'||_1 <= tol
+        # a small L1 residual ||v'M - v'||_1 bounds the error in pi only up
+        # to a factor of the inverse spectral gap, so slow chains may be off
+        if np.abs(w - v).sum() <= tol:
             return v
         v = w / w.sum()
     raise NotErgodic(f"power iteration residual above {tol} after {max_iter} steps")

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the library.
 
 These deliberately avoid the library's own code paths: reachability closures
-instead of Tarjan, dense matrix powers instead of sparse evolution, absorbing
+instead of a strong-components kernel, a fixed point instead of reverse
+reachability, dense matrix powers instead of sparse evolution, absorbing
 solves on the explicit pair chain instead of coupling simulation.
 """
 
@@ -75,6 +76,23 @@ def simple_cycle_lengths(n: int, edges) -> list[int]:
     for start in range(n):
         walk(start, start, set(), 1)
     return lengths
+
+
+def oblivious_fixed_point(a: np.ndarray, lam: np.ndarray) -> frozenset[int]:
+    """Oblivious agents as a greatest fixed point on the dense influence matrix.
+
+    Starts from every lambda = 1 agent and drops any that listens to an agent
+    outside the set (A[i, j] > 0) until nothing changes.
+    """
+    candidates = {int(i) for i in np.flatnonzero(lam >= 1.0)}
+    changed = True
+    while changed:
+        changed = False
+        for i in list(candidates):
+            if any(j not in candidates for j in np.flatnonzero(a[i] > 0).tolist()):
+                candidates.discard(i)
+                changed = True
+    return frozenset(candidates)
 
 
 def dense_evolve(vec: np.ndarray, matrix: np.ndarray, steps: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from kronmix.errors import NonConvergent
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.limits import structural_limit
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
-from oracles import dense_system_operator, empirical_convergence
+from oracles import dense_system_operator, empirical_convergence, oblivious_fixed_point
 
 
 def cycle_path_system(n_agents=5, lam=None, seed=0):
@@ -170,6 +170,17 @@ class TestConverges:
         c = StochasticMatrix(np.eye(2))
         system = assemble(a, c, np.array([1.0, 1.0, 0.2]), np.zeros((3, 2)))
         assert oblivious_set(system) == frozenset({0, 1})
+
+    def test_oblivious_set_matches_fixed_point_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            raw = (rng.random((n, n)) < rng.uniform(0.05, 0.4)) * rng.random((n, n))
+            raw += np.diag(raw.sum(axis=1) == 0)  # a self-loop for each empty row
+            lam = np.where(rng.random(n) < 0.8, 1.0, rng.uniform(0.0, 1.0, n))
+            system = assemble(raw / raw.sum(axis=1, keepdims=True), np.eye(1), lam,
+                              np.zeros((n, 1)))
+            assert oblivious_set(system) == oblivious_fixed_point(system.a.dense(), lam)
 
     def test_agrees_with_empirical_oracle(self):
         rng = np.random.default_rng(8)

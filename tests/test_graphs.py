@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,17 +73,19 @@ class TestSccDecompose:
 
     def test_period_divides_enumerated_cycles(self):
         rng = np.random.default_rng(3)
-        for _ in range(25):
+        # sparse loop-free graphs too, so that periods above 1 occur
+        for p, loops in [(0.35, True)] * 25 + [(0.2, False)] * 25:
             n = int(rng.integers(2, 9))
-            g = random_digraph(rng, n, p=0.35, self_loops=True)
+            g = random_digraph(rng, n, p=p, self_loops=loops)
             d = scc_decompose(g)
             for cid, comp in enumerate(d.components):
                 members = set(comp.tolist())
-                # the period divides every cycle that stays inside the component
+                # the period is the gcd of the cycles inside the component
                 comp_edges = [(s, t) for s, t in zip(g.sources, g.targets)
                               if s in members and t in members]
-                for ln in simple_cycle_lengths(n, comp_edges):
-                    assert ln % d.periods[cid] == 0
+                lengths = simple_cycle_lengths(n, comp_edges)
+                assert d.periods[cid] == (math.gcd(*lengths) or 1)
+                assert d.trivial_period[cid] == (not lengths)
 
 
 class TestSccPeriod:
@@ -128,6 +132,13 @@ class TestCondensation:
             g = random_digraph(rng, int(rng.integers(2, 10)))
             dag = condensation(scc_decompose(g))
             assert not has_cycle_dfs(dag.node_count, zip(dag.sources, dag.targets))
+
+    def test_edges_point_to_smaller_ids(self):
+        # reverse topological numbering: successors carry a smaller id
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            d = scc_decompose(random_digraph(rng, int(rng.integers(2, 12)), p=0.2))
+            assert all(s > t for s, t in d.condensation_edges)
 
 
 class TestDirectedGraph:

@@ -4,7 +4,7 @@ import pytest
 from kronmix.errors import TooLarge
 from kronmix.generators import TopologySpec, generate
 from kronmix.graphs import DirectedGraph, scc_decompose
-from kronmix.kron import ProductOperator, kron, kron_graph, product_scc_check
+from kronmix.kron import kron, kron_graph, product_scc_check
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
 from oracles import reachability_components
 
@@ -48,24 +48,11 @@ class TestKronMatrix:
         right = np.kron(a.dense() @ c.dense(), b.dense() @ d.dense())
         np.testing.assert_allclose(left, right, atol=1e-12)
 
-    def test_operator_matches_materialized(self):
-        rng = np.random.default_rng(4)
-        m1, m2 = random_stochastic(rng, 5), random_stochastic(rng, 4)
-        op = kron(m1, m2, materialize=False)
-        assert isinstance(op, ProductOperator)
-        mat = kron(m1, m2, materialize=True)
-        v = rng.random(20)
-        v /= v.sum()
-        np.testing.assert_allclose(op.apply_left(v), v @ mat.dense(), atol=1e-12)
-        for idx in (0, 7, 19):
-            np.testing.assert_allclose(op.row(idx), mat.row(idx), atol=1e-14)
-
     def test_cap_enforced(self):
         rng = np.random.default_rng(5)
         m1, m2 = random_stochastic(rng, 10), random_stochastic(rng, 10)
         with pytest.raises(TooLarge):
-            kron(m1, m2, materialize=True, cap=100)
-        assert isinstance(kron(m1, m2, cap=100), ProductOperator)
+            kron(m1, m2, cap=100)
 
 
 class TestKronGraph:

@@ -6,8 +6,7 @@ from kronmix.errors import NotErgodic, NoUniqueFixedPoint, StructuralError
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import scc_decompose
 from kronmix.limits import (absorbing_probabilities, closed_limit, limit_matrix,
-                            open_limit, social_power, structural_limit,
-                            stubborn_limit)
+                            social_power, structural_limit, stubborn_limit)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
 from test_beliefs import cycle_path_system, random_system
 
@@ -148,14 +147,6 @@ class TestOpenLimit:
         system = assemble(a, c, np.ones(3), x0)
         report = structural_limit(system)
         assert report.beliefs[0, 0] == pytest.approx(q * 0.9 + (1 - q) * 0.2)
-
-    def test_missing_downstream_limit_raises(self):
-        system = cycle_path_system()
-        matrix = StochasticMatrix(system_matrix(system), renormalize=True)
-        decomp = scc_decompose(matrix.to_graph())
-        values = np.full(system.dim, np.nan)
-        with pytest.raises(StructuralError):
-            open_limit(system, decomp, values)
 
 
 class TestStructuralLimit:
