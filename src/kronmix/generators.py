@@ -275,20 +275,13 @@ def lazify(graph: DirectedGraph, alpha: float) -> DirectedGraph:
     n = graph.node_count
     totals = np.zeros(n)
     base = graph.weights if graph.weights is not None else np.ones(graph.edge_count)
-    off_loop = graph.sources != graph.targets
-    np.add.at(totals, graph.sources[off_loop], base[off_loop])
-    edges, weights = [], []
-    for idx in range(graph.edge_count):
-        s, t = int(graph.sources[idx]), int(graph.targets[idx])
-        if s == t:
-            continue  # overwritten below
-        edges.append((s, t))
-        weights.append((1.0 - alpha) * base[idx] / totals[s])
-    for v in range(n):
-        w = alpha if totals[v] > 0 else 1.0
-        if w > 0:
-            edges.append((v, v))
-            weights.append(w)
+    off_loop = graph.sources != graph.targets  # old self-loops are replaced
+    src, dst = graph.sources[off_loop], graph.targets[off_loop]
+    np.add.at(totals, src, base[off_loop])
+    loop_w = np.where(totals > 0, alpha, 1.0)
+    loops = np.flatnonzero(loop_w > 0)
+    edges = np.concatenate([np.column_stack([src, dst]), np.column_stack([loops, loops])])
+    weights = np.concatenate([(1.0 - alpha) * base[off_loop] / totals[src], loop_w[loops]])
     out = DirectedGraph(n, edges, weights, meta=dict(graph.meta))
     out.meta["lazy_alpha"] = alpha
     return out

@@ -202,16 +202,25 @@ def social_power(matrix: StochasticMatrix) -> SocialPower:
     return SocialPower(order, weights, np.cumsum(weights))
 
 
-def limit_matrix(system: BeliefSystem) -> np.ndarray:
-    """Dense limit of the system operator powers (columns are per-start limits)."""
+def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
+    """Dense limit of the system operator powers (columns are per-start limits).
+
+    `columns` picks which columns to build (all by default); the result is
+    dim x len(columns), so a sampled caller never holds the dim x dim matrix.
+    """
     if system.dim > LIMIT_MATRIX_CAP:
         raise TooLarge(f"limit matrix would be {system.dim}^2 dense")
+    cols = np.arange(system.dim) if columns is None else np.asarray(columns, dtype=np.int64)
     matrix = StochasticMatrix(system_matrix(system), renormalize=True)
     decomp = scc_decompose(matrix.to_graph())
-    w = np.zeros((system.dim, system.dim))
+    w = np.zeros((system.dim, cols.size))
+    col_comp = decomp.component_of[cols]
     for cid in decomp.closed_components():
         comp = decomp.components[cid]
-        w[np.ix_(comp, comp)] = closed_limit(system, comp).stationary
+        pi = closed_limit(system, comp).stationary
+        hit = np.flatnonzero(col_comp == cid)
+        if hit.size:
+            w[np.ix_(comp, hit)] = pi[np.searchsorted(comp, cols[hit])]
     transient = decomp.transient_nodes()
     if transient.size:
         block = absorbing_probabilities(matrix, decomp)

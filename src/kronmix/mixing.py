@@ -21,7 +21,11 @@ from .stochastic import StochasticMatrix, ergodicity_check, stationary
 
 EXACT_START_LIMIT = 2000
 SAMPLED_STARTS = 64
-_CHUNK = 8_000_000  # cap on walkers * states scratch size
+# A coupling step compares each live walker's draw with the w cumulatives of
+# its row (w = largest out-degree): O(w) work per walker-step. Walkers go in
+# chunks of _CHUNK // w, so a step's scratch stays near _CHUNK float64 entries
+# (64 MB) however many walkers are live.
+_CHUNK = 8_000_000
 
 
 @dataclass
@@ -182,40 +186,60 @@ def eigen_bounds(matrix: StochasticMatrix, epsilon: float = 0.25,
     return lower, upper
 
 
-def _row_cdf(matrix: StochasticMatrix) -> np.ndarray:
-    cdf = np.cumsum(matrix.dense(), axis=1)
-    cdf[:, -1] = 1.0
-    return cdf
+def _row_table(matrix: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row cumulatives over the CSR nonzeros, padded to the largest out-degree.
+
+    Returns (cum, targets), both n x w with w the largest out-degree. Row s
+    holds the running sums of its nonzeros in column order, which are the
+    same floats a dense row cumsum holds at those columns (adding 0.0 is
+    exact); its last real entry and its padding are 1.0. targets[s, j] is
+    the column of the j-th nonzero.
+    """
+    csr = matrix.csr.sorted_indices()
+    deg = np.diff(csr.indptr)
+    n, w = matrix.n, int(deg.max())
+    rows = np.repeat(np.arange(n), deg)
+    slot = np.arange(csr.nnz) - csr.indptr[rows]
+    cum = np.zeros((n, w))
+    cum[rows, slot] = csr.data
+    np.cumsum(cum, axis=1, out=cum)
+    cum[np.arange(w) >= deg[:, None] - 1] = 1.0
+    targets = np.zeros((n, w), dtype=np.int64)
+    targets[rows, slot] = csr.indices
+    return cum, targets
 
 
-def _advance(cdf: np.ndarray, states: np.ndarray, rng) -> np.ndarray:
-    """One synchronous step for a batch of walkers (inverse-CDF sampling)."""
-    n = cdf.shape[1]
+def _step(table, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One synchronous inverse-CDF step: walker i moves from states[i] by u[i]."""
+    cum, targets = table
     out = np.empty_like(states)
-    chunk = max(1, _CHUNK // n)
+    chunk = max(1, _CHUNK // cum.shape[1])
     for lo in range(0, states.size, chunk):
-        sl = slice(lo, min(lo + chunk, states.size))
-        u = rng.random(sl.stop - sl.start)
-        out[sl] = (cdf[states[sl]] < u[:, None]).sum(axis=1)
+        s = states[lo:lo + chunk]
+        pick = (cum[s] < u[lo:lo + chunk, None]).sum(axis=1)
+        out[lo:lo + chunk] = targets[s, pick]
     return out
 
 
-def _run_coupling(cdf, pairs_x, pairs_y, step_cap, rng):
-    """Coupling times for each (x, y) walker pair; -1 marks a capped trial."""
-    x = pairs_x.copy()
-    y = pairs_y.copy()
-    k = np.zeros(x.size, dtype=np.int64)
-    active = x != y
+def _run_coupling(table, pairs_x, pairs_y, step_cap, rng):
+    """Coupling times for each (x, y) walker pair; -1 marks a capped trial.
+
+    Each step draws one uniform per live walker, the x walkers first; pairs
+    that met drop out at the end of that step.
+    """
+    k = np.full(pairs_x.size, -1, dtype=np.int64)
+    live = pairs_x != pairs_y
+    k[~live] = 0
+    ids = np.flatnonzero(live)
+    walk = np.stack([pairs_x[ids], pairs_y[ids]])
     steps = 0
-    while active.any() and steps < step_cap:
+    while ids.size and steps < step_cap:
         steps += 1
-        idx = np.flatnonzero(active)
-        x[idx] = _advance(cdf, x[idx], rng)
-        y[idx] = _advance(cdf, y[idx], rng)
-        met = idx[x[idx] == y[idx]]
-        k[met] = steps
-        active[met] = False
-    k[active] = -1
+        walk = _step(table, walk.ravel(), rng.random(walk.size)).reshape(2, -1)
+        met = walk[0] == walk[1]
+        if met.any():
+            k[ids[met]] = steps
+            ids, walk = ids[~met], walk[:, ~met]
     return k
 
 
@@ -228,13 +252,18 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     has at most 40 states (override with `pairs`). Walks move independently
     until they meet. Trials that never couple within step_cap are excluded
     from the mean and reported in `capped`; AllTrialsCapped if none couple.
+
+    Walkers sample from the CSR row cumulatives (`_row_table`): a step costs
+    O(w) per live walker and the table O(n w) memory, w the largest
+    out-degree. A hub row of degree about n makes that n^2, the cost of a
+    dense CDF.
     """
     ergodicity_check(matrix)
     n = matrix.n
     rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
     if n == 1:
         return CouplingEstimate(0.0, 0.0, trials, 0, (0, 0))
-    cdf = _row_cdf(matrix)
+    table = _row_table(matrix)
 
     if pairs is None:
         if n <= 40:
@@ -253,14 +282,14 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
         pilot = max(8, trials // 50)
         px = np.repeat([p[0] for p in pairs], pilot)
         py = np.repeat([p[1] for p in pairs], pilot)
-        ks = _run_coupling(cdf, px, py, step_cap, rng).astype(np.float64)
+        ks = _run_coupling(table, px, py, step_cap, rng).astype(np.float64)
         ks[ks < 0] = float(step_cap)
         means = ks.reshape(len(pairs), pilot).mean(axis=1)
         worst = pairs[int(np.argmax(means))]
 
     px = np.full(trials, worst[0], dtype=np.int64)
     py = np.full(trials, worst[1], dtype=np.int64)
-    ks = _run_coupling(cdf, px, py, step_cap, rng)
+    ks = _run_coupling(table, px, py, step_cap, rng)
     coupled = ks[ks >= 0]
     capped = int((ks < 0).sum())
     if coupled.size == 0:

@@ -333,15 +333,14 @@ def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000
     """
     op = system_matrix(system)
     dim = op.shape[0]
-    w = limit_matrix(system)
     if dim <= 256 or starts >= dim:
         cols = np.arange(dim)
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
         cols = rng.choice(dim, size=starts, replace=False)
+    target = limit_matrix(system, cols)
     cur = np.zeros((dim, cols.size))
     cur[cols, np.arange(cols.size)] = 1.0
-    target = w[:, cols]
     d0 = 0.5 * np.abs(cur - target).sum(axis=0).max()
     if d0 <= epsilon:
         return 0

@@ -95,6 +95,35 @@ def oblivious_fixed_point(a: np.ndarray, lam: np.ndarray) -> frozenset[int]:
     return frozenset(candidates)
 
 
+def lazify_loop(graph, alpha: float) -> tuple[list, list]:
+    """Lazy walk edges and weights built edge by edge: scaled out-edges, then loops."""
+    n = graph.node_count
+    base = graph.weights if graph.weights is not None else np.ones(graph.edge_count)
+    totals = np.zeros(n)
+    for idx in range(graph.edge_count):
+        if graph.sources[idx] != graph.targets[idx]:
+            totals[graph.sources[idx]] += base[idx]
+    edges, weights = [], []
+    for idx in range(graph.edge_count):
+        s, t = int(graph.sources[idx]), int(graph.targets[idx])
+        if s != t:
+            edges.append((s, t))
+            weights.append((1.0 - alpha) * base[idx] / totals[s])
+    for v in range(n):
+        w = alpha if totals[v] > 0 else 1.0
+        if w > 0:
+            edges.append((v, v))
+            weights.append(w)
+    return edges, weights
+
+
+def dense_cdf_step(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step on the dense row cumsums, last column forced to 1."""
+    cdf = np.cumsum(matrix, axis=1)
+    cdf[:, -1] = 1.0
+    return (cdf[states] < u[:, None]).sum(axis=1)
+
+
 def dense_evolve(vec: np.ndarray, matrix: np.ndarray, steps: int) -> np.ndarray:
     return vec @ np.linalg.matrix_power(matrix, steps)
 

@@ -7,6 +7,7 @@ from kronmix.errors import SpecError
 from kronmix.generators import FAMILIES, TopologySpec, generate, lazify
 from kronmix.graphs import scc_decompose
 from kronmix.stochastic import equal_weight_matrix
+from oracles import lazify_loop
 
 
 def degrees(graph):
@@ -198,6 +199,28 @@ class TestLazify:
         lazy = lazify(g, 0.0)
         assert lazy.has_edge(1, 1)
         assert not lazy.has_edge(0, 0)
+
+    def test_matches_loop_oracle(self):
+        from kronmix.graphs import DirectedGraph
+        rng = np.random.default_rng(21)
+        edges = rng.integers(0, 30, size=(120, 2))  # self-loops and duplicates included
+        graphs = [
+            generate(TopologySpec("cycle", 9, directed=True)),
+            generate(TopologySpec("lollipop", 12)),
+            generate(TopologySpec("erdos-renyi", 25, p=0.2, seed=4)),
+            DirectedGraph(30, edges),
+            DirectedGraph(30, edges, weights=rng.random(len(edges))),
+            DirectedGraph(30, edges[:40], weights=rng.random(40), directed=False),
+            DirectedGraph(6, [(0, 1), (1, 2), (3, 3), (4, 0)]),  # dangling 2, 5; loop-only 3
+        ]
+        for g in graphs:
+            for alpha in (0.0, 0.5):
+                got = lazify(g, alpha)
+                want = DirectedGraph(g.node_count, *lazify_loop(g, alpha))
+                np.testing.assert_array_equal(got.sources, want.sources)
+                np.testing.assert_array_equal(got.targets, want.targets)
+                np.testing.assert_array_equal(got.weights, want.weights)
+                assert got.meta["lazy_alpha"] == alpha
 
     def test_alpha_range_checked(self):
         g = generate(TopologySpec("cycle", 4))

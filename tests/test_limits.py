@@ -253,3 +253,19 @@ class TestLimitMatrix:
         dense = system_matrix(system).toarray()
         power = np.linalg.matrix_power(dense, 4000)
         np.testing.assert_allclose(w, power, atol=1e-7)
+
+    def test_column_subset_matches_power_columns(self):
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 12:
+            system = random_system(rng)
+            if not converges(system).converges:
+                continue
+            cols = rng.choice(system.dim, size=int(rng.integers(1, system.dim + 1)),
+                              replace=False)
+            w = limit_matrix(system, cols)
+            assert w.shape == (system.dim, cols.size)
+            power = np.linalg.matrix_power(system_matrix(system).toarray(), 4000)
+            np.testing.assert_allclose(w, power[:, cols], atol=1e-7)
+            np.testing.assert_allclose(w, limit_matrix(system)[:, cols], rtol=0, atol=1e-15)
+            checked += 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from kronmix.errors import NotErgodic
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
+from kronmix import mixing
 from kronmix.mixing import (coupling_bound, distance_to_limit_curve,
                             eigen_bounds, estimate_coupling_time,
                             expected_absorbing_time, measure_mixing_time,
                             product_distance_to_limit, second_eigenvalue,
                             theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary, tv_distance
-from oracles import mc_absorption_time, pair_chain_coupling, pair_chain_expectations
+from oracles import (dense_cdf_step, mc_absorption_time, pair_chain_coupling,
+                     pair_chain_expectations)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -134,6 +137,68 @@ class TestCoupling:
         # the MC mean is consistent with the exact E[K] of the pair it picked
         exact = pair_chain_expectations(m.dense())[est.start_pair]
         assert abs(est.mean - exact) <= 3 * est.stderr
+
+
+def philox_13():
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 3))))
+
+
+# (family, n, trials) -> (mean, stderr, capped, start_pair) of the dense-CDF
+# sampler; pins the order in which the walks consume the stream and the
+# cumulative floats they compare against
+COUPLING_REFERENCE = {
+    ("cycle", 11, 200): (33.5, 1.9451912101953126, 0, (0, 4)),  # all-pairs pilot
+    ("cycle", 33, 150): (273.43333333333334, 23.023649774063134, 0, (11, 24)),
+    ("hypercube", 32, 150): (51.63333333333333, 3.771984525847951, 0, (18, 30)),
+    ("lollipop", 100, 300): (4870.793333333333, 215.40320780046906, 0, (49, 98)),  # wide rows
+}
+
+
+class TestCouplingSampler:
+    @pytest.mark.parametrize("case", sorted(COUPLING_REFERENCE))
+    def test_fixed_seed_reference(self, case):
+        family, n, trials = case
+        est = estimate_coupling_time(lazy_chain(family, n), trials=trials, rng=philox_13())
+        assert (est.mean, est.stderr, est.capped, est.start_pair) == COUPLING_REFERENCE[case]
+
+    def test_chunked_steps_draw_the_same_stream(self, monkeypatch):
+        monkeypatch.setattr(mixing, "_CHUNK", 50)  # 16 walkers per chunk
+        case = ("cycle", 33, 150)
+        est = estimate_coupling_time(lazy_chain("cycle", 33), trials=150, rng=philox_13())
+        assert (est.mean, est.stderr, est.capped, est.start_pair) == COUPLING_REFERENCE[case]
+
+    def test_step_matches_dense_cdf_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            raw = rng.random((n, n)) * (rng.random((n, n)) < rng.random((n, 1)))
+            raw[np.arange(n), rng.integers(0, n, n)] += rng.random(n) + 1e-3
+            m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+            table = mixing._row_table(m)
+            cum = table[0]
+            deg = np.diff(m.csr.indptr)
+            # every stored cumulative below the forced 1.0, and one ulp under it
+            rows, slots = np.nonzero(np.arange(cum.shape[1]) < deg[:, None] - 1)
+            hits = cum[rows, slots]
+            states = np.concatenate([rng.integers(0, n, 500), rows, rows])
+            u = np.concatenate([rng.random(500), hits, np.nextafter(hits, 0.0)])
+            np.testing.assert_array_equal(mixing._step(table, states, u),
+                                          dense_cdf_step(m.dense(), states, u))
+            # a draw just under 1 lands on the row's last nonzero, even when the
+            # row's float sum falls short of 1 (the dense step goes to column n-1)
+            top = np.full(n, np.nextafter(1.0, 0.0))
+            last = m.csr.sorted_indices().indices[m.csr.indptr[1:] - 1]
+            np.testing.assert_array_equal(mixing._step(table, np.arange(n), top), last)
+
+    def test_memory_independent_of_n(self):
+        m = lazy_chain("cycle", 5000)
+        tracemalloc.start()
+        try:
+            estimate_coupling_time(m, trials=50, step_cap=2000, pairs=[(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6  # a dense 5000 x 5000 CDF alone is 200 MB
 
 
 class TestAbsorbing:
