@@ -1,8 +1,9 @@
 """Belief system assembly, blockwise update dynamics, convergence verdict.
 
 The stacked state has 2nm entries: current beliefs first, frozen initial
-beliefs second, both pair-indexed (agent, topic) row-major. The implicit
-system operator has blocks [(Lambda A) x C, (I - Lambda) x I; 0, I].
+beliefs second, both pair-indexed (agent, topic) row-major. The system
+operator [(Lambda A) x C, (I - Lambda) x I; 0, I] is applied blockwise on
+the factors (`update`); `system_matrix` builds it only for reference checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import NonConvergent, TooLarge
-from .graphs import DirectedGraph, scc_decompose
+from .graphs import scc_decompose
 from .kron import MATERIALIZE_CAP
 from .stochastic import StochasticMatrix
 
@@ -106,19 +107,29 @@ def system_matrix(system: BeliefSystem, cap: int = MATERIALIZE_CAP) -> sp.csr_ma
     return mat
 
 
-def step(system: BeliefSystem, state: BeliefState) -> BeliefState:
-    """One update: constraints, then social aggregation, then anchor blend.
+def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Lambda A X C' + (I - Lambda) X_anchor on an (n, m) or (n, m, k) stack.
 
-    Computed blockwise (x-hat = X C', x-bar = A x-hat, X+ = Lam x-bar +
-    (I - Lam) X0) without materializing the stacked operator.
+    Constraints (X C'), then social aggregation (A .), then anchor blend;
+    each of the k columns is updated on its own.
     """
     n, m = system.n, system.m
-    x = state.beliefs(n, m)
+    x3 = x.reshape(n, m, -1)
+    k = x3.shape[2]
+    xhat = (system.c.csr @ x3.transpose(1, 0, 2).reshape(m, n * k))  # X C'
+    xhat = xhat.reshape(m, n, k).transpose(1, 0, 2).reshape(n, m * k)
+    xbar = (system.a.csr @ xhat).reshape(n, m, k)
+    lam = system.lam[:, None, None]
+    xbar *= lam  # in place: the stepped stacks are large
+    xbar += (1.0 - lam) * anchors.reshape(n, m, k)
+    return xbar.reshape(x.shape)
+
+
+def step(system: BeliefSystem, state: BeliefState) -> BeliefState:
+    """One update of the current-belief block; the anchors stay as they are."""
+    n, m = system.n, system.m
     anchors = state.x[n * m:].reshape(n, m)
-    xhat = (system.c.csr @ x.T).T  # X C'
-    xbar = system.a.csr @ xhat
-    lam = system.lam[:, None]
-    state.x[: n * m] = (lam * xbar + (1.0 - lam) * anchors).ravel()
+    state.x[: n * m] = update(system, state.beliefs(n, m), anchors).ravel()
     state.k += 1
     return state
 
@@ -143,29 +154,36 @@ def oblivious_set(system: BeliefSystem) -> frozenset[int]:
     return frozenset(np.flatnonzero(oblivious).tolist())
 
 
+def closed_factor_classes(system: BeliefSystem) -> tuple[list, list]:
+    """Closed classes of the oblivious agents and of the constraints.
+
+    Two lists of (members, period): the closed classes of A whose agents all
+    have lambda = 1, and those of C. Each product of one of each is a closed
+    class of the current-belief block.
+    """
+    dec_a = scc_decompose(system.a.to_graph())
+    dec_c = scc_decompose(system.c.to_graph())
+    agents = [(dec_a.components[cid], dec_a.periods[cid]) for cid in dec_a.closed_components()
+              if np.all(system.lam[dec_a.components[cid]] == 1.0)]
+    topics = [(dec_c.components[cid], dec_c.periods[cid]) for cid in dec_c.closed_components()]
+    return agents, topics
+
+
 def converges(system: BeliefSystem) -> ConvergenceVerdict:
     """Graph-theoretic convergence verdict.
 
-    Collects every periodic closed component of the constraint graph and of
-    the subgraph induced by oblivious agents. With no oblivious agents the
-    anchor pull contracts the whole update and the verdict is positive
-    regardless of the constraint topology.
+    Collects every periodic closed class of the oblivious agents and of the
+    constraint graph. With no oblivious agents the anchor pull contracts the
+    whole update and the verdict is positive regardless of the constraint
+    topology.
     """
     oblivious = oblivious_set(system)
     witnesses: list[tuple[str, frozenset[int], int]] = []
     if oblivious:
-        nodes = np.asarray(sorted(oblivious), dtype=np.int64)
-        sub = system.a.to_graph().subgraph(nodes)
-        dec = scc_decompose(sub)
-        for cid in dec.closed_components():
-            if dec.periods[cid] != 1:
-                members = frozenset(int(nodes[v]) for v in dec.components[cid])
-                witnesses.append(("oblivious-agents", members, dec.periods[cid]))
-        dec_t = scc_decompose(system.c.to_graph())
-        for cid in dec_t.closed_components():
-            if dec_t.periods[cid] != 1:
-                members = frozenset(int(v) for v in dec_t.components[cid])
-                witnesses.append(("logic-constraints", members, dec_t.periods[cid]))
+        for tag, classes in zip(("oblivious-agents", "logic-constraints"),
+                                closed_factor_classes(system)):
+            witnesses += [(tag, frozenset(members.tolist()), period)
+                          for members, period in classes if period != 1]
     return ConvergenceVerdict(not witnesses, witnesses, oblivious)
 
 
@@ -218,8 +236,3 @@ def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
             f"step change stuck near {delta:.3g} after {max_iter} iterations")
     return SimulationResult(st, int(max_iter), False, delta, trajectory)
 
-
-def oblivious_subgraph(system: BeliefSystem) -> tuple[DirectedGraph, np.ndarray]:
-    """Induced graph of the oblivious agents plus their original indices."""
-    nodes = np.asarray(sorted(oblivious_set(system)), dtype=np.int64)
-    return system.a.to_graph().subgraph(nodes), nodes

@@ -44,16 +44,6 @@ def _rng(spec: TopologySpec) -> np.random.Generator:
         np.random.SeedSequence((int(spec.seed) & (2**64 - 1), family_id))))
 
 
-def _sym(edges):
-    """Undirected edge list: emit both directions, self-loops once."""
-    out = []
-    for s, t in edges:
-        out.append((s, t))
-        if s != t:
-            out.append((t, s))
-    return out
-
-
 def generate(spec: TopologySpec) -> DirectedGraph:
     """Build the graph described by the spec; deterministic for fixed inputs."""
     fam = spec.family

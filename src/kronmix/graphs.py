@@ -89,12 +89,6 @@ class DirectedGraph:
     def out_degree(self, node: int) -> int:
         return int(self._indptr[node + 1] - self._indptr[node])
 
-    def out_weights(self, node: int) -> np.ndarray | None:
-        if self.weights is None:
-            return None
-        lo, hi = self._indptr[node], self._indptr[node + 1]
-        return self.weights[lo:hi]
-
     def has_edge(self, s: int, t: int) -> bool:
         return bool(np.any(self.successors(s) == t))
 

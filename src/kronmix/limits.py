@@ -1,21 +1,24 @@
 """Where the belief system converges.
 
-Structural limits via stationary vectors of closed components and absorbing
-probabilities for the transient part; the fixed-point iteration for stubborn
-systems; social power from the stationary left eigenvector.
+Structural limits from the factors: each closed class (a closed class of A
+with every lambda = 1 times one of C) settles on (pi_A (x) pi_C)' x0, and the
+transient pairs mix those values and their anchors by one sparse solve; the
+2nm system operator is never built. Also absorbing probabilities, the
+fixed-point iteration for stubborn systems, and social power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .beliefs import BeliefSystem, system_matrix
+from .beliefs import BeliefSystem, closed_factor_classes
 from .errors import NoUniqueFixedPoint, NotErgodic, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
+from .kron import MATERIALIZE_CAP
+from .mixing import _solve_fundamental
 from .stochastic import StochasticMatrix, stationary
 
 DENSE_SOLVE_LIMIT = 2000
@@ -24,17 +27,14 @@ LIMIT_MATRIX_CAP = 4000
 
 @dataclass
 class TransientBlock:
-    """Transient-state machinery of an absorbing chain.
+    """Absorption probabilities N R of an absorbing chain, N = (I - Z)^-1.
 
-    `fundamental` (N = (I - Z)^-1) is materialized only below the dense-solve
-    threshold; `absorb` = N R always is, one row per transient state, one
-    column per recurrent state.
+    One row per transient state, one column per recurrent state; the
+    fundamental matrix N itself is kept only below the dense-solve threshold.
     """
 
     transient: np.ndarray
     recurrent: np.ndarray
-    z: sp.csr_matrix
-    r: sp.csr_matrix
     fundamental: np.ndarray | None
     absorb: np.ndarray
 
@@ -54,7 +54,6 @@ class LimitReport:
     x_inf: np.ndarray  # length 2nm
     beliefs: np.ndarray  # n x m view of the current-belief block
     method: str
-    component_stationaries: dict[int, np.ndarray] = field(default_factory=dict)
     consensus: float | None = None
 
 
@@ -71,9 +70,8 @@ def absorbing_probabilities(matrix: StochasticMatrix,
                             decomp: SccDecomposition | None = None) -> TransientBlock:
     """Absorption probability matrix N R for the transient block.
 
-    Below 2000 transient states the fundamental matrix is inverted densely;
-    above, each recurrent column group is solved through a sparse LU
-    factorization and N is not materialized.
+    N R comes from one sparse solve with R's columns as right-hand sides;
+    below 2000 transient states N is solved for as well.
     """
     if decomp is None:
         decomp = scc_decompose(matrix.to_graph())
@@ -82,26 +80,10 @@ def absorbing_probabilities(matrix: StochasticMatrix,
     if transient.size == 0:
         raise StructuralError("no transient states: the absorbing block is empty")
     z = matrix.minor(transient, transient)
-    r = matrix.minor(transient, recurrent)
-    system = (sp.eye(transient.size) - z).tocsc()
-    if transient.size <= DENSE_SOLVE_LIMIT:
-        try:
-            fundamental = np.linalg.inv(system.toarray())
-        except np.linalg.LinAlgError as exc:
-            raise StructuralError(f"(I - Z) is singular: {exc}") from exc
-        absorb = fundamental @ r.toarray()
-    else:
-        fundamental = None
-        lu = spla.splu(system)
-        dense_r = r.toarray()
-        absorb = np.empty_like(dense_r)
-        chunk = max(1, 50_000_000 // max(1, transient.size))
-        for lo in range(0, dense_r.shape[1], chunk):
-            absorb[:, lo:lo + chunk] = lu.solve(dense_r[:, lo:lo + chunk])
-    if not np.all(np.isfinite(absorb)):
-        raise StructuralError("absorption solve produced non-finite values")
-    return TransientBlock(transient, recurrent, z.tocsr(), r.tocsr(),
-                          fundamental, absorb)
+    absorb = _solve_fundamental(z, matrix.minor(transient, recurrent).toarray())
+    fundamental = (_solve_fundamental(z, np.eye(transient.size))
+                   if transient.size <= DENSE_SOLVE_LIMIT else None)
+    return TransientBlock(transient, recurrent, fundamental, absorb)
 
 
 def closed_limit(system: BeliefSystem, component) -> ClosedLimit:
@@ -133,29 +115,47 @@ def closed_limit(system: BeliefSystem, component) -> ClosedLimit:
     return ClosedLimit(float(pi @ x0_s), pi, agents, topics)
 
 
-def structural_limit(system: BeliefSystem) -> LimitReport:
-    """Full-system limit from the component structure (no iteration).
+def _apply_limit(system: BeliefSystem, x: np.ndarray) -> np.ndarray:
+    """W^inf x for a 2nm x k block x, W the system operator.
 
-    Closed components get their stationary-weighted consensus; open
-    components get absorption-weighted combinations, solved in one pass on
-    the transient block.
+    Anchors keep their rows. Each closed class K (a product of closed factor
+    classes) gets pi' x[K], with pi from `closed_limit`, where periodic factor
+    classes raise NotErgodic. The transient pairs T solve
+    (I - Z) y = R y_closed + (1 - lambda) x_anchor[T], with Z and R the rows T
+    of (Lambda A) x C.
     """
-    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
-    decomp = scc_decompose(matrix.to_graph())
-    x_inf = np.full(system.dim, np.nan)
-    stationaries: dict[int, np.ndarray] = {}
-    for cid in decomp.closed_components():
-        comp = decomp.components[cid]
-        cl = closed_limit(system, comp)
-        x_inf[comp] = cl.value
-        stationaries[cid] = cl.stationary
-    transient = decomp.transient_nodes()
+    nm = system.n * system.m
+    top, anchors = x[:nm], x[nm:]
+    y = np.zeros_like(top)
+    closed = np.zeros(nm, dtype=bool)
+    agent_classes, topic_classes = closed_factor_classes(system)
+    for agents, _ in agent_classes:
+        for topics, _ in topic_classes:
+            pairs = (agents[:, None] * system.m + topics).ravel()
+            y[pairs] = closed_limit(system, pairs).stationary @ top[pairs]
+            closed[pairs] = True
+    transient = np.flatnonzero(~closed)
     if transient.size:
-        block = absorbing_probabilities(matrix, decomp)
-        x_inf[transient] = block.absorb @ x_inf[block.recurrent]
+        if system.a.nnz * system.c.nnz > MATERIALIZE_CAP:
+            raise TooLarge(f"transient rows need ~{system.a.nnz * system.c.nnz} nonzeros")
+        lam_a = sp.diags(system.lam) @ system.a.csr
+        rows = sp.kron(lam_a, system.c.csr, format="csr")[transient]
+        anchor_weight = (1.0 - system.lam)[transient // system.m]
+        rhs = rows @ y + anchor_weight[:, None] * anchors[transient]
+        y[transient] = _solve_fundamental(rows[:, transient], rhs)
+    return np.concatenate([y, anchors])
+
+
+def structural_limit(system: BeliefSystem) -> LimitReport:
+    """Full-system limit from the factor structure (no iteration).
+
+    Closed classes get their stationary-weighted consensus; transient pairs
+    get absorption-weighted combinations, solved in one pass.
+    """
+    stacked = np.concatenate([system.x0.ravel(), system.x0.ravel()])
+    x_inf = _apply_limit(system, stacked[:, None])[:, 0]
     beliefs = x_inf[: system.n * system.m].reshape(system.n, system.m)
-    return LimitReport(x_inf, beliefs, "structural", stationaries,
-                       consensus=_consensus_value(beliefs))
+    return LimitReport(x_inf, beliefs, "structural", consensus=_consensus_value(beliefs))
 
 
 def _consensus_value(beliefs: np.ndarray, tol: float = 1e-9) -> float | None:
@@ -211,18 +211,6 @@ def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
     if system.dim > LIMIT_MATRIX_CAP:
         raise TooLarge(f"limit matrix would be {system.dim}^2 dense")
     cols = np.arange(system.dim) if columns is None else np.asarray(columns, dtype=np.int64)
-    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
-    decomp = scc_decompose(matrix.to_graph())
-    w = np.zeros((system.dim, cols.size))
-    col_comp = decomp.component_of[cols]
-    for cid in decomp.closed_components():
-        comp = decomp.components[cid]
-        pi = closed_limit(system, comp).stationary
-        hit = np.flatnonzero(col_comp == cid)
-        if hit.size:
-            w[np.ix_(comp, hit)] = pi[np.searchsorted(comp, cols[hit])]
-    transient = decomp.transient_nodes()
-    if transient.size:
-        block = absorbing_probabilities(matrix, decomp)
-        w[transient] = block.absorb @ w[block.recurrent]
-    return w
+    basis = np.zeros((system.dim, cols.size))
+    basis[cols, np.arange(cols.size)] = 1.0
+    return _apply_limit(system, basis)

@@ -340,13 +340,16 @@ def expected_absorbing_time(matrix: StochasticMatrix,
 
 
 def _solve_fundamental(z: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Z) x = rhs; a singular system marks a misclassified block."""
+    """Solve (I - Z) x = rhs for a vector or a t x k block of right-hand sides.
+
+    The result has rhs's shape; a singular system marks a misclassified block.
+    """
     system = (sp.eye(z.shape[0]) - z).tocsc()
     try:
         x = spla.spsolve(system, rhs)
     except RuntimeError as exc:
         raise StructuralError(f"(I - Z) solve failed: {exc}") from exc
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64).reshape(rhs.shape)
     residual = np.abs(system @ x - rhs).max() if rhs.size else 0.0
     if not np.all(np.isfinite(x)) or residual > 1e-6:
         raise StructuralError("(I - Z) is singular; a closed block leaked into Z")

@@ -3,12 +3,19 @@
 These deliberately avoid the library's own code paths: reachability closures
 instead of a strong-components kernel, a fixed point instead of reverse
 reachability, dense matrix powers instead of sparse evolution, absorbing
-solves on the explicit pair chain instead of coupling simulation.
+solves on the explicit pair chain instead of coupling simulation, closed
+components of the materialised 2nm system graph instead of its factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from kronmix.beliefs import system_matrix
+from kronmix.errors import NotErgodic
+from kronmix.graphs import scc_decompose
+from kronmix.limits import absorbing_probabilities, closed_limit
+from kronmix.stochastic import StochasticMatrix
 
 
 def reachability_components(n: int, edges) -> list[frozenset[int]]:
@@ -208,3 +215,34 @@ def empirical_convergence(op: np.ndarray, starts: int = 20, cap: int = 300_000,
                 return False  # not decreasing: periodic part present
             floor_prev, floor_cur = floor_cur, np.inf
     return True  # still strictly decreasing at the cap: Cauchy trend
+
+
+def system_graph_limit(system, x: np.ndarray) -> np.ndarray:
+    """W^inf x on the materialised 2nm system chain, for a 2nm x k block x.
+
+    Finds the closed components on the system graph itself, gives each the
+    stationary-weighted value pi' x[comp] (anchors are singletons that keep
+    their rows), and spreads them over the transient states with the dense
+    absorption matrix N R. Any periodic closed component raises NotErgodic.
+    """
+    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
+    decomp = scc_decompose(matrix.to_graph())
+    out = np.zeros(x.shape)
+    for cid in decomp.closed_components():
+        if decomp.periods[cid] != 1:
+            raise NotErgodic(f"closed component {cid} has period {decomp.periods[cid]}")
+        comp = decomp.components[cid]
+        out[comp] = closed_limit(system, comp).stationary @ x[comp]
+    if decomp.transient_nodes().size:
+        block = absorbing_probabilities(matrix, decomp)
+        out[block.transient] = block.absorb @ out[block.recurrent]
+    return out
+
+
+def system_graph_closed_classes(system) -> list[frozenset[int]]:
+    """Closed components of the system graph inside the current-belief block."""
+    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
+    decomp = scc_decompose(matrix.to_graph())
+    nm = system.n * system.m
+    return [frozenset(decomp.components[cid].tolist()) for cid in decomp.closed_components()
+            if decomp.components[cid][0] < nm]

@@ -1,13 +1,21 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kronmix.beliefs import assemble, converges, simulate, system_matrix
+from kronmix import beliefs, graphs
+from kronmix.beliefs import (assemble, closed_factor_classes, converges, simulate,
+                             system_matrix)
 from kronmix.errors import NotErgodic, NoUniqueFixedPoint, StructuralError
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import scc_decompose
 from kronmix.limits import (absorbing_probabilities, closed_limit, limit_matrix,
                             social_power, structural_limit, stubborn_limit)
+from kronmix.netio import system_mixing_time
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
+from oracles import system_graph_closed_classes, system_graph_limit
+from test_acceptance import philox, random_belief_system
 from test_beliefs import cycle_path_system, random_system
 
 
@@ -269,3 +277,102 @@ class TestLimitMatrix:
             np.testing.assert_allclose(w, power[:, cols], atol=1e-7)
             np.testing.assert_allclose(w, limit_matrix(system)[:, cols], rtol=0, atol=1e-15)
             checked += 1
+
+
+def _outcome(fn):
+    """fn()'s value, or the NotErgodic it raised."""
+    try:
+        return fn()
+    except NotErgodic as exc:
+        return exc
+
+
+class TestFactorSpaceLimit:
+    """Limits from the factors against the materialised 2nm system chain."""
+
+    def test_matches_system_graph_oracle(self):
+        rng = philox(1201)
+        worst, raised = 0.0, 0
+        lam_kinds = set()
+        for _ in range(1000):
+            system = random_belief_system(rng)
+            lam_kinds.add("ones" if np.all(system.lam == 1) else
+                          "zeros" if np.all(system.lam == 0) else "mixed")
+            cols = rng.choice(system.dim, size=int(rng.integers(1, system.dim + 1)),
+                              replace=False)
+            block = np.zeros((system.dim, 1 + cols.size))
+            block[:, 0] = np.tile(system.x0.ravel(), 2)
+            block[cols, 1 + np.arange(cols.size)] = 1.0
+            got = _outcome(lambda: np.column_stack([structural_limit(system).x_inf,
+                                                    limit_matrix(system, cols)]))
+            want = _outcome(lambda: system_graph_limit(system, block))
+            assert isinstance(got, NotErgodic) == isinstance(want, NotErgodic)
+            if isinstance(want, NotErgodic):
+                raised += 1
+            else:
+                worst = max(worst, float(np.abs(got - want).max()))
+        assert worst <= 1e-12
+        assert 0 < raised < 1000
+        assert lam_kinds == {"ones", "zeros", "mixed"}
+
+    def test_closed_pairs_are_closed_system_components(self):
+        rng = philox(1202)
+        aperiodic = 0
+        for _ in range(300):
+            system = random_belief_system(rng)
+            agent_classes, topic_classes = closed_factor_classes(system)
+            got = [frozenset((agents[:, None] * system.m + topics).ravel().tolist())
+                   for agents, _ in agent_classes for topics, _ in topic_classes]
+            want = system_graph_closed_classes(system)
+            # a periodic factor product splits into slices of the same pairs
+            assert frozenset().union(*got) == frozenset().union(*want)
+            if not isinstance(_outcome(lambda: structural_limit(system)), NotErgodic):
+                aperiodic += 1
+                assert sorted(got, key=min) == sorted(want, key=min)
+        assert aperiodic >= 100
+
+    def test_library_never_builds_the_system_operator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2nm system operator was materialised")
+
+        sizes = []
+        real_scc = graphs.scc_decompose
+
+        def recording_scc(graph):
+            sizes.append(graph.node_count)
+            return real_scc(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name == "kronmix" or name.startswith("kronmix."):
+                for attr, value in list(vars(module).items()):
+                    if value is beliefs.system_matrix:
+                        monkeypatch.setattr(module, attr, refuse)
+                    elif value is real_scc:
+                        monkeypatch.setattr(module, attr, recording_scc)
+        system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
+        structural_limit(system)
+        limit_matrix(system, [0, 5, 40])
+        system_mixing_time(system)
+        assert sizes and max(sizes) <= max(system.n, system.m)
+
+    def test_stubborn_scale(self):
+        # lazy 2000-cycle x lazy eulerian ring (m = 5, k = 2), 10 % at lambda 0.5:
+        # nm = 10^4, every pair transient; a dense absorbing block on the
+        # system graph would hold two 10^4 x 10^4 arrays (~1.6 GB)
+        n, m = 2000, 5
+        a = equal_weight_matrix(lazify(generate(TopologySpec("cycle", n)), 0.5))
+        c = equal_weight_matrix(lazify(generate(
+            TopologySpec("eulerian-ring", m, k=2, directed=True)), 0.5))
+        rng = philox(1203)
+        lam = np.ones(n)
+        lam[rng.choice(n, size=n // 10, replace=False)] = 0.5
+        system = assemble(a, c, lam, rng.random((n, m)))
+        tracemalloc.start()
+        try:
+            report = structural_limit(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        fixed = stubborn_limit(system, tol=1e-13)
+        assert float(np.abs(report.beliefs - fixed).max()) <= 1e-8

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kronmix.errors import NotErgodic
 from kronmix.generators import TopologySpec, generate, lazify
@@ -240,6 +241,17 @@ class TestAbsorbing:
         times = expected_absorbing_time(m)
         mean, se = mc_absorption_time(mat, {0, 1}, 0, 4000, rng)
         assert abs(times.node_expectation[0] - mean) <= 3 * se
+
+    def test_fundamental_solve_keeps_rhs_shape(self):
+        # a one-column block must come back as a column, not as a vector
+        rng = np.random.default_rng(14)
+        z = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+        z *= 0.9 / np.maximum(z.sum(axis=1, keepdims=True), 1.0)
+        dense = np.eye(6) - z
+        for rhs in (rng.random(6), rng.random((6, 1)), rng.random((6, 4))):
+            x = mixing._solve_fundamental(sp.csr_matrix(z), rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-13)
 
 
 class TestBounds:

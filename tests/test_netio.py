@@ -118,7 +118,26 @@ def small_config(tmp_path, **overrides):
     return cfg
 
 
+# experiment.csv of small_config as computed on the materialised system graph;
+# the directed path makes most pairs transient, so t_mix and limit_consensus
+# both go through the transient solve
+SMALL_CONFIG_CSV = (
+    CSV_HEADER + "\n"
+    "5,5,3,true,10,0.8090169944,1.468109288,21.43826645,12.2,1.522301261,2,"
+    "629.9321577,0.662189153,\n"
+    "7,7,3,true,20,0.9009688679,3.153069228,44.74165553,17.41666667,1.809000046,2,"
+    "861.3508964,0.4496315459,\n"
+    "9,9,3,true,33,0.9396926208,5.400212206,77.63778311,35.36666667,4.467077728,2,"
+    "1657.638377,0.7296574664,\n")
+
+
 class TestRunExperiment:
+    def test_small_config_csv_pinned(self, tmp_path):
+        cfg = small_config(tmp_path)
+        run_experiment(cfg)
+        with open(os.path.join(cfg.outdir, "experiment.csv"), encoding="utf-8") as fh:
+            assert fh.read() == SMALL_CONFIG_CSV
+
     def test_schema_and_determinism(self, tmp_path):
         cfg = small_config(tmp_path)
         rows = run_experiment(cfg)
