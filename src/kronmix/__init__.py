@@ -28,7 +28,6 @@ from .mixing import (AbsorbingTimes, CouplingEstimate, MixingReport,
 from .netio import (ExperimentConfig, largest_scc, load_edgelist, read_config,
                     run_experiment)
 from .stochastic import (StochasticMatrix, equal_weight_matrix, evolve,
-                         stationary, tv_distance, validate_distribution,
-                         validate_stochastic)
+                         stationary, tv_distance, validate_stochastic)
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import AllTrialsCapped, FailedToConverge, NotErgodic, StructuralError
 from .graphs import SccDecomposition, condensation, scc_decompose
-from .stochastic import StochasticMatrix, ergodicity_check, stationary
+from .stochastic import (StochasticMatrix, _dominant_eigenpair, ergodicity_check,
+                         stationary)
 
 EXACT_START_LIMIT = 2000
 SAMPLED_STARTS = 64
@@ -85,10 +86,9 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     (set `starts` to "exact", "sampled", or a count to override). Periodic or
     reducible chains raise NotErgodic.
     """
-    ergodicity_check(matrix)
+    pi = stationary(matrix)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    pi = stationary(matrix, check=False)
     n = matrix.n
     rows = _start_rows(n, starts, rng)
     dist = np.zeros((rows.size, n))
@@ -107,83 +107,41 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     raise FailedToConverge(f"TV distance still {curve[-1]:.3g} after {max_steps} steps")
 
 
-def second_eigenvalue(matrix: StochasticMatrix, tol: float = 1e-10,
-                      max_iter: int = 200_000, check_every: int = 10) -> float:
-    """|lambda_2| by power iteration on the operator deflated by (1, pi).
+def second_eigenvalue(matrix: StochasticMatrix) -> float:
+    """|lambda_2|: the dominant eigenvalue modulus of M' deflated by (pi, 1).
 
-    Once the iterates settle into the dominant invariant subspace they obey a
-    three-term recurrence B^2 x = a Bx + b x, so the dominant modulus is the
-    larger root of s^2 - a s - b. Fitting (a, b) by least squares handles
-    real, negative, and complex conjugate dominant pairs alike. Raises
-    FailedToConverge when the extracted modulus refuses to stabilize.
+    The deflated operator v -> M'v - pi sum(v) keeps every eigenvalue of M
+    but the unit one, which it sends to 0. One ARPACK call to machine
+    precision (`stochastic._dominant_eigenpair`) finds its dominant
+    eigenvalue, whether real, negative or one of a complex pair; a rank-one
+    chain has a null deflated operator and gives 0. Periodic or reducible
+    chains raise NotErgodic, and an ARPACK run that hits its iteration cap
+    raises FailedToConverge.
     """
-    ergodicity_check(matrix)
-    n = matrix.n
-    if n == 1:
-        return 0.0
-    pi = stationary(matrix, check=False)
-    pt = matrix.csr.T.tocsr()
+    pi = stationary(matrix)
+    pt = matrix.csr.T
+    value, _ = _dominant_eigenpair(lambda v: pt @ v - pi * v.sum(), matrix.n)
+    return float(abs(value))
 
-    def deflated(v):
-        return pt @ v - pi * v.sum()
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x5EED)))
-    prev = rng.random(n) - 0.5
-    prev -= pi * prev.sum()
-    norm = np.linalg.norm(prev)
-    if norm < 1e-300:
-        return 0.0
-    prev /= norm
-    cur = deflated(prev)
-    s_cur = np.linalg.norm(cur)
-    if s_cur < 1e-300:
-        return 0.0  # rank-1 chain: the deflated operator is null
-    cur /= s_cur
+def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float, float]:
+    """Spectral mixing-time bounds for |lambda_2| < 1 on `states` states.
 
-    last_est = None
-    agreements = 0
-    for it in range(1, int(max_iter) + 1):
-        nxt = deflated(cur)
-        s_nxt = np.linalg.norm(nxt)
-        if s_nxt < 1e-300:
-            return 0.0
-        if it % check_every == 0:
-            # recurrence in unnormalized terms: B^2 prev = a B prev + b prev
-            basis = np.stack([cur, prev], axis=1)
-            (a_hat, b_hat), *_ = np.linalg.lstsq(basis, nxt / s_nxt, rcond=None)
-            alpha = a_hat * s_nxt
-            beta = b_hat * s_cur * s_nxt
-            disc = alpha * alpha + 4.0 * beta
-            if disc >= 0:
-                root = math.sqrt(disc)
-                est = max(abs(alpha + root), abs(alpha - root)) / 2.0
-            else:
-                est = math.sqrt(-beta)  # conjugate pair: |roots|^2 = -beta
-            if last_est is not None and abs(est - last_est) <= tol * max(est, 1e-12):
-                agreements += 1
-                if agreements >= 2:
-                    return est
-            else:
-                agreements = 0
-            last_est = est
-        prev, s_cur = cur, s_nxt
-        cur = nxt / s_nxt
-    raise FailedToConverge("second-eigenvalue estimate did not stabilize")
+    lower = lambda2 / (2 (1 - lambda2)) * ln(1 / (2 epsilon))
+    upper = (ln states + ln(1 / epsilon)) / (1 - lambda2)
+    """
+    lower = lambda2 / (2.0 * (1.0 - lambda2)) * math.log(1.0 / (2.0 * epsilon))
+    upper = (math.log(states) + math.log(1.0 / epsilon)) / (1.0 - lambda2)
+    return lower, upper
 
 
 def eigen_bounds(matrix: StochasticMatrix, epsilon: float = 0.25,
                  lambda2: float | None = None) -> tuple[float, float]:
-    """Spectral mixing-time bounds.
-
-    lower = lambda2 / (2 (1 - lambda2)) * ln(1 / (2 epsilon))
-    upper = (ln n + ln(1 / epsilon)) / (1 - lambda2)
-    """
+    """`spectral_bounds` of one chain; |lambda_2| is computed when not given."""
     lam = second_eigenvalue(matrix) if lambda2 is None else float(lambda2)
     if lam >= 1.0:
         raise FailedToConverge(f"|lambda_2| estimate {lam} >= 1")
-    lower = lam / (2.0 * (1.0 - lam)) * math.log(1.0 / (2.0 * epsilon))
-    upper = (math.log(matrix.n) + math.log(1.0 / epsilon)) / (1.0 - lam)
-    return lower, upper
+    return spectral_bounds(lam, matrix.n, epsilon)
 
 
 def _row_table(matrix: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:

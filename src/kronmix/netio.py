@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -35,32 +36,51 @@ SNAP_SOURCES = {
 
 # -- edge lists ------------------------------------------------------------
 
+_INT64 = re.compile(r"[+-]?[0-9]+")
+
+
 def load_edgelist(path: str, directed: bool = True) -> DirectedGraph:
     """Parse a SNAP edge list; node ids become dense 0-based indices.
 
-    The original ids (sorted ascending) are kept in graph.meta["id_map"].
-    Duplicate edges merge; undirected mode symmetrizes. Malformed lines raise
-    ParseError with their line number; a file with no edges raises EmptyGraph.
+    '#' starts a comment. The original ids (sorted ascending) are kept in
+    graph.meta["id_map"]. Duplicate edges merge; undirected mode symmetrizes.
+    Malformed lines raise ParseError with their line number; a file with no
+    edges raises EmptyGraph.
     """
-    pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(lineno, f"expected two fields, got {len(parts)}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(lineno, f"non-integer endpoint in {text!r}") from None
-    if not pairs:
-        raise EmptyGraph(f"{path} contains no edges")
-    ids, edges = np.unique(np.asarray(pairs, dtype=np.int64), return_inverse=True)
+        # np.loadtxt warns on a file without data rows, so look for one first
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise EmptyGraph(f"{path} contains no edges")
+        fh.seek(0)
+        try:
+            pairs = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+            if pairs.shape[1] != 2:
+                raise ValueError(f"rows hold {pairs.shape[1]} fields")
+        except ValueError as exc:
+            fh.seek(0)
+            raise _bad_line(fh, exc) from None
+    ids, edges = np.unique(pairs, return_inverse=True)
     graph = DirectedGraph(ids.size, edges.reshape(-1, 2), directed=directed,
                           meta={"id_map": ids, "path": path})
     return graph
+
+
+def _bad_line(lines, exc: ValueError) -> ParseError:
+    """ParseError naming the first line that is not two 64-bit integers.
+
+    np.loadtxt numbers its errors by data row, not by line of the file, so a
+    failed parse is scanned again for the line number.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        parts = text.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return ParseError(lineno, f"expected two fields, got {len(parts)}")
+        if not all(_INT64.fullmatch(p) and -2**63 <= int(p) < 2**63 for p in parts):
+            return ParseError(lineno, f"endpoint is not a 64-bit integer in {text!r}")
+    return ParseError(0, str(exc))
 
 
 def largest_scc(graph: DirectedGraph) -> DirectedGraph:
@@ -308,10 +328,8 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
                 lam2 = max(lams)
                 row["lambda2"] = lam2
                 if lam2 < 1.0:
-                    row["lower_bound"] = (lam2 / (2 * (1 - lam2))
-                                          * math.log(1 / (2 * config.epsilon)))
-                    row["upper_bound"] = ((math.log(max(2, n * m))
-                                           + math.log(1 / config.epsilon)) / (1 - lam2))
+                    row["lower_bound"], row["upper_bound"] = mixing.spectral_bounds(
+                        lam2, n * m, config.epsilon)
             if 2 * n * m <= config.max_system_dim:
                 row["t_mix"] = system_mixing_time(system, config.epsilon)
                 report = structural_limit(system)

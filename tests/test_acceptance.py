@@ -383,7 +383,7 @@ def test_ac10_dataset_criteria():
             continue
         sub = largest_scc(load_edgelist(path, directed=directed[name]))
         m = equal_weight_matrix(lazify(sub, 0.5))
-        lam2 = second_eigenvalue(m, tol=1e-8)
+        lam2 = second_eigenvalue(m)
         _, upper = eigen_bounds(m, 0.25, lambda2=lam2)
         deviation = (upper - bound) / bound
         details.append(f"{name}: upper bound {upper:.0f} vs paper {bound} "

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from kronmix.errors import NotErgodic
+from kronmix.errors import FailedToConverge, NotErgodic
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
@@ -93,6 +95,40 @@ class TestEigenBounds:
             m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
             want = np.sort(np.abs(np.linalg.eigvals(m.dense())))[-2]
             assert second_eigenvalue(m) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    def test_lazy_cycle_gap_closed_form(self, n):
+        gap = 1.0 - second_eigenvalue(lazy_chain("cycle", n))
+        exact = (1.0 - math.cos(2.0 * math.pi / n)) / 2.0
+        assert gap == pytest.approx(exact, rel=1e-8)
+
+    def test_lazy_hypercube_closed_form(self):
+        # lazy walk on the 10-cube: eigenvalues 1 - k/10, so |lambda_2| = 0.9
+        assert second_eigenvalue(lazy_chain("hypercube", 1024)) == pytest.approx(0.9, abs=1e-12)
+
+    def test_arpack_cap_is_failed_to_converge(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise spla.ArpackNoConvergence("cap", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigs", capped)
+        with pytest.raises(FailedToConverge):
+            second_eigenvalue(lazy_chain("cycle", 11))
+
+    def test_bit_identical_in_thread_pool(self):
+        rng = np.random.default_rng(21)
+        chains = [lazy_chain(f, n) for f in ("cycle", "path", "lollipop", "star")
+                  for n in (3, 9, 40)]
+        chains += [random_ergodic(rng, n) for n in (1, 2, 17, 58)]
+
+        def both(m):
+            return stationary(m), second_eigenvalue(m)
+
+        serial = [[both(m) for m in chains] for _ in range(2)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = [list(pool.map(both, chains)) for _ in range(3)]
+        for run in serial[1:] + pooled:
+            for (pi, lam), (want_pi, want_lam) in zip(run, serial[0]):
+                assert np.array_equal(pi, want_pi) and lam == want_lam
 
     def test_tmix_within_bounds_on_families(self):
         chains = [lazy_chain("path", 17), lazy_chain("star", 25),

@@ -45,6 +45,36 @@ class TestLoadEdgelist:
             load_edgelist(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_comments_only_raises_no_numpy_warning(self, tmp_path):
+        with pytest.raises(EmptyGraph):
+            load_edgelist(write(tmp_path, "c.txt", "# one\n  \n# two 3 4\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("# header\n0 1 2\n3 4 5\n", 2),            # every row has three fields
+        ("0 1\n\n# c\n5 99999999999999999999\n", 4),  # past int64
+        ("# a\n# b\n7\n", 3),
+        ("0 1\n1 2.0\n", 2),
+    ])
+    def test_bad_line_numbered_past_comments(self, tmp_path, text, line):
+        with pytest.raises(ParseError) as exc:
+            load_edgelist(write(tmp_path, "bad.txt", text))
+        assert exc.value.line_number == line
+
+    def test_matches_line_by_line_parse(self, tmp_path):
+        rng = np.random.default_rng(6)
+        ids = rng.choice(10_000, size=300, replace=False)
+        lines, want = ["# FromNodeId\tToNodeId"], set()
+        for u, v in ids[rng.integers(300, size=(2000, 2))]:
+            lines.append(f"{u}\t{v}" if rng.random() < 0.9 else f"  {u} {v}  # note")
+            want.add((int(u), int(v)))
+            if rng.random() < 0.05:
+                lines.append("# interleaved comment")
+        g = load_edgelist(write(tmp_path, "g.txt", "\n".join(lines) + "\n"))
+        id_map = g.meta["id_map"]
+        assert id_map.tolist() == sorted({u for e in want for u in e})
+        assert {(int(id_map[s]), int(id_map[t])) for s, t in g.edge_set()} == want
+
     def test_id_remap_and_map_kept(self, tmp_path):
         g = load_edgelist(write(tmp_path, "g.txt", "10 30\n30 570\n"))
         assert g.node_count == 3
