@@ -21,13 +21,13 @@ from .limits import (ClosedLimit, LimitReport, SocialPower, TransientBlock,
                      absorbing_probabilities, closed_limit, limit_matrix,
                      social_power, structural_limit, stubborn_limit)
 from .mixing import (AbsorbingTimes, CouplingEstimate, MixingReport,
-                     analyze_mixing, coupling_bound, distance_to_limit_curve,
-                     eigen_bounds, estimate_coupling_time,
-                     expected_absorbing_time, measure_mixing_time,
-                     product_distance_to_limit, second_eigenvalue, theorem_bound)
+                     analyze_mixing, coupling_bound, eigen_bounds,
+                     estimate_coupling_time, expected_absorbing_time,
+                     measure_mixing_time, product_distance_to_limit,
+                     second_eigenvalue, theorem_bound)
 from .netio import (ExperimentConfig, largest_scc, load_edgelist, read_config,
                     run_experiment)
-from .stochastic import (StochasticMatrix, equal_weight_matrix, evolve,
-                         stationary, tv_distance, validate_stochastic)
+from .stochastic import (StochasticMatrix, equal_weight_matrix, stationary,
+                         tv_distance, validate_stochastic)
 
 __version__ = "0.1.0"

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .beliefs import BeliefSystem, closed_factor_classes
-from .errors import NoUniqueFixedPoint, NotErgodic, StructuralError, TooLarge
+from .beliefs import BeliefSystem, closed_factor_classes, update
+from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
 from .kron import MATERIALIZE_CAP
-from .mixing import _solve_fundamental
+from .mixing import _basis, _solve_fundamental
 from .stochastic import StochasticMatrix, stationary
 
-DENSE_SOLVE_LIMIT = 2000
 LIMIT_MATRIX_CAP = 4000
 
 
@@ -29,13 +28,11 @@ LIMIT_MATRIX_CAP = 4000
 class TransientBlock:
     """Absorption probabilities N R of an absorbing chain, N = (I - Z)^-1.
 
-    One row per transient state, one column per recurrent state; the
-    fundamental matrix N itself is kept only below the dense-solve threshold.
+    One row per transient state, one column per recurrent state.
     """
 
     transient: np.ndarray
     recurrent: np.ndarray
-    fundamental: np.ndarray | None
     absorb: np.ndarray
 
 
@@ -70,8 +67,7 @@ def absorbing_probabilities(matrix: StochasticMatrix,
                             decomp: SccDecomposition | None = None) -> TransientBlock:
     """Absorption probability matrix N R for the transient block.
 
-    N R comes from one sparse solve with R's columns as right-hand sides;
-    below 2000 transient states N is solved for as well.
+    N R comes from one sparse solve with R's columns as right-hand sides.
     """
     if decomp is None:
         decomp = scc_decompose(matrix.to_graph())
@@ -81,33 +77,19 @@ def absorbing_probabilities(matrix: StochasticMatrix,
         raise StructuralError("no transient states: the absorbing block is empty")
     z = matrix.minor(transient, transient)
     absorb = _solve_fundamental(z, matrix.minor(transient, recurrent).toarray())
-    fundamental = (_solve_fundamental(z, np.eye(transient.size))
-                   if transient.size <= DENSE_SOLVE_LIMIT else None)
-    return TransientBlock(transient, recurrent, fundamental, absorb)
+    return TransientBlock(transient, recurrent, absorb)
 
 
-def closed_limit(system: BeliefSystem, component) -> ClosedLimit:
-    """Limit shared by every node of a closed component of the system graph.
+def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
+    """Limit shared by every pair of the closed class agents x topics.
 
-    The component factors into agent and topic sets; the value is
-    (pi_A (x) pi_C)' applied to the component's initial beliefs. Anchor
-    singletons (indices past nm) return their own initial value. Periodic
-    components raise NotErgodic.
+    The agents form a closed class of A with every lambda = 1, the topics one
+    of C. The value is (pi_A (x) pi_C)' applied to the class's initial
+    beliefs, pairs in agent-major order; a periodic factor class raises
+    NotErgodic.
     """
-    comp = np.asarray(sorted(int(v) for v in component), dtype=np.int64)
-    nm = system.n * system.m
-    if comp.size == 0:
-        raise StructuralError("empty component")
-    if comp[0] >= nm:  # anchor block
-        if comp.size != 1:
-            raise StructuralError("anchor components are singletons")
-        flat = int(comp[0] - nm)
-        return ClosedLimit(float(system.x0.ravel()[flat]), np.ones(1),
-                           np.asarray([flat // system.m]), np.asarray([flat % system.m]))
-    agents = np.unique(comp // system.m)
-    topics = np.unique(comp % system.m)
-    if agents.size * topics.size != comp.size:
-        raise NotErgodic("component is a periodic slice of its factor product")
+    agents = np.asarray(agents, dtype=np.int64)
+    topics = np.asarray(topics, dtype=np.int64)
     pi_a = stationary(StochasticMatrix(system.a.minor(agents)))
     pi_c = stationary(StochasticMatrix(system.c.minor(topics)))
     pi = np.kron(pi_a, pi_c)
@@ -132,7 +114,7 @@ def _apply_limit(system: BeliefSystem, x: np.ndarray) -> np.ndarray:
     for agents, _ in agent_classes:
         for topics, _ in topic_classes:
             pairs = (agents[:, None] * system.m + topics).ravel()
-            y[pairs] = closed_limit(system, pairs).stationary @ top[pairs]
+            y[pairs] = closed_limit(system, agents, topics).stationary @ top[pairs]
             closed[pairs] = True
     transient = np.flatnonzero(~closed)
     if transient.size:
@@ -173,14 +155,11 @@ def stubborn_limit(system: BeliefSystem, tol: float = 1e-10,
     stubborn or influenced by one); a stalled residual raises
     NoUniqueFixedPoint (an oblivious periodic part is present).
     """
-    lam = system.lam[:, None]
-    x0 = system.x0
-    x = x0.copy()
+    x = system.x0.copy()
     floor_prev = np.inf
     floor_cur = np.inf
     for it in range(1, int(max_iter) + 1):
-        xc = (system.c.csr @ x.T).T  # X C'
-        xn = lam * (system.a.csr @ xc) + (1.0 - lam) * x0
+        xn = update(system, x, system.x0)
         resid = float(np.abs(xn - x).max())
         x = xn
         if resid <= tol:
@@ -211,6 +190,4 @@ def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
     if system.dim > LIMIT_MATRIX_CAP:
         raise TooLarge(f"limit matrix would be {system.dim}^2 dense")
     cols = np.arange(system.dim) if columns is None else np.asarray(columns, dtype=np.int64)
-    basis = np.zeros((system.dim, cols.size))
-    basis[cols, np.arange(cols.size)] = 1.0
-    return _apply_limit(system, basis)
+    return _apply_limit(system, _basis(system.dim, cols))

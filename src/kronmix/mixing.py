@@ -67,14 +67,48 @@ class MixingReport:
     theorem_bound: float | None = None
 
 
-def _start_rows(n: int, starts, rng) -> np.ndarray:
-    if starts == "exact" or (starts is None and n <= EXACT_START_LIMIT):
+def _start_rows(n: int, starts, rng, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
+    """Start states for a worst-start scan over n states.
+
+    Every state when `starts` is "exact", or is None and n <= exact_limit;
+    otherwise SAMPLED_STARTS states (or the count `starts`) drawn without
+    replacement from `rng`, by default Philox(SeedSequence(3)). A count of n
+    or more takes every state and draws nothing.
+    """
+    if starts == "exact" or (starts is None and n <= exact_limit):
         return np.arange(n)
     count = SAMPLED_STARTS if starts is None or starts == "sampled" else int(starts)
     if count >= n:
         return np.arange(n)
-    rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
     return rng.choice(n, size=count, replace=False)
+
+
+def _basis(n: int, cols: np.ndarray) -> np.ndarray:
+    """n x len(cols) block whose j-th column is the unit vector e_cols[j]."""
+    out = np.zeros((n, cols.size))
+    out[cols, np.arange(cols.size)] = 1.0
+    return out
+
+
+def _first_within(step, cur: np.ndarray, target: np.ndarray, epsilon: float,
+                  max_steps: int, curve: list | None = None) -> int:
+    """First k in 0..max_steps with half the largest column L1 gap <= epsilon.
+
+    The gap at step k is between the k-th iterate of `step` on the column
+    block `cur` and `target` (broadcast against it). The distances for
+    k >= 1 are appended to `curve` when one is given; a gap still above
+    epsilon at max_steps raises FailedToConverge.
+    """
+    for k in range(int(max_steps) + 1):
+        d = 0.5 * float(np.abs(cur - target).sum(axis=0).max())
+        if k and curve is not None:
+            curve.append(d)
+        if d <= epsilon:
+            return k
+        if k < max_steps:
+            cur = step(cur)
+    raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
 
 
 def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
@@ -82,29 +116,20 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
                         return_curve: bool = False):
     """Smallest k with max-over-starts TV distance to stationarity <= epsilon.
 
-    Exact over all starts up to 2000 states, otherwise over 64 sampled starts
-    (set `starts` to "exact", "sampled", or a count to override). Periodic or
-    reducible chains raise NotErgodic.
+    Starts come from `_start_rows`: every state up to 2000 states, otherwise
+    64 drawn from `rng` (by default Philox(SeedSequence(3))); set `starts` to
+    "exact", "sampled", or a count to override. The distributions step as
+    columns of P' through `_first_within`. Periodic or reducible chains raise
+    NotErgodic.
     """
     pi = stationary(matrix)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    n = matrix.n
-    rows = _start_rows(n, starts, rng)
-    dist = np.zeros((rows.size, n))
-    dist[np.arange(rows.size), rows] = 1.0
-    curve = []
-    d0 = 0.5 * float(np.abs(dist - pi).sum(axis=1).max())
-    if d0 <= epsilon:
-        return (0, np.asarray(curve)) if return_curve else 0
-    pt = matrix.csr.T.tocsr()
-    for k in range(1, int(max_steps) + 1):
-        dist = (pt @ dist.T).T
-        d = 0.5 * float(np.abs(dist - pi).sum(axis=1).max())
-        curve.append(d)
-        if d <= epsilon:
-            return (k, np.asarray(curve)) if return_curve else k
-    raise FailedToConverge(f"TV distance still {curve[-1]:.3g} after {max_steps} steps")
+    rows = _start_rows(matrix.n, starts, rng)
+    curve = [] if return_curve else None
+    k = _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows), pi[:, None],
+                      epsilon, max_steps, curve)
+    return (k, np.asarray(curve)) if return_curve else k
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -334,46 +359,24 @@ def coupling_bound(l: float, h: float, epsilon: float) -> float:
     return 4.0 * (l + h) * math.log(1.0 / epsilon)
 
 
-def distance_to_limit_curve(operator: sp.spmatrix, limit: np.ndarray,
-                            steps: int) -> np.ndarray:
-    """Worst-initial-condition distance to the limit for k = 1..steps.
-
-    The distance at step k is half the largest column L1 deviation of the
-    k-th operator power from its limit (initial conditions range over the
-    unit simplex, whose extreme points are the operator columns).
-    """
-    op = sp.csr_matrix(operator)
-    n = op.shape[0]
-    power = np.eye(n)
-    out = np.empty(steps)
-    for k in range(steps):
-        power = op @ power
-        out[k] = 0.5 * np.abs(power - limit).sum(axis=0).max()
-    return out
-
-
 def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix,
                               k: int, starts=None, rng=None) -> float:
     """Distance to the limit at step k for the pure product operator L x R.
 
     Exploits (L x R)^k = L^k x R^k: one column of the product power is the
     Kronecker product of factor columns, so the worst simplex-vertex start is
-    scanned without materializing the product. Factors must be ergodic.
+    scanned without materializing the product. Starts come from
+    `_start_rows`, as in `measure_mixing_time`: every product state up to
+    2000, otherwise 64 drawn from `rng` (by default Philox(SeedSequence(3))).
+    Factors must be ergodic.
     """
     pi_l = stationary(left)
     pi_r = stationary(right)
     lk = np.linalg.matrix_power(left.dense(), int(k))
     rk = np.linalg.matrix_power(right.dense(), int(k))
-    n, m = left.n, right.n
-    total = n * m
-    if starts == "exact" or (starts is None and total <= EXACT_START_LIMIT):
-        chosen = np.arange(total)
-    else:
-        count = SAMPLED_STARTS if starts is None else int(starts)
-        rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(2)))
-        chosen = rng.choice(total, size=min(count, total), replace=False)
+    m = right.n
     worst = 0.0
-    for s in chosen:
+    for s in _start_rows(left.n * m, starts, rng):
         i, u = divmod(int(s), m)
         dev = np.abs(np.outer(lk[:, i], rk[:, u]) - pi_l[i] * pi_r[u]).sum()
         worst = max(worst, 0.5 * float(dev))

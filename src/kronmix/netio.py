@@ -18,10 +18,10 @@ import numpy as np
 
 from . import mixing
 from .beliefs import assemble, converges, update
-from .errors import EmptyGraph, FailedToConverge, KronmixError, ParseError, SpecError
+from .errors import EmptyGraph, KronmixError, ParseError, SpecError
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
-from .limits import limit_matrix, structural_limit
+from .limits import LIMIT_MATRIX_CAP, limit_matrix, structural_limit
 from .stochastic import StochasticMatrix, equal_weight_matrix
 
 CSV_HEADER = ("sweep_value,n,m,converges,t_mix,lambda2,lower_bound,upper_bound,"
@@ -145,7 +145,6 @@ class ExperimentConfig:
     lambda_policy: str = "oblivious"  # "oblivious" | scalar string | @file
     alpha: float = 0.5  # lazy self-weight applied to both graphs (0 disables)
     outdir: str = "experiment-out"
-    max_system_dim: int = 4000  # t_mix and limits are desk-scale metrics
 
     def sweep_values(self) -> list[int]:
         if self.sweep not in ("n", "m"):
@@ -330,7 +329,7 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
                 if lam2 < 1.0:
                     row["lower_bound"], row["upper_bound"] = mixing.spectral_bounds(
                         lam2, n * m, config.epsilon)
-            if 2 * n * m <= config.max_system_dim:
+            if system.dim <= LIMIT_MATRIX_CAP:
                 row["t_mix"] = system_mixing_time(system, config.epsilon)
                 report = structural_limit(system)
                 if report.consensus is not None:
@@ -342,29 +341,23 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
     return row
 
 
-def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000,
-                       starts: int = 64) -> int:
+def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000) -> int:
     """Smallest k at which the worst simplex start is within epsilon of its limit.
 
-    Tracks sampled basis columns of the system operator power against the
-    limit operator (exact when the state space is small), stepped blockwise;
-    anchor rows never move and equal their limit, so they add no distance.
+    Tracks basis columns of the system operator power against the limit
+    operator, stepped blockwise through `update` by `mixing._first_within`.
+    The columns come from `mixing._start_rows` with an exact limit of 256:
+    every column up to 256 states, otherwise 64 drawn from
+    Philox(SeedSequence(3)). Anchor rows never move and equal their limit,
+    so they add no distance.
     """
-    dim, nm = system.dim, system.n * system.m
-    if dim <= 256 or starts >= dim:
-        cols = np.arange(dim)
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
-        cols = rng.choice(dim, size=starts, replace=False)
-    target = limit_matrix(system, cols)[:nm]
-    cur = np.zeros((dim, cols.size))
-    cur[cols, np.arange(cols.size)] = 1.0
-    cur, anchors = cur[:nm], cur[nm:]
-    for k in range(max_steps + 1):
-        if 0.5 * np.abs(cur - target).sum(axis=0).max() <= epsilon:
-            return k
-        cur = update(system, cur, anchors)
-    raise FailedToConverge(f"distance to limit above {epsilon} after {max_steps} steps")
+    nm = system.n * system.m
+    cols = mixing._start_rows(system.dim, None, None, exact_limit=256)
+    target = limit_matrix(system, cols)[:nm]  # before the start block: a lower peak
+    start = mixing._basis(system.dim, cols)
+    anchors = start[nm:]
+    return mixing._first_within(lambda cur: update(system, cur, anchors), start[:nm],
+                                target, epsilon, max_steps)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

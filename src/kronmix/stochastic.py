@@ -1,4 +1,4 @@
-"""Row-stochastic sparse matrices, distribution evolution, stationary vectors.
+"""Row-stochastic sparse matrices, distances and stationary vectors.
 
 Distributions are plain 1-D numpy arrays. The walk convention matches the
 graph module: a chain at state i steps to j with probability M[i, j].
@@ -105,17 +105,6 @@ def equal_weight_matrix(graph: DirectedGraph) -> StochasticMatrix:
         data = graph.weights / row_tot[graph.sources]
     csr = sp.csr_matrix((data, (graph.sources, graph.targets)), shape=(n, n))
     return StochasticMatrix(csr)
-
-
-def evolve(dist, matrix: StochasticMatrix, steps: int = 1) -> np.ndarray:
-    """Left-evolve a distribution: returns v' M^k as a dense vector."""
-    v = np.asarray(dist, dtype=np.float64).ravel()
-    if v.size != matrix.n:
-        raise ValueError(f"dimension mismatch: {v.size} vs {matrix.n}")
-    mt = matrix.csr.T.tocsr()
-    for _ in range(int(steps)):
-        v = mt @ v
-    return v
 
 
 def tv_distance(p, q) -> float:

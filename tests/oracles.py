@@ -4,12 +4,14 @@ These deliberately avoid the library's own code paths: reachability closures
 instead of a strong-components kernel, a fixed point instead of reverse
 reachability, dense matrix powers instead of sparse evolution, absorbing
 solves on the explicit pair chain instead of coupling simulation, closed
-components of the materialised 2nm system graph instead of its factors.
+components of the materialised 2nm system graph instead of its factors,
+explicit operator powers instead of the library's worst-start scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from kronmix.beliefs import system_matrix
 from kronmix.errors import NotErgodic
@@ -135,6 +137,34 @@ def dense_evolve(vec: np.ndarray, matrix: np.ndarray, steps: int) -> np.ndarray:
     return vec @ np.linalg.matrix_power(matrix, steps)
 
 
+def evolve(dist, matrix: StochasticMatrix, steps: int = 1) -> np.ndarray:
+    """Left-evolve a distribution: returns v' M^k as a dense vector."""
+    v = np.asarray(dist, dtype=np.float64).ravel()
+    if v.size != matrix.n:
+        raise ValueError(f"dimension mismatch: {v.size} vs {matrix.n}")
+    mt = matrix.csr.T.tocsr()
+    for _ in range(int(steps)):
+        v = mt @ v
+    return v
+
+
+def distance_to_limit_curve(operator, limit: np.ndarray, steps: int) -> np.ndarray:
+    """Worst-initial-condition distance to the limit for k = 1..steps.
+
+    The distance at step k is half the largest column L1 deviation of the
+    k-th operator power from its limit (initial conditions range over the
+    unit simplex, whose extreme points are the operator columns). The
+    operator stays sparse, so long curves on a few thousand states are cheap.
+    """
+    op = sp.csr_matrix(operator)
+    power = np.eye(op.shape[0])
+    out = np.empty(steps)
+    for k in range(steps):
+        power = op @ power
+        out[k] = 0.5 * np.abs(power - limit).sum(axis=0).max()
+    return out
+
+
 def two_state_stationary(matrix: np.ndarray) -> np.ndarray:
     """Solve the 2x2 balance equation analytically."""
     p01, p10 = matrix[0, 1], matrix[1, 0]
@@ -223,16 +253,22 @@ def system_graph_limit(system, x: np.ndarray) -> np.ndarray:
     Finds the closed components on the system graph itself, gives each the
     stationary-weighted value pi' x[comp] (anchors are singletons that keep
     their rows), and spreads them over the transient states with the dense
-    absorption matrix N R. Any periodic closed component raises NotErgodic.
+    absorption matrix N R. Any periodic closed component raises NotErgodic;
+    that includes every periodic slice of a factor product.
     """
     matrix = StochasticMatrix(system_matrix(system), renormalize=True)
     decomp = scc_decompose(matrix.to_graph())
+    nm = system.n * system.m
     out = np.zeros(x.shape)
     for cid in decomp.closed_components():
         if decomp.periods[cid] != 1:
             raise NotErgodic(f"closed component {cid} has period {decomp.periods[cid]}")
-        comp = decomp.components[cid]
-        out[comp] = closed_limit(system, comp).stationary @ x[comp]
+        comp = np.sort(decomp.components[cid])
+        if comp[0] >= nm:
+            out[comp] = x[comp]
+            continue
+        agents, topics = np.unique(comp // system.m), np.unique(comp % system.m)
+        out[comp] = closed_limit(system, agents, topics).stationary @ x[comp]
     if decomp.transient_nodes().size:
         block = absorbing_probabilities(matrix, decomp)
         out[block.transient] = block.absorb @ out[block.recurrent]

@@ -12,14 +12,13 @@ from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
 from kronmix import mixing
-from kronmix.mixing import (coupling_bound, distance_to_limit_curve,
-                            eigen_bounds, estimate_coupling_time,
+from kronmix.mixing import (coupling_bound, eigen_bounds, estimate_coupling_time,
                             expected_absorbing_time, measure_mixing_time,
                             product_distance_to_limit, second_eigenvalue,
                             theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary, tv_distance
-from oracles import (dense_cdf_step, mc_absorption_time, pair_chain_coupling,
-                     pair_chain_expectations)
+from oracles import (dense_cdf_step, distance_to_limit_curve, mc_absorption_time,
+                     pair_chain_coupling, pair_chain_expectations)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -30,6 +29,12 @@ def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
 def random_ergodic(rng, n):
     raw = rng.random((n, n)) + 0.02
     return StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+
+
+# exact-start t_mix at epsilon 0.25 of lazy (alpha 0.5) chains; a change to
+# the scan's arithmetic, stopping rule or start set shows up here
+PINNED_T_MIX = {("cycle", 101): 968, ("path", 51): 949, ("star", 51): 2,
+                ("hypercube", 1024): 16}
 
 
 class TestMeasureMixingTime:
@@ -64,6 +69,45 @@ class TestMeasureMixingTime:
         exact = measure_mixing_time(m, 0.25, starts="exact")
         sampled = measure_mixing_time(m, 0.25, starts=8)
         assert sampled <= exact
+
+    @pytest.mark.parametrize("case", sorted(PINNED_T_MIX))
+    def test_pinned_values(self, case):
+        assert measure_mixing_time(lazy_chain(*case), 0.25) == PINNED_T_MIX[case]
+
+    def test_pinned_product_value(self):
+        # the mixing-report product: 1056 states, still every start
+        prod = kron(lazy_chain("hypercube", 32), lazy_chain("cycle", 33))
+        assert measure_mixing_time(prod, 0.25) == 103
+
+    def test_pinned_sampled_value(self):
+        # past 2000 states the 64 starts come from the rng the caller passes
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2501)))
+        assert measure_mixing_time(lazy_chain("cycle", 2501), 0.97, rng=rng) == 260
+
+    def test_mixed_at_start_has_empty_curve(self):
+        for m, eps in ((StochasticMatrix(np.eye(1)), 0.25),
+                       (StochasticMatrix(np.full((2, 2), 0.5)), 0.6)):
+            k, curve = measure_mixing_time(m, eps, return_curve=True)
+            assert k == 0 and curve.size == 0
+
+    def test_step_cap_is_failed_to_converge(self):
+        with pytest.raises(FailedToConverge):
+            measure_mixing_time(lazy_chain("path", 9), 0.01, max_steps=3)
+
+
+class TestStartRows:
+    def test_default_stream_is_seed_three(self):
+        for dim in (257, 2020):
+            want = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(3))).choice(dim, 64, replace=False)
+            np.testing.assert_array_equal(
+                mixing._start_rows(dim, None, None, exact_limit=256), want)
+
+    def test_exact_up_to_the_limit_and_for_large_counts(self):
+        np.testing.assert_array_equal(
+            mixing._start_rows(256, None, None, exact_limit=256), np.arange(256))
+        np.testing.assert_array_equal(mixing._start_rows(3000, "exact", None), np.arange(3000))
+        np.testing.assert_array_equal(mixing._start_rows(40, 40, None), np.arange(40))
 
 
 class TestEigenBounds:
@@ -371,6 +415,15 @@ class TestDistanceCurve:
         for k in range(1, 7):
             direct = 0.5 * np.abs(np.linalg.matrix_power(m.dense(), k) - limit).sum(axis=0).max()
             assert curve[k - 1] == pytest.approx(direct, abs=1e-12)
+
+    def test_mixing_curve_matches_oracle(self):
+        # the scan's curve is the operator-power curve of P', over the rows of P^k
+        m = lazy_chain("path", 12)
+        pi = stationary(m)
+        k, curve = measure_mixing_time(m, 0.01, return_curve=True)
+        want = distance_to_limit_curve(m.csr.T, pi[:, None], k)
+        assert curve.size == k
+        np.testing.assert_allclose(curve, want, rtol=0, atol=1e-12)
 
 
 def test_periodic_structures_rejected_everywhere():

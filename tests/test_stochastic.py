@@ -5,9 +5,9 @@ from kronmix.errors import DanglingNode, NotErgodic, NotStochastic
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph
 from kronmix.kron import kron
-from kronmix.stochastic import (StochasticMatrix, equal_weight_matrix, evolve,
-                                stationary, tv_distance, validate_stochastic)
-from oracles import dense_evolve, two_state_stationary
+from kronmix.stochastic import (StochasticMatrix, equal_weight_matrix, stationary,
+                                tv_distance, validate_stochastic)
+from oracles import dense_evolve, evolve, two_state_stationary
 
 
 def random_stochastic(rng, n):
