@@ -7,8 +7,8 @@ and where it lands (stationary-weighted limits and absorption probabilities).
 """
 
 from .beliefs import (BeliefState, BeliefSystem, ConvergenceVerdict,
-                      SimulationResult, assemble, converges, initial_state,
-                      oblivious_set, simulate, step, system_matrix)
+                      SimulationResult, assemble, converges, oblivious_set,
+                      simulate, system_matrix)
 from .errors import (AllTrialsCapped, DanglingNode, EmptyGraph,
                      FailedToConverge, KronmixError, NonConvergent,
                      NotErgodic, NotStochastic, NoUniqueFixedPoint,

@@ -44,7 +44,7 @@ class BeliefSystem:
 
 @dataclass
 class BeliefState:
-    """Mutable iteration state; the anchor block never changes."""
+    """Stacked state after k updates: current beliefs over the anchors."""
 
     k: int
     x: np.ndarray  # length 2nm
@@ -83,14 +83,6 @@ def assemble(a, c, lam, x0) -> BeliefSystem:
     return BeliefSystem(a, c, lam, x0.copy())
 
 
-def initial_state(system: BeliefSystem, current=None) -> BeliefState:
-    """Fresh state: current beliefs (default x0) stacked over the anchors."""
-    cur = system.x0 if current is None else np.asarray(current, dtype=np.float64)
-    if cur.shape != (system.n, system.m):
-        raise ValueError(f"state shape {cur.shape} does not match ({system.n}, {system.m})")
-    return BeliefState(0, np.concatenate([cur.ravel(), system.x0.ravel()]))
-
-
 def system_matrix(system: BeliefSystem, cap: int = MATERIALIZE_CAP) -> sp.csr_matrix:
     """Materialize the 2nm x 2nm operator; raises TooLarge over the cap."""
     nm = system.n * system.m
@@ -123,15 +115,6 @@ def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarr
     xbar *= lam  # in place: the stepped stacks are large
     xbar += (1.0 - lam) * anchors.reshape(n, m, k)
     return xbar.reshape(x.shape)
-
-
-def step(system: BeliefSystem, state: BeliefState) -> BeliefState:
-    """One update of the current-belief block; the anchors stay as they are."""
-    n, m = system.n, system.m
-    anchors = state.x[n * m:].reshape(n, m)
-    state.x[: n * m] = update(system, state.beliefs(n, m), anchors).ravel()
-    state.k += 1
-    return state
 
 
 def oblivious_set(system: BeliefSystem) -> frozenset[int]:
@@ -187,52 +170,59 @@ def converges(system: BeliefSystem) -> ConvergenceVerdict:
     return ConvergenceVerdict(not witnesses, witnesses, oblivious)
 
 
+def _anchored_iteration(system: BeliefSystem, tol: float,
+                        max_iter: int) -> tuple[np.ndarray, int, float, str]:
+    """Iterate X <- Lambda A X C' + (I - Lambda) X0 from X0.
+
+    Returns (X, iterations, last sup-norm step change, status): "converged"
+    once a step changes X by at most tol, "stalled" when the smallest step
+    change of a 100-step window falls by less than a 1e-9 fraction below the
+    previous window's, "capped" at max_iter.
+    """
+    x = system.x0
+    delta = np.inf
+    floor_prev = floor_cur = np.inf
+    for it in range(1, int(max_iter) + 1):
+        xn = update(system, x, system.x0)
+        delta = float(np.abs(xn - x).max())
+        x = xn
+        if delta <= tol:
+            return x, it, delta, "converged"
+        floor_cur = min(floor_cur, delta)
+        if it % 100 == 0:
+            if floor_cur >= floor_prev * (1 - 1e-9):
+                return x, it, delta, "stalled"
+            floor_prev, floor_cur = floor_cur, np.inf
+    return x, int(max_iter), delta, "capped"
+
+
 @dataclass
 class SimulationResult:
     state: BeliefState
     iterations: int
     converged: bool
     final_delta: float
-    trajectory: list[np.ndarray] = field(default_factory=list)
 
     def beliefs(self, system: BeliefSystem) -> np.ndarray:
         return self.state.beliefs(system.n, system.m).copy()
 
 
 def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
-             max_iter: int = 100_000, check_convergence: bool = True,
-             record_every: int = 0, state: BeliefState | None = None,
-             oscillation_window: int = 64) -> SimulationResult:
-    """Iterate until the sup-norm step change drops below stop_delta.
+             max_iter: int = 100_000, check_convergence: bool = True) -> SimulationResult:
+    """Iterate from x0 until the sup-norm step change drops below stop_delta.
 
     Raises NonConvergent up front when the verdict is negative (pass
-    check_convergence=False to override) and at max_iter when the change is
-    no longer decreasing across the last windows (oscillation).
+    check_convergence=False to override), and as soon as the iteration
+    stalls: the smallest step change of a 100-step window falls by less than
+    a 1e-9 fraction below the previous window's (oscillation). Reaching
+    max_iter without either returns converged=False.
     """
     if check_convergence:
         verdict = converges(system)
         if not verdict.converges:
             raise NonConvergent(f"periodic closed components: {verdict.witnesses}")
-    st = state if state is not None else initial_state(system)
-    nm = system.n * system.m
-    trajectory: list[np.ndarray] = []
-    delta = np.inf
-    window_floor = []
-    recent = []
-    for it in range(1, int(max_iter) + 1):
-        prev = st.x[:nm].copy()
-        step(system, st)
-        delta = float(np.abs(st.x[:nm] - prev).max())
-        if record_every and (it % record_every == 0 or it == 1):
-            trajectory.append(st.x[:nm].copy())
-        if delta <= stop_delta:
-            return SimulationResult(st, it, True, delta, trajectory)
-        recent.append(delta)
-        if len(recent) == oscillation_window:
-            window_floor.append(min(recent))
-            recent = []
-    if len(window_floor) >= 2 and window_floor[-1] >= window_floor[-2] * (1 - 1e-6):
-        raise NonConvergent(
-            f"step change stuck near {delta:.3g} after {max_iter} iterations")
-    return SimulationResult(st, int(max_iter), False, delta, trajectory)
-
+    x, it, delta, status = _anchored_iteration(system, stop_delta, max_iter)
+    if status == "stalled":
+        raise NonConvergent(f"step change stuck near {delta:.3g} after {it} iterations")
+    state = BeliefState(it, np.concatenate([x.ravel(), system.x0.ravel()]))
+    return SimulationResult(state, it, status == "converged", delta)

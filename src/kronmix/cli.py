@@ -188,7 +188,7 @@ def _cmd_limits(args) -> int:
     except KronmixError as exc:
         print(f"fixed-point iteration: {type(exc).__name__}: {exc}")
     if args.social_power:
-        power = social_power(equal_weight_matrix(_graph_from_args(args, "agent", args.alpha)))
+        power = social_power(system.a)
         top = min(5, power.weights.size)
         print("social power (top nodes):",
               [(int(power.order[i]), round(float(power.weights[i]), 6)) for i in range(top)])

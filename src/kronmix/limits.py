@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .beliefs import BeliefSystem, closed_factor_classes, update
+from .beliefs import BeliefSystem, _anchored_iteration, closed_factor_classes
 from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
 from .kron import MATERIALIZE_CAP
@@ -148,29 +148,21 @@ def _consensus_value(beliefs: np.ndarray, tol: float = 1e-9) -> float | None:
 
 
 def stubborn_limit(system: BeliefSystem, tol: float = 1e-10,
-                   max_iter: int = 1_000_000, window: int = 100) -> np.ndarray:
+                   max_iter: int = 1_000_000) -> np.ndarray:
     """Fixed point of X = Lambda A X C' + (I - Lambda) X0 by iteration.
 
     Converges whenever the anchored update is a contraction (every agent
-    stubborn or influenced by one); a stalled residual raises
-    NoUniqueFixedPoint (an oblivious periodic part is present).
+    stubborn or influenced by one). The iteration is `simulate`'s: a stall
+    (the smallest step change of a 100-step window falls by less than a 1e-9
+    fraction below the previous window's, as with an oblivious periodic part)
+    or reaching max_iter raises NoUniqueFixedPoint.
     """
-    x = system.x0.copy()
-    floor_prev = np.inf
-    floor_cur = np.inf
-    for it in range(1, int(max_iter) + 1):
-        xn = update(system, x, system.x0)
-        resid = float(np.abs(xn - x).max())
-        x = xn
-        if resid <= tol:
-            return x
-        floor_cur = min(floor_cur, resid)
-        if it % window == 0:
-            if floor_cur >= floor_prev * (1 - 1e-9):
-                raise NoUniqueFixedPoint(
-                    f"residual stalled near {resid:.3g} after {it} iterations")
-            floor_prev, floor_cur = floor_cur, np.inf
-    raise NoUniqueFixedPoint(f"residual {tol} not reached in {max_iter} iterations")
+    x, it, delta, status = _anchored_iteration(system, tol, max_iter)
+    if status == "stalled":
+        raise NoUniqueFixedPoint(f"residual stalled near {delta:.3g} after {it} iterations")
+    if status == "capped":
+        raise NoUniqueFixedPoint(f"residual {tol} not reached in {max_iter} iterations")
+    return x
 
 
 def social_power(matrix: StochasticMatrix) -> SocialPower:

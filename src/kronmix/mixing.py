@@ -58,7 +58,6 @@ class AbsorbingTimes:
 class MixingReport:
     epsilon: float
     t_mix: int | None = None
-    d_curve: np.ndarray | None = None
     lambda2_abs: float | None = None
     lower_bound: float | None = None
     upper_bound: float | None = None
@@ -296,18 +295,19 @@ def expected_absorbing_time(matrix: StochasticMatrix,
     n = matrix.n
     node_h = np.zeros(n)
     transient = decomp.transient_nodes()
+    comp_h: dict[int, float] = {}
     if transient.size:
         z = matrix.minor(transient, transient)
-        h = _solve_fundamental(z, np.ones(transient.size))
-        node_h[transient] = h
-
-    comp_h: dict[int, float] = {}
-    for cid in range(decomp.count):
-        if decomp.closed[cid]:
-            continue
-        comp = decomp.components[cid]
-        zc = matrix.minor(comp, comp)
-        comp_h[cid] = float(_solve_fundamental(zc, np.ones(comp.size)).max())
+        node_h[transient] = _solve_fundamental(z, np.ones(transient.size))
+        # exit times of each component on its own: Z cut to its diagonal blocks
+        z = z.tocoo()
+        cid = decomp.component_of[transient]
+        inside = cid[z.row] == cid[z.col]
+        z_blocks = sp.coo_matrix((z.data[inside], (z.row[inside], z.col[inside])),
+                                 shape=z.shape)
+        worst = np.zeros(decomp.count)
+        np.maximum.at(worst, cid, _solve_fundamental(z_blocks, np.ones(transient.size)))
+        comp_h = {c: float(worst[c]) for c in range(decomp.count) if not decomp.closed[c]}
 
     # largest node-weighted path through the condensation (closed nodes weigh 0)
     cond = condensation(decomp)
@@ -384,15 +384,10 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix,
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,
-                   trials: int = 300, rng=None,
-                   include_curve: bool = False) -> MixingReport:
+                   trials: int = 300, rng=None) -> MixingReport:
     """Bundle t_mix, spectral bounds, and a coupling estimate for one chain."""
     report = MixingReport(epsilon=epsilon)
-    t = measure_mixing_time(matrix, epsilon, rng=rng, return_curve=include_curve)
-    if include_curve:
-        report.t_mix, report.d_curve = t
-    else:
-        report.t_mix = t
+    report.t_mix = measure_mixing_time(matrix, epsilon, rng=rng)
     report.lambda2_abs = second_eigenvalue(matrix)
     report.lower_bound, report.upper_bound = eigen_bounds(matrix, epsilon,
                                                           lambda2=report.lambda2_abs)

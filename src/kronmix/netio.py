@@ -120,8 +120,8 @@ def dataset_instructions(outdir: str) -> str:
     lines = ["Datasets are not bundled. Download, gunzip, and place here:", ""]
     for name, url in SNAP_SOURCES.items():
         lines.append(f"  curl -LO {url} && gunzip {os.path.basename(url)}  # -> {name}")
-    lines += ["", "Optionally record sha256 sums under agent.sha256 / constraint.sha256",
-              "in the experiment config; they are verified before parsing."]
+    lines += ["", "To verify a download before use, run",
+              "  kronmix ingest <file> --sha256 <digest>"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
@@ -153,6 +153,8 @@ class ExperimentConfig:
             raise SpecError("empty sweep range")
         if not 0 < self.epsilon < 1:
             raise SpecError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not 0 <= self.alpha < 1:
+            raise SpecError(f"alpha must be in [0, 1), got {self.alpha}")
         return list(range(self.sweep_start, self.sweep_stop + 1, self.sweep_stride))
 
 
@@ -232,12 +234,10 @@ def _thread_count() -> int:
 # -- sweep execution ---------------------------------------------------------
 
 def _resolve_graph(source: TopologySpec | str, size: int | None,
-                   alpha: float, sha256: str | None = None) -> DirectedGraph:
+                   alpha: float) -> DirectedGraph:
     if isinstance(source, str):
         if size is not None:
             raise SpecError("cannot sweep the size of a dataset graph")
-        if sha256 and not verify_checksum(source, sha256):
-            raise ParseError(0, f"checksum mismatch for {source}")
         graph = largest_scc(load_edgelist(source))
     else:
         spec = source if size is None else replace(source, n=size)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kronmix.beliefs import (assemble, converges, initial_state, oblivious_set,
-                             simulate, step, system_matrix)
+from kronmix import beliefs
+from kronmix.beliefs import (assemble, converges, oblivious_set, simulate,
+                             system_matrix, update)
 from kronmix.errors import NonConvergent
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.limits import structural_limit
@@ -59,9 +60,8 @@ class TestAssemble:
 
     def test_all_stubborn_zero_lambda_maps_to_anchors(self):
         system = cycle_path_system(lam=np.zeros(5))
-        state = initial_state(system, current=np.full((5, 4), 0.5))
-        step(system, state)
-        np.testing.assert_allclose(state.beliefs(5, 4), system.x0, atol=1e-15)
+        x = update(system, np.full((5, 4), 0.5), system.x0)
+        np.testing.assert_allclose(x, system.x0, atol=1e-15)
 
     def test_validation(self):
         a = StochasticMatrix(np.eye(3))
@@ -83,12 +83,13 @@ class TestStep:
             system = random_system(rng)
             dense = dense_system_operator(system.a.dense(), system.c.dense(),
                                           system.lam)
-            state = initial_state(system)
-            x = state.x.copy()
+            cur = system.x0
+            x = np.concatenate([cur.ravel(), system.x0.ravel()])
             for _ in range(4):
-                step(system, state)
+                cur = update(system, cur, system.x0)
                 x = dense @ x
-                np.testing.assert_allclose(state.x, x, atol=1e-12)
+                np.testing.assert_allclose(np.concatenate([cur.ravel(), system.x0.ravel()]),
+                                           x, atol=1e-12)
 
     def test_row_major_state_layout(self):
         # system operator equals the dense kron blocks under (agent, topic) indexing
@@ -101,21 +102,19 @@ class TestStep:
     def test_anchors_and_bounds_preserved(self):
         rng = np.random.default_rng(3)
         system = random_system(rng)
-        state = initial_state(system)
-        anchors = state.x[system.n * system.m:].copy()
+        anchors = system.x0.copy()
+        x = system.x0
         for _ in range(50):
-            step(system, state)
-            assert np.array_equal(state.x[system.n * system.m:], anchors)
-            assert state.x.min() >= 0 and state.x.max() <= 1
+            x = update(system, x, system.x0)
+            assert np.array_equal(system.x0, anchors)
+            assert x.min() >= 0 and x.max() <= 1
 
     def test_constant_state_is_fixed(self):
         rng = np.random.default_rng(4)
         system = random_system(rng)
         const = np.full((system.n, system.m), 0.7)
         system = assemble(system.a, system.c, system.lam, const)
-        state = initial_state(system, current=const)
-        step(system, state)
-        np.testing.assert_allclose(state.x, 0.7, atol=1e-12)
+        np.testing.assert_allclose(update(system, const, system.x0), 0.7, atol=1e-12)
 
 
 class TestConverges:
@@ -229,7 +228,24 @@ class TestSimulate:
         with pytest.raises(NonConvergent):
             simulate(system, check_convergence=False, max_iter=2000)
 
-    def test_trajectory_recording(self):
+    def test_periodic_stall_raises_early(self, monkeypatch):
+        # without the verdict the period-2 oscillation is caught by the stall
+        # rule within a few windows, not after max_iter updates
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return update(*args)
+
+        monkeypatch.setattr(beliefs, "update", counted)
+        with pytest.raises(NonConvergent):
+            simulate(cycle_path_system(4), check_convergence=False)
+        assert 0 < len(calls) <= 300
+
+    def test_cap_without_stall_returns_unconverged(self):
         system = cycle_path_system()
-        result = simulate(system, record_every=10, max_iter=500)
-        assert len(result.trajectory) >= 2
+        result = simulate(system, max_iter=5)
+        assert not result.converged
+        assert result.iterations == result.state.k == 5
+        assert result.final_delta > 1e-10
+        np.testing.assert_array_equal(result.state.x[20:], system.x0.ravel())

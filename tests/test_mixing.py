@@ -311,6 +311,40 @@ class TestAbsorbing:
         assert times.component_expectation == {2: pytest.approx(2.0), 1: pytest.approx(2.0)}
         assert times.longest_path_total == pytest.approx(4.0)
 
+    def test_component_exits_match_dense_solves(self):
+        # transient components of 2-5 nodes (a weighted cycle plus chords)
+        # feeding later components and a closed triangle, under shuffled ids
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            sizes = rng.integers(2, 6, size=int(rng.integers(1, 5)))
+            starts = np.concatenate([[0], np.cumsum(sizes)])
+            n = int(starts[-1]) + 3
+            mat = np.zeros((n, n))
+            mat[n - 3:, n - 3:] = 1.0
+            for b, size in enumerate(sizes):
+                block = np.arange(starts[b], starts[b + 1])
+                mat[block, np.roll(block, -1)] = rng.uniform(0.5, 1.0, size)
+                mat[np.ix_(block, block)] += (rng.random((size, size)) < 0.3) * rng.random()
+                later = np.arange(starts[b + 1], n)
+                mat[rng.choice(block), rng.choice(later)] += rng.uniform(0.1, 1.0)
+                mat[np.ix_(block, later)] += (rng.random((size, later.size)) < 0.1) * rng.random()
+            perm = rng.permutation(n)
+            mat = mat[np.ix_(perm, perm)]
+            mat /= mat.sum(axis=1, keepdims=True)
+            m = StochasticMatrix(mat)
+            decomp = scc_decompose(m.to_graph())
+            times = expected_absorbing_time(m, decomp)
+            want = {}
+            for cid in range(decomp.count):
+                if not decomp.closed[cid]:
+                    comp = decomp.components[cid]
+                    z = mat[np.ix_(comp, comp)]
+                    want[cid] = np.linalg.solve(np.eye(comp.size) - z, np.ones(comp.size)).max()
+            assert len(want) == sizes.size
+            assert times.component_expectation.keys() == want.keys()
+            for cid, h in want.items():
+                assert times.component_expectation[cid] == pytest.approx(h, rel=1e-10)
+
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(13)
         mat = np.array([[0.2, 0.5, 0.3, 0.0],

@@ -275,6 +275,9 @@ class TestChecksumAndInstructions:
         path = dataset_instructions(str(tmp_path / "data"))
         body = open(path, encoding="utf-8").read()
         assert "wiki-Vote" in body
+        # checksums are verified by `ingest`; the experiment config reads none
+        assert "kronmix ingest <file> --sha256 <digest>" in body
+        assert "agent.sha256" not in body
 
 
 class TestCli:
@@ -354,6 +357,16 @@ class TestCli:
 
     def test_experiment_missing_config_exit_2(self, capsys):
         assert main(["experiment", "--sweep", "n"]) == 2
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "1"])
+    def test_experiment_alpha_out_of_range_exit_2(self, tmp_path, capsys, alpha):
+        code = main(["experiment", "--agent-family", "cycle", "--agent-n", "5",
+                     "--constraint-family", "path", "--constraint-n", "3",
+                     "--sweep-start", "5", "--sweep-stop", "5", "--trials", "20",
+                     "--alpha", alpha, "--outdir", str(tmp_path / "out")])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(DATA_DIR, "wiki-Vote.txt")),
