@@ -2,6 +2,13 @@
 
 Subcommands: generate, ingest, analyze, simulate, mixing, limits, experiment.
 Exit codes: 0 success, 2 configuration error, 3 parse error, 4 analysis error.
+
+Graph flags parse into their experiment config keys (`--agent-graph-seed` is
+`agent.seed`; `--lam` on `experiment` is `lambda`), and every subcommand builds
+through `netio.resolve_graph` and `netio.build_system`. `--*-undirected-file`
+works everywhere but `experiment`, which reads edge lists as directed. Input
+that fails validation (lambda or x0 outside [0, 1], epsilon outside (0, 1),
+trials below 1) exits 2.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ import numpy as np
 
 from . import mixing as mixing_mod
 from . import netio
-from .beliefs import assemble, converges, simulate
+from .beliefs import converges, simulate
 from .errors import (EmptyGraph, KronmixError, ParseError, SpecError)
-from .generators import FAMILIES, TopologySpec, generate, lazify
-from .graphs import scc_decompose
+from .generators import FAMILIES
+from .graphs import DirectedGraph, scc_decompose
 from .limits import social_power, structural_limit, stubborn_limit
 from .stochastic import equal_weight_matrix
 
@@ -26,54 +33,43 @@ EXIT_PARSE = 3
 EXIT_ANALYSIS = 4
 
 
-def _add_graph_args(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    # absent flags stay None so they never stomp config-file values
-    p = f"--{prefix}-" if prefix else "--"
-    parser.add_argument(f"{p}family", choices=FAMILIES)
-    parser.add_argument(f"{p}n", type=int)
-    parser.add_argument(f"{p}k", type=int)
-    parser.add_argument(f"{p}p", type=float)
-    parser.add_argument(f"{p}r", type=float)
-    parser.add_argument(f"{p}bridge", type=int)
-    parser.add_argument(f"{p}graph-seed", type=int)
-    parser.add_argument(f"{p}directed", action="store_true")
-    parser.add_argument(f"{p}path", help="edge-list file instead of a generated family")
-    parser.add_argument(f"{p}undirected-file", action="store_true",
-                        help="symmetrize the edge list on load")
+def _add_graph_args(parser: argparse.ArgumentParser, prefix: str = "",
+                    undirected_file: bool = True) -> None:
+    # each dest is the config key, so parsed flags are a config mapping; absent
+    # flags stay None so they never stomp config-file values
+    p, key = (f"--{prefix}-", prefix) if prefix else ("--", "graph")
+    parser.add_argument(f"{p}family", dest=f"{key}.family", choices=FAMILIES)
+    parser.add_argument(f"{p}n", dest=f"{key}.n", type=int)
+    parser.add_argument(f"{p}k", dest=f"{key}.k", type=int)
+    parser.add_argument(f"{p}p", dest=f"{key}.p", type=float)
+    parser.add_argument(f"{p}r", dest=f"{key}.r", type=float)
+    parser.add_argument(f"{p}bridge", dest=f"{key}.bridge", type=int)
+    parser.add_argument(f"{p}graph-seed", dest=f"{key}.seed", type=int)
+    parser.add_argument(f"{p}directed", dest=f"{key}.directed", action="store_true",
+                        default=None)
+    parser.add_argument(f"{p}path", dest=f"{key}.path",
+                        help="edge-list file instead of a generated family")
+    if undirected_file:
+        parser.add_argument(f"{p}undirected-file", dest=f"{key}.undirected_file",
+                            action="store_true", help="symmetrize the edge list on load")
 
 
-def _graph_from_args(args, prefix: str = "", alpha: float | None = None):
-    def get(name):
-        return getattr(args, f"{prefix}_{name}" if prefix else name)
-
-    if get("path"):
-        graph = netio.load_edgelist(get("path"), directed=not get("undirected_file"))
-        graph = netio.largest_scc(graph)
-    else:
-        if not get("family"):
-            raise SpecError(f"provide --{prefix + '-' if prefix else ''}family or "
-                            f"--{prefix + '-' if prefix else ''}path")
-        spec = TopologySpec(family=get("family"), n=get("n") or 0, k=get("k"),
-                            p=get("p"), r=get("r"), bridge=get("bridge"),
-                            seed=get("graph_seed") or 0, directed=get("directed"))
-        graph = generate(spec)
-    if alpha:
-        graph = lazify(graph, alpha)
-    return graph
+def _source(args, key: str):
+    """The TopologySpec the `key.` flags give, or the edge list they name, loaded."""
+    keys = vars(args)
+    source = netio.source_from_mapping(keys, key)
+    if isinstance(source, str):
+        return netio.load_edgelist(source, directed=not keys[f"{key}.undirected_file"])
+    return source
 
 
-def _build_system(args):
-    agent = _graph_from_args(args, "agent", args.alpha)
-    constraint = _graph_from_args(args, "constraint", args.alpha)
-    a = equal_weight_matrix(agent)
-    c = equal_weight_matrix(constraint)
+def _build_system(args, agent=None):
+    """The belief system the flags give; `agent` is the agent source if already read."""
+    agent = _source(args, "agent") if agent is None else agent
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.x0_seed)))
-    lam = netio._lambda_vector(args.lam, a.n, rng)
-    if args.x0_constant is not None:
-        x0 = np.full((a.n, c.n), args.x0_constant)
-    else:
-        x0 = rng.random((a.n, c.n))
-    return assemble(a, c, lam, x0)
+    return netio.build_system(netio.resolve_graph(agent, args.alpha),
+                              netio.resolve_graph(_source(args, "constraint"), args.alpha),
+                              args.lam, rng, args.x0_constant)
 
 
 def _add_system_args(parser):
@@ -88,11 +84,12 @@ def _add_system_args(parser):
 
 
 def _cmd_generate(args) -> int:
-    graph = _graph_from_args(args)
+    keys = vars(args)
+    graph = netio.resolve_graph(_source(args, "graph"))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# kronmix generate family={args.family} n={args.n} "
-                     f"seed={args.graph_seed}\n")
+            fh.write(f"# kronmix generate family={keys['graph.family']} n={keys['graph.n']} "
+                     f"seed={keys['graph.seed']}\n")
             for s, t in zip(graph.sources.tolist(), graph.targets.tolist()):
                 fh.write(f"{s} {t}\n")
     print(f"nodes={graph.node_count} edges={graph.edge_count}"
@@ -118,12 +115,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    source = _source(args, "agent")
     # the component report covers the raw graph; datasets are not pre-reduced
-    if args.agent_path:
-        graph = netio.load_edgelist(args.agent_path,
-                                    directed=not args.agent_undirected_file)
+    if isinstance(source, DirectedGraph):
+        graph = source
     else:
-        graph = _graph_from_args(args, "agent", args.alpha)
+        graph = netio.resolve_graph(source, args.alpha)
     decomp = scc_decompose(graph)
     closed = decomp.closed_components()
     print(f"nodes={graph.node_count} edges={graph.edge_count} "
@@ -133,8 +130,8 @@ def _cmd_analyze(args) -> int:
         trivial = " (trivial)" if decomp.trivial_period[cid] else ""
         print(f"  component {cid}: size={decomp.components[cid].size} {flag} "
               f"period={decomp.periods[cid]}{trivial}")
-    if args.constraint_family or args.constraint_path:
-        system = _build_system(args)
+    if vars(args)["constraint.family"] or vars(args)["constraint.path"]:
+        system = _build_system(args, source)
         verdict = converges(system)
         print(f"converges: {verdict.converges}")
         for tag, nodes, period in verdict.witnesses:
@@ -162,8 +159,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mixing(args) -> int:
-    graph = _graph_from_args(args, "", args.alpha)
-    matrix = equal_weight_matrix(graph)
+    matrix = equal_weight_matrix(netio.resolve_graph(_source(args, "graph"), args.alpha))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     report = mixing_mod.analyze_mixing(matrix, epsilon=args.epsilon,
                                        trials=args.trials, rng=rng)
@@ -196,28 +192,8 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    mapping: dict[str, str] = {}
-    if args.config:
-        mapping.update(netio.read_config(args.config))
-    overrides = {
-        "agent.family": args.agent_family, "agent.n": args.agent_n,
-        "agent.k": args.agent_k, "agent.p": args.agent_p, "agent.r": args.agent_r,
-        "agent.bridge": args.agent_bridge, "agent.seed": args.agent_graph_seed,
-        "agent.directed": args.agent_directed or None, "agent.path": args.agent_path,
-        "constraint.family": args.constraint_family, "constraint.n": args.constraint_n,
-        "constraint.k": args.constraint_k, "constraint.p": args.constraint_p,
-        "constraint.r": args.constraint_r, "constraint.bridge": args.constraint_bridge,
-        "constraint.seed": args.constraint_graph_seed,
-        "constraint.directed": args.constraint_directed or None,
-        "constraint.path": args.constraint_path,
-        "sweep": args.sweep, "sweep.start": args.sweep_start,
-        "sweep.stop": args.sweep_stop, "sweep.stride": args.sweep_stride,
-        "epsilon": args.epsilon, "seed": args.seed, "trials": args.trials,
-        "lambda": args.lam, "alpha": args.alpha, "outdir": args.outdir,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = str(value)
+    mapping = netio.read_config(args.config) if args.config else {}
+    mapping.update((key, value) for key, value in vars(args).items() if value is not None)
     config = netio.config_from_mapping(mapping)
     rows = netio.run_experiment(config)
     failed = sum(1 for r in rows if r["error"])
@@ -272,16 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a sweep from a config file and/or flags")
     p.add_argument("--config")
-    _add_graph_args(p, "agent")
-    _add_graph_args(p, "constraint")
+    # the sweep reads edge lists as directed, as its config file does
+    _add_graph_args(p, "agent", undirected_file=False)
+    _add_graph_args(p, "constraint", undirected_file=False)
     p.add_argument("--sweep", choices=("n", "m"))
-    p.add_argument("--sweep-start", type=int)
-    p.add_argument("--sweep-stop", type=int)
-    p.add_argument("--sweep-stride", type=int)
+    p.add_argument("--sweep-start", dest="sweep.start", type=int)
+    p.add_argument("--sweep-stop", dest="sweep.stop", type=int)
+    p.add_argument("--sweep-stride", dest="sweep.stride", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--lam")
+    p.add_argument("--lam", dest="lambda")
     p.add_argument("--alpha", type=float)
     p.add_argument("--outdir")
     p.set_defaults(func=_cmd_experiment)
@@ -293,7 +270,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, ValueError) as exc:  # ValueError: input rejected by validation
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, EmptyGraph) as exc:

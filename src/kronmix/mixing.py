@@ -234,12 +234,15 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     has at most 40 states (override with `pairs`). Walks move independently
     until they meet. Trials that never couple within step_cap are excluded
     from the mean and reported in `capped`; AllTrialsCapped if none couple.
+    ValueError if trials < 1.
 
     Walkers sample from the CSR row cumulatives (`_row_table`): a step costs
     O(w) per live walker and the table O(n w) memory, w the largest
     out-degree. A hub row of degree about n makes that n^2, the cost of a
     dense CDF.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     ergodicity_check(matrix)
     n = matrix.n
     rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))

@@ -12,12 +12,12 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import mixing
-from .beliefs import assemble, converges, update
+from .beliefs import BeliefSystem, assemble, converges, update
 from .errors import EmptyGraph, KronmixError, ParseError, SpecError
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise SpecError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0 <= self.alpha < 1:
             raise SpecError(f"alpha must be in [0, 1), got {self.alpha}")
+        if self.trials < 1:
+            raise SpecError(f"trials must be at least 1, got {self.trials}")
         return list(range(self.sweep_start, self.sweep_stop + 1, self.sweep_stride))
 
 
@@ -173,13 +175,17 @@ def read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _spec_from_mapping(mapping: dict[str, str], prefix: str) -> TopologySpec | str:
+def source_from_mapping(mapping: dict, prefix: str) -> TopologySpec | str:
+    """The TopologySpec under the `prefix.` keys, or the dataset path `prefix.path`.
+
+    Values are config-file strings or parsed CLI flags, whose dests are these keys.
+    """
     path = mapping.get(f"{prefix}.path")
     if path:
         return path
     family = mapping.get(f"{prefix}.family")
     if not family:
-        raise SpecError(f"config is missing {prefix}.family or {prefix}.path")
+        raise SpecError(f"no {prefix} family or path given")
 
     def pick(key, cast, default=None):
         raw = mapping.get(f"{prefix}.{key}")
@@ -193,30 +199,23 @@ def _spec_from_mapping(mapping: dict[str, str], prefix: str) -> TopologySpec | s
         r=pick("r", float),
         bridge=pick("bridge", int),
         seed=pick("seed", int, 0),
-        directed=pick("directed", lambda s: s.lower() in ("1", "true", "yes"), False),
+        directed=pick("directed", lambda s: str(s).lower() in ("1", "true", "yes"), False),
     )
 
 
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat keys (file or CLI-merged)."""
-    def pick(key, cast, default):
-        raw = mapping.get(key)
-        return default if raw in (None, "") else cast(raw)
+def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from flat keys (file or CLI-merged).
 
-    cfg = ExperimentConfig(
-        agent=_spec_from_mapping(mapping, "agent"),
-        constraint=_spec_from_mapping(mapping, "constraint"),
-        sweep=pick("sweep", str, "n"),
-        sweep_start=pick("sweep.start", int, 10),
-        sweep_stop=pick("sweep.stop", int, 50),
-        sweep_stride=pick("sweep.stride", int, 10),
-        epsilon=pick("epsilon", float, 0.25),
-        seed=pick("seed", int, 0),
-        trials=pick("trials", int, 200),
-        lambda_policy=pick("lambda", str, "oblivious"),
-        alpha=pick("alpha", float, 0.5),
-        outdir=pick("outdir", str, "experiment-out"),
-    )
+    A field's key is its name with '.' for '_' ('lambda' for lambda_policy);
+    absent or empty keys keep the field's default.
+    """
+    values = {}
+    for field in fields(ExperimentConfig)[2:]:  # the fields after agent and constraint
+        key = "lambda" if field.name == "lambda_policy" else field.name.replace("_", ".")
+        if mapping.get(key) not in (None, ""):
+            values[field.name] = type(field.default)(mapping[key])
+    cfg = ExperimentConfig(agent=source_from_mapping(mapping, "agent"),
+                           constraint=source_from_mapping(mapping, "constraint"), **values)
     cfg.sweep_values()  # validate eagerly: bad configs are exit-code-2 errors
     return cfg
 
@@ -233,19 +232,41 @@ def _thread_count() -> int:
 
 # -- sweep execution ---------------------------------------------------------
 
-def _resolve_graph(source: TopologySpec | str, size: int | None,
-                   alpha: float) -> DirectedGraph:
-    if isinstance(source, str):
-        if size is not None:
-            raise SpecError("cannot sweep the size of a dataset graph")
-        graph = largest_scc(load_edgelist(source))
+def resolve_graph(source: TopologySpec | str | DirectedGraph, alpha: float = 0.0,
+                  size: int | None = None) -> DirectedGraph:
+    """The graph a source names, lazified with self-weight alpha unless alpha is 0.
+
+    A TopologySpec is generated, at n = size when a sweep sets the size. A
+    path is read as a directed edge list; it, or an edge list already
+    loaded, is reduced to its largest SCC.
+    """
+    if isinstance(source, TopologySpec):
+        graph = generate(source if size is None else replace(source, n=size))
+    elif size is not None:
+        raise SpecError("cannot sweep the size of a dataset graph")
     else:
-        spec = source if size is None else replace(source, n=size)
-        graph = generate(spec)
-    return lazify(graph, alpha) if alpha > 0 else graph
+        graph = largest_scc(load_edgelist(source) if isinstance(source, str) else source)
+    return lazify(graph, alpha) if alpha else graph
 
 
-def _lambda_vector(policy: str, n: int, rng) -> np.ndarray:
+def build_system(agent: DirectedGraph, constraint: DirectedGraph, lambda_policy: str,
+                 rng, x0_constant: float | None = None) -> BeliefSystem:
+    """Equal-weight belief system on two graphs.
+
+    lambda follows `lambda_policy` ('oblivious', a scalar, or @file); x0 is
+    x0_constant everywhere, or uniform draws from rng.
+    """
+    a = equal_weight_matrix(agent)
+    c = equal_weight_matrix(constraint)
+    lam = _lambda_vector(lambda_policy, a.n)
+    if x0_constant is None:
+        x0 = rng.random((a.n, c.n))
+    else:
+        x0 = np.full((a.n, c.n), x0_constant)
+    return assemble(a, c, lam, x0)
+
+
+def _lambda_vector(policy: str, n: int) -> np.ndarray:
     if policy == "oblivious":
         return np.ones(n)
     if policy.startswith("@"):
@@ -289,19 +310,13 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
     try:
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((config.seed, index))))
-        agent_graph = _resolve_graph(config.agent,
-                                     value if config.sweep == "n" else None,
-                                     config.alpha)
-        constraint_graph = _resolve_graph(config.constraint,
-                                          value if config.sweep == "m" else None,
-                                          config.alpha)
-        a = equal_weight_matrix(agent_graph)
-        c = equal_weight_matrix(constraint_graph)
-        n, m = a.n, c.n
+        agent = resolve_graph(config.agent, config.alpha,
+                              value if config.sweep == "n" else None)
+        constraint = resolve_graph(config.constraint, config.alpha,
+                                   value if config.sweep == "m" else None)
+        n, m = agent.node_count, constraint.node_count
         row["n"], row["m"] = n, m
-        lam = _lambda_vector(config.lambda_policy, n, rng)
-        x0 = rng.random((n, m))
-        system = assemble(a, c, lam, x0)
+        system = build_system(agent, constraint, config.lambda_policy, rng)
         verdict = converges(system)
         row["converges"] = "true" if verdict.converges else "false"
 
@@ -309,11 +324,11 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
             # theorem-style metrics: agent side restricted to oblivious agents
             nodes = np.asarray(sorted(verdict.oblivious_agents), dtype=np.int64)
             if nodes.size:
-                a_obl = StochasticMatrix(a.minor(nodes), renormalize=True)
+                a_obl = StochasticMatrix(system.a.minor(nodes), renormalize=True)
                 g_metrics = _factor_metrics(a_obl, config.trials, rng)
             else:
                 g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None}
-            t_metrics = _factor_metrics(c, config.trials, rng)
+            t_metrics = _factor_metrics(system.c, config.trials, rng)
             row["coupling_L"] = max(g_metrics["L"], t_metrics["L"])
             row["coupling_se"] = (g_metrics["L_se"] if g_metrics["L"] >= t_metrics["L"]
                                   else t_metrics["L_se"])

@@ -190,6 +190,12 @@ class TestCoupling:
         est = estimate_coupling_time(StochasticMatrix(np.eye(1)), trials=50)
         assert est.mean == 0.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="trials"):
+            estimate_coupling_time(m, trials=trials)
+
     def test_two_state_geometric(self):
         # independent uniform walks meet with probability 1/2 each step: E[K] = 2
         m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -1,9 +1,11 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from kronmix.cli import main
+from kronmix import netio
+from kronmix.cli import build_parser, main
 from kronmix.errors import EmptyGraph, ParseError, SpecError
 from kronmix.generators import TopologySpec
 from kronmix.graphs import scc_decompose
@@ -221,6 +223,12 @@ class TestRunExperiment:
         with pytest.raises(SpecError):
             cfg.sweep_values()
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected_by_validation(self, tmp_path, trials):
+        cfg = small_config(tmp_path, trials=trials)
+        with pytest.raises(SpecError, match="trials"):
+            cfg.sweep_values()
+
     def test_cycle_sweep_quadratic_growth(self, tmp_path):
         # odd cycles x directed path: t_mix climbs like n^2 (desk-scale range)
         cfg = ExperimentConfig(
@@ -367,6 +375,108 @@ class TestCli:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["agent", "constraint"])
+    def test_experiment_rejects_undirected_file(self, tmp_path, capsys, side):
+        # the sweep reads edge lists as directed, so it takes no undirected-file flag
+        path = write(tmp_path, "g.txt", "0 1\n1 2\n2 0\n2 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--agent-path", path, "--constraint-family", "cycle",
+                  "--constraint-n", "3", f"--{side}-undirected-file",
+                  "--outdir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_agent_path_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        load = netio.load_edgelist
+        monkeypatch.setattr(netio, "load_edgelist",
+                            lambda *a, **kw: calls.append(a) or load(*a, **kw))
+        path = write(tmp_path, "g.txt", "0 1\n1 2\n2 0\n2 3\n3 2\n3 4\n")
+        code = main(["analyze", "--agent-path", path, "--constraint-family", "path",
+                     "--constraint-n", "3", "--constraint-directed"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "nodes=5 edges=6" in out  # the report covers the raw graph
+        assert "converges: True" in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--lam", "@{lam}"],
+        ["simulate", "--x0-constant", "2"],
+        ["mixing", "--family", "cycle", "--n", "5", "--epsilon", "1.5"],
+        ["mixing", "--family", "cycle", "--n", "5", "--alpha", "0.5", "--trials", "0"],
+        ["experiment", "--trials", "0"],
+        ["experiment", "--trials", "-3"],
+    ])
+    def test_rejected_input_exit_2(self, tmp_path, capsys, argv):
+        lam = write(tmp_path, "lam.txt", "2\n2\n2\n2\n2\n")
+        argv = [a.format(lam=lam) for a in argv]
+        if argv[0] == "simulate":
+            argv += ["--agent-family", "cycle", "--agent-n", "5",
+                     "--constraint-family", "cycle", "--constraint-n", "3"]
+        if argv[0] == "experiment":
+            argv += ["--agent-family", "cycle", "--constraint-family", "cycle",
+                     "--constraint-n", "3", "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_option_strings_pinned(self):
+        def graph(prefix):
+            return [f"--{prefix}{name}" for name in
+                    ("family", "n", "k", "p", "r", "bridge", "graph-seed", "directed",
+                     "path", "undirected-file")]
+
+        system = graph("agent-") + graph("constraint-") + [
+            "--lam", "--alpha", "--x0-seed", "--x0-constant"]
+        pinned = {
+            "generate": graph("") + ["--out"],
+            "ingest": ["--undirected-file", "--sha256", "--instructions"],
+            "analyze": system,
+            "simulate": system + ["--stop-delta", "--max-iter", "--force", "--out"],
+            "mixing": graph("") + ["--alpha", "--epsilon", "--trials", "--seed"],
+            "limits": system + ["--social-power"],
+            "experiment": ["--config"] + graph("agent-") + graph("constraint-") + [
+                "--sweep", "--sweep-start", "--sweep-stop", "--sweep-stride", "--epsilon",
+                "--seed", "--trials", "--lam", "--alpha", "--outdir"],
+        }
+        # the sweep reads edge lists as directed, so it takes no undirected-file flag
+        pinned["experiment"].remove("--agent-undirected-file")
+        pinned["experiment"].remove("--constraint-undirected-file")
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        surface = {name: [s for a in sub._actions for s in a.option_strings
+                          if s not in ("-h", "--help")]
+                   for name, sub in subparsers.choices.items()}
+        assert surface == pinned
+
+    def test_experiment_flags_are_config_keys(self, capsys, monkeypatch):
+        configs = []
+        monkeypatch.setattr(netio, "run_experiment", lambda cfg: configs.append(cfg) or [])
+
+        def graph(prefix, family, base):
+            return [f"--{prefix}-family", family, f"--{prefix}-n", str(base),
+                    f"--{prefix}-k", str(base + 1), f"--{prefix}-p", "0.25",
+                    f"--{prefix}-r", "0.5", f"--{prefix}-bridge", str(base + 2),
+                    f"--{prefix}-graph-seed", str(base + 3), f"--{prefix}-directed"]
+
+        argv = ["experiment"] + graph("agent", "erdos-renyi", 10) + graph(
+            "constraint", "newman-watts", 20) + [
+            "--sweep", "m", "--sweep-start", "3", "--sweep-stop", "8",
+            "--sweep-stride", "5", "--epsilon", "0.125", "--seed", "9", "--trials", "7",
+            "--lam", "0.75", "--alpha", "0.375", "--outdir", "somewhere"]
+        assert main(argv) == 0
+        assert main(["experiment", "--agent-path", "a.txt", "--constraint-path", "c.txt",
+                     "--sweep", "m"]) == 0
+        assert configs[0] == ExperimentConfig(
+            agent=TopologySpec("erdos-renyi", 10, k=11, p=0.25, r=0.5, bridge=12, seed=13,
+                               directed=True),
+            constraint=TopologySpec("newman-watts", 20, k=21, p=0.25, r=0.5, bridge=22,
+                                    seed=23, directed=True),
+            sweep="m", sweep_start=3, sweep_stop=8, sweep_stride=5, epsilon=0.125,
+            seed=9, trials=7, lambda_policy="0.75", alpha=0.375, outdir="somewhere")
+        assert (configs[1].agent, configs[1].constraint) == ("a.txt", "c.txt")
 
 
 @pytest.mark.skipif(not os.path.exists(os.path.join(DATA_DIR, "wiki-Vote.txt")),
