@@ -83,11 +83,11 @@ def assemble(a, c, lam, x0) -> BeliefSystem:
     return BeliefSystem(a, c, lam, x0.copy())
 
 
-def system_matrix(system: BeliefSystem, cap: int = MATERIALIZE_CAP) -> sp.csr_matrix:
-    """Materialize the 2nm x 2nm operator; raises TooLarge over the cap."""
+def system_matrix(system: BeliefSystem) -> sp.csr_matrix:
+    """Materialize the 2nm x 2nm operator; raises TooLarge over MATERIALIZE_CAP."""
     nm = system.n * system.m
     top_left_nnz = system.a.nnz * system.c.nnz
-    if top_left_nnz + 3 * nm > cap:
+    if top_left_nnz + 3 * nm > MATERIALIZE_CAP:
         raise TooLarge(f"system operator needs ~{top_left_nnz + 3 * nm} nonzeros")
     lam_a = sp.diags(system.lam) @ system.a.csr
     top_left = sp.kron(lam_a, system.c.csr, format="csr")

@@ -89,7 +89,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"# kronmix generate family={keys['graph.family']} n={keys['graph.n']} "
-                     f"seed={keys['graph.seed']}\n")
+                     f"seed={graph.meta.get('seed')}\n")
             for s, t in zip(graph.sources.tolist(), graph.targets.tolist()):
                 fh.write(f"{s} {t}\n")
     print(f"nodes={graph.node_count} edges={graph.edge_count}"

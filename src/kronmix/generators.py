@@ -263,11 +263,11 @@ def lazify(graph: DirectedGraph, alpha: float) -> DirectedGraph:
     if not 0.0 <= alpha < 1.0:
         raise SpecError(f"alpha must be in [0, 1), got {alpha}")
     n = graph.node_count
-    totals = np.zeros(n)
-    base = graph.weights if graph.weights is not None else np.ones(graph.edge_count)
-    off_loop = graph.sources != graph.targets  # old self-loops are replaced
-    src, dst = graph.sources[off_loop], graph.targets[off_loop]
-    np.add.at(totals, src, base[off_loop])
+    base = graph.csr.data  # the weights, or ones
+    sources = graph.sources
+    off_loop = sources != graph.targets  # old self-loops are replaced
+    src, dst = sources[off_loop], graph.targets[off_loop]
+    totals = np.bincount(src, base[off_loop], minlength=n)
     loop_w = np.where(totals > 0, alpha, 1.0)
     loops = np.flatnonzero(loop_w > 0)
     edges = np.concatenate([np.column_stack([src, dst]), np.column_stack([loops, loops])])

@@ -1,14 +1,14 @@
 """Sparse directed graphs, strongly connected components, condensation, periods.
 
-Edges are stored in the same orientation as matrix rows: an edge (i, j) means a
-random walk at i may step to j, and the transition matrix built from the graph
-puts its mass on row i. A component is *closed* when no condensation edge
-leaves it, i.e. it is the recurrent part of the walk.
+A graph is one scipy CSR matrix whose entry (i, j) is the edge i -> j: a random
+walk at i may step to j, and the transition matrix built from the graph puts
+its mass on row i. A component is *closed* when no condensation edge leaves
+it, i.e. it is the recurrent part of the walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,20 +21,20 @@ class DirectedGraph:
     """Immutable sparse directed graph with optional non-negative edge weights.
 
     `edges` is an (E, 2) integer array or any sequence of (source, target)
-    pairs. Duplicate pairs are merged at construction: weights are summed when
-    present, otherwise the duplicates collapse to a single edge. Undirected
-    input is stored as symmetric directed edge pairs.
+    pairs. Undirected input is stored as symmetric directed edge pairs. The
+    graph is one canonical CSR matrix, `csr`, whose data are the weights, or
+    ones when unweighted; the COO -> CSR conversion merges duplicate pairs,
+    summing their weights. Zero weights stay edges. `targets`, `weights` and
+    `_indptr` are the CSR's arrays; `sources` is expanded on each read.
     """
 
-    __slots__ = ("node_count", "sources", "targets", "weights", "directed",
-                 "_indptr", "_meta")
+    __slots__ = ("node_count", "csr", "targets", "weights", "_indptr", "_meta")
 
     def __init__(self, node_count, edges=(), weights=None, directed=True, meta=None):
         node_count = int(node_count)
         if node_count < 0:
             raise StructuralError("node_count must be non-negative")
         self.node_count = node_count
-        self.directed = bool(directed)
         self._meta = dict(meta) if meta else {}
 
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -49,34 +49,31 @@ class DirectedGraph:
             if w is not None:
                 w = np.concatenate([w, w[mirror]])
 
-        src, dst = edges[:, 0], edges[:, 1]
-        if src.size:
-            if src.min() < 0 or dst.min() < 0 or src.max() >= node_count or dst.max() >= node_count:
-                raise StructuralError("edge endpoint out of range")
+        if edges.size and (edges.min() < 0 or edges.max() >= node_count):
+            raise StructuralError("edge endpoint out of range")
         if w is not None and w.size and (not np.all(np.isfinite(w)) or w.min() < 0):
             raise StructuralError("weights must be finite and non-negative")
 
-        # merge duplicates in row-major order
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if w is not None:
-            w = w[order]
-        if src.size:
-            keep = np.ones(src.size, dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            if w is not None:
-                w = np.bincount(np.cumsum(keep) - 1, weights=w)
-            src, dst = src[keep], dst[keep]
-        self.sources = src
-        self.targets = dst
-        self.weights = w
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=node_count))])
+        csr = sp.csr_matrix((np.ones(len(edges)) if w is None else w,
+                             (edges[:, 0], edges[:, 1])), shape=(node_count, node_count))
+        csr.sum_duplicates()
+        if w is None:
+            csr.data[:] = 1.0  # merged duplicates summed to their count
+        # int64 index arrays, shared with `targets` and `_indptr`
+        csr.indices, csr.indptr = csr.indices.astype(np.int64), csr.indptr.astype(np.int64)
+        self.csr, self.targets, self._indptr = csr, csr.indices, csr.indptr
+        self.weights = None if w is None else csr.data
 
     # -- accessors -----------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return int(self.sources.size)
+        return int(self.targets.size)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Source of each edge, aligned with `targets` (a new array per read)."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), np.diff(self._indptr))
 
     @property
     def meta(self) -> dict:
@@ -102,12 +99,10 @@ class DirectedGraph:
     def subgraph(self, nodes) -> "DirectedGraph":
         """Induced subgraph; its nodes are the given ones in ascending order."""
         nodes = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-        remap = -np.ones(self.node_count, dtype=np.int64)
-        remap[nodes] = np.arange(nodes.size)
-        mask = (remap[self.sources] >= 0) & (remap[self.targets] >= 0)
-        edges = np.column_stack([remap[self.sources[mask]], remap[self.targets[mask]]])
-        w = None if self.weights is None else self.weights[mask]
-        return DirectedGraph(nodes.size, edges, w, meta={"parent_nodes": nodes})
+        sub = self.csr[nodes][:, nodes].tocoo()
+        return DirectedGraph(nodes.size, np.column_stack([sub.row, sub.col]),
+                             None if self.weights is None else sub.data,
+                             meta={"parent_nodes": nodes})
 
     def __repr__(self):
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -128,7 +123,6 @@ class SccDecomposition:
     closed: np.ndarray
     periods: list[int]
     trivial_period: list[bool]
-    topo_order: list[int] = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -153,10 +147,9 @@ def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
 
     Components come from scipy's strong `connected_components`, which numbers
     them in the order they complete, i.e. in reverse topological order of the
-    condensation: every condensation edge (s, t) has s > t, and `topo_order`
-    is just the ids from last to first. Periods are the gcd of
-    |level[u] + 1 - level[w]| over the component's edges (u, w), with BFS
-    levels taken from one shortest-path pass out of a super-source that
+    condensation: every condensation edge (s, t) has s > t. Periods are the
+    gcd of |level[u] + 1 - level[w]| over the component's edges (u, w), with
+    BFS levels taken from one shortest-path pass out of a super-source that
     feeds the smallest node of each component.
     """
     n = graph.node_count
@@ -190,8 +183,7 @@ def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
     periods = np.where(trivial, 1, gaps)
 
     return SccDecomposition(comp_of, components, list(map(tuple, cond.tolist())),
-                            closed, periods.tolist(), trivial.tolist(),
-                            list(range(count - 1, -1, -1)))
+                            closed, periods.tolist(), trivial.tolist())
 
 
 def scc_period(graph: DirectedGraph, component) -> int:

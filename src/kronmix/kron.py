@@ -35,15 +35,13 @@ def kron(left: StochasticMatrix, right: StochasticMatrix,
 def kron_graph(g1: DirectedGraph, g2: DirectedGraph) -> DirectedGraph:
     """Product graph: (u,u') -> (v,v') iff u -> v in g1 and u' -> v' in g2.
 
+    The Kronecker product of the factor CSRs, weighted when both factors are.
     Cost is |E1| * |E2| edges; intended for factor graphs of moderate size.
     """
-    m = g2.node_count
-    s = (g1.sources[:, None] * m + g2.sources[None, :]).ravel()
-    t = (g1.targets[:, None] * m + g2.targets[None, :]).ravel()
-    weights = None
-    if g1.weights is not None and g2.weights is not None:
-        weights = (g1.weights[:, None] * g2.weights[None, :]).ravel()
-    return DirectedGraph(g1.node_count * m, np.column_stack([s, t]), weights)
+    prod = sp.kron(g1.csr, g2.csr, format="coo")
+    weighted = g1.weights is not None and g2.weights is not None
+    return DirectedGraph(prod.shape[0], np.column_stack([prod.row, prod.col]),
+                         prod.data if weighted else None)
 
 
 @dataclass

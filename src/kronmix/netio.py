@@ -302,7 +302,9 @@ def _factor_metrics(matrix: StochasticMatrix, trials: int, rng) -> dict:
             "H": times.max_expectation, "lambda2": lambda2}
 
 
-def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
+def _run_point(config: ExperimentConfig, index: int, value: int,
+               fixed: DirectedGraph | Exception) -> dict:
+    """One CSV row; `fixed` is the graph the sweep does not size, or its error."""
     row = {"sweep_value": value, "n": "", "m": "", "converges": "", "t_mix": "",
            "lambda2": "", "lower_bound": "", "upper_bound": "", "coupling_L": "",
            "coupling_se": "", "absorbing_H": "", "theorem_bound": "",
@@ -310,10 +312,11 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
     try:
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((config.seed, index))))
-        agent = resolve_graph(config.agent, config.alpha,
-                              value if config.sweep == "n" else None)
-        constraint = resolve_graph(config.constraint, config.alpha,
-                                   value if config.sweep == "m" else None)
+        if isinstance(fixed, Exception):
+            raise fixed
+        swept = resolve_graph(config.agent if config.sweep == "n" else config.constraint,
+                              config.alpha, value)
+        agent, constraint = (swept, fixed) if config.sweep == "n" else (fixed, swept)
         n, m = agent.node_count, constraint.node_count
         row["n"], row["m"] = n, m
         system = build_system(agent, constraint, config.lambda_policy, rng)
@@ -349,9 +352,7 @@ def _run_point(config: ExperimentConfig, index: int, value: int) -> dict:
                 report = structural_limit(system)
                 if report.consensus is not None:
                     row["limit_consensus"] = report.consensus
-    except KronmixError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    except (ValueError, OSError) as exc:
+    except (KronmixError, ValueError, OSError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -380,17 +381,23 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 
     Rows are computed in parallel (KRONMIX_THREADS caps the pool) but written
     in sweep order; per-point Philox streams keep results reproducible
-    regardless of the worker count. Errors land in the row's error column.
+    regardless of the worker count. The graph whose size is not swept is
+    resolved once for all points. Errors land in the row's error column.
     """
     values = config.sweep_values()
+    try:
+        fixed = resolve_graph(config.constraint if config.sweep == "n" else config.agent,
+                              config.alpha)
+    except (KronmixError, ValueError, OSError) as exc:
+        fixed = exc  # every row reports it
     workers = min(_thread_count(), len(values))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_point, config, i, v)
+            futures = [pool.submit(_run_point, config, i, v, fixed)
                        for i, v in enumerate(values)]
             rows = [f.result() for f in futures]
     else:
-        rows = [_run_point(config, i, v) for i, v in enumerate(values)]
+        rows = [_run_point(config, i, v, fixed) for i, v in enumerate(values)]
 
     os.makedirs(config.outdir, exist_ok=True)
     write_csv(os.path.join(config.outdir, "experiment.csv"), rows)

@@ -26,7 +26,7 @@ class StochasticMatrix:
 
     __slots__ = ("n", "csr")
 
-    def __init__(self, matrix, tol: float = ROW_SUM_TOL, renormalize: bool = False):
+    def __init__(self, matrix, renormalize: bool = False):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
@@ -40,7 +40,7 @@ class StochasticMatrix:
                 scale[fix] = 1.0 / sums[fix]
                 csr = sp.diags(scale) @ csr
                 csr = sp.csr_matrix(csr)
-        validate_stochastic(csr, tol)
+        validate_stochastic(csr)
         self.n = csr.shape[0]
         self.csr = csr
 
@@ -68,8 +68,8 @@ class StochasticMatrix:
         return f"StochasticMatrix(n={self.n}, nnz={self.nnz})"
 
 
-def validate_stochastic(matrix, tol: float = ROW_SUM_TOL) -> bool:
-    """Pass iff all entries are >= 0 and every row sums to 1 within tol.
+def validate_stochastic(matrix) -> bool:
+    """Pass iff all entries are >= 0 and every row sums to 1 within ROW_SUM_TOL.
 
     Raises NotStochastic naming the first offending row.
     """
@@ -79,7 +79,7 @@ def validate_stochastic(matrix, tol: float = ROW_SUM_TOL) -> bool:
         raise NotStochastic(bad, "negative entry")
     sums = np.asarray(csr.sum(axis=1)).ravel()
     off = np.abs(sums - 1.0)
-    if off.size and off.max() > tol:
+    if off.size and off.max() > ROW_SUM_TOL:
         bad = int(np.argmax(off))
         raise NotStochastic(bad, f"row sum {sums[bad]:.12g}")
     return True
@@ -88,23 +88,21 @@ def validate_stochastic(matrix, tol: float = ROW_SUM_TOL) -> bool:
 def equal_weight_matrix(graph: DirectedGraph) -> StochasticMatrix:
     """Transition matrix that spreads each row over the node's out-edges.
 
-    Unweighted edges get 1/outdeg(i); weighted graphs (e.g. after lazify) are
-    row-normalized. A node with no out-edge raises DanglingNode.
+    The graph's CSR over its row totals: unweighted edges get 1/outdeg(i),
+    weighted graphs (e.g. after lazify) are row-normalized. A node with no
+    out-edge, or only zero-weight ones, raises DanglingNode.
     """
     n = graph.node_count
     deg = np.diff(graph._indptr)
     if n and deg.min() == 0:
         raise DanglingNode(int(np.argmin(deg)))
-    if graph.weights is None:
-        data = 1.0 / deg[graph.sources]
-    else:
-        row_tot = np.zeros(n)
-        np.add.at(row_tot, graph.sources, graph.weights)
-        if n and row_tot.min() <= 0:
-            raise DanglingNode(int(np.argmin(row_tot)))
-        data = graph.weights / row_tot[graph.sources]
-    csr = sp.csr_matrix((data, (graph.sources, graph.targets)), shape=(n, n))
-    return StochasticMatrix(csr)
+    src = graph.sources
+    # bincount sums each row's weights in edge order, as a sequential loop would
+    row_tot = np.bincount(src, graph.csr.data, minlength=n)
+    if n and row_tot.min() <= 0:
+        raise DanglingNode(int(np.argmin(row_tot)))
+    return StochasticMatrix(sp.csr_matrix((graph.csr.data / row_tot[src], graph.targets,
+                                           graph._indptr), shape=(n, n), copy=True))
 
 
 def tv_distance(p, q) -> float:

@@ -5,7 +5,8 @@ instead of a strong-components kernel, a fixed point instead of reverse
 reachability, dense matrix powers instead of sparse evolution, absorbing
 solves on the explicit pair chain instead of coupling simulation, closed
 components of the materialised 2nm system graph instead of its factors,
-explicit operator powers instead of the library's worst-start scan.
+explicit operator powers instead of the library's worst-start scan, edge
+dicts merged pair by pair instead of a sparse COO -> CSR conversion.
 """
 
 from __future__ import annotations
@@ -104,17 +105,54 @@ def oblivious_fixed_point(a: np.ndarray, lam: np.ndarray) -> frozenset[int]:
     return frozenset(candidates)
 
 
+def merged_edges(n: int, edges, weights=None, directed: bool = True) -> dict:
+    """Edge pair -> list of the weights merged into it, filled pair by pair.
+
+    Undirected input adds each pair in both directions (a self-loop once);
+    unweighted edges weigh 1. Raises ValueError on an endpoint outside [0, n).
+    """
+    merged: dict[tuple[int, int], list[float]] = {}
+    for idx, (s, t) in enumerate(edges):
+        s, t = int(s), int(t)
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"edge {s} -> {t} outside [0, {n})")
+        w = 1.0 if weights is None else float(weights[idx])
+        for pair in [(s, t)] if directed or s == t else [(s, t), (t, s)]:
+            merged.setdefault(pair, []).append(w)
+    return merged
+
+
+def edge_dict(graph) -> dict:
+    """Edge pair -> weight (1 when unweighted) of a built graph."""
+    weights = graph.weights if graph.weights is not None else np.ones(graph.edge_count)
+    return dict(zip(zip(graph.sources.tolist(), graph.targets.tolist()), weights.tolist()))
+
+
+def induced_edges(edges: dict, nodes) -> dict:
+    """The entries of an edge dict inside `nodes`, renumbered in ascending order."""
+    index = {v: i for i, v in enumerate(sorted(set(nodes)))}
+    return {(index[s], index[t]): w for (s, t), w in edges.items()
+            if s in index and t in index}
+
+
+def product_edges(edges1: dict, edges2: dict, m: int) -> dict:
+    """(s1 * m + s2, t1 * m + t2) -> w1 * w2 over every pair of factor edges."""
+    return {(s1 * m + s2, t1 * m + t2): w1 * w2
+            for (s1, t1), w1 in edges1.items() for (s2, t2), w2 in edges2.items()}
+
+
 def lazify_loop(graph, alpha: float) -> tuple[list, list]:
     """Lazy walk edges and weights built edge by edge: scaled out-edges, then loops."""
     n = graph.node_count
     base = graph.weights if graph.weights is not None else np.ones(graph.edge_count)
+    sources = graph.sources
     totals = np.zeros(n)
     for idx in range(graph.edge_count):
-        if graph.sources[idx] != graph.targets[idx]:
-            totals[graph.sources[idx]] += base[idx]
+        if sources[idx] != graph.targets[idx]:
+            totals[sources[idx]] += base[idx]
     edges, weights = [], []
     for idx in range(graph.edge_count):
-        s, t = int(graph.sources[idx]), int(graph.targets[idx])
+        s, t = int(sources[idx]), int(graph.targets[idx])
         if s != t:
             edges.append((s, t))
             weights.append((1.0 - alpha) * base[idx] / totals[s])

@@ -5,7 +5,8 @@ import pytest
 
 from kronmix.errors import StructuralError
 from kronmix.graphs import DirectedGraph, condensation, scc_decompose, scc_period
-from oracles import has_cycle_dfs, reachability_components, simple_cycle_lengths
+from oracles import (edge_dict, has_cycle_dfs, induced_edges, merged_edges,
+                     reachability_components, simple_cycle_lengths)
 
 
 def three_component_graph():
@@ -169,3 +170,67 @@ class TestDirectedGraph:
         assert sub.node_count == 4
         assert sub.edge_count == 4
         assert scc_decompose(sub).count == 1
+
+
+def random_input(rng, n):
+    """Edge pairs with many duplicates; weights, if any, include zeros."""
+    edges = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+    weights = None
+    if rng.random() < 0.5:
+        weights = np.where(rng.random(len(edges)) < 0.2, 0.0, rng.random(len(edges)))
+    return edges, weights
+
+
+class TestAgainstDictMerge:
+    """DirectedGraph and subgraph against edge dicts merged pair by pair."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            edges, weights = random_input(rng, n)
+            directed = bool(rng.random() < 0.5)
+            g = DirectedGraph(n, edges, weights, directed=directed)
+            merged = merged_edges(n, edges.tolist(), weights, directed)
+            pairs = sorted(merged)  # row-major edge order
+            assert g.edge_count == len(pairs)
+            assert list(zip(g.sources.tolist(), g.targets.tolist())) == pairs
+            if weights is None:
+                assert g.weights is None
+                continue
+            for got, pair in zip(g.weights.tolist(), pairs):
+                parts = merged[pair]
+                if len(parts) <= 2:  # a sum of two is exact in either order
+                    assert got == sum(parts)
+                else:  # the summation order may differ: one ulp or so
+                    assert got == pytest.approx(sum(parts), rel=4e-16, abs=0)
+
+    def test_random_subgraphs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            edges, weights = random_input(rng, n)
+            g = DirectedGraph(n, edges, weights, directed=bool(rng.random() < 0.5))
+            nodes = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=True)
+            sub = g.subgraph(nodes.tolist())
+            want = induced_edges(edge_dict(g), nodes.tolist())
+            assert sub.node_count == np.unique(nodes).size
+            assert np.array_equal(sub.meta["parent_nodes"], np.unique(nodes))
+            assert list(zip(sub.sources.tolist(), sub.targets.tolist())) == sorted(want)
+            assert (sub.weights is None) == (weights is None)
+            if weights is not None:
+                assert sub.weights.tolist() == [want[p] for p in sorted(want)]
+
+    def test_out_of_range_endpoints(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            edges, weights = random_input(rng, n)
+            bad = rng.choice([-1, n, n + 3])
+            edges = np.concatenate([edges, [[bad, 0] if rng.random() < 0.5 else [0, bad]]])
+            weights = None if weights is None else np.append(weights, 1.0)
+            directed = bool(rng.random() < 0.5)
+            with pytest.raises(ValueError):
+                merged_edges(n, edges.tolist(), weights, directed)
+            with pytest.raises(StructuralError):
+                DirectedGraph(n, edges, weights, directed=directed)

@@ -6,7 +6,7 @@ from kronmix.generators import TopologySpec, generate
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron, kron_graph, product_scc_check
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
-from oracles import reachability_components
+from oracles import edge_dict, product_edges, reachability_components
 
 
 def random_stochastic(rng, n):
@@ -82,6 +82,29 @@ class TestKronGraph:
         product_graph = kron_graph(g1, g2)
         matrix_graph = kron(m1, m2).to_graph()
         assert product_graph.edge_set() == matrix_graph.edge_set()
+
+    def test_random_factors_match_dict_product(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            factors = []
+            for _ in range(2):
+                n = int(rng.integers(1, 6))
+                edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+                weights = None
+                if rng.random() < 0.6:
+                    weights = np.where(rng.random(len(edges)) < 0.2, 0.0,
+                                       rng.random(len(edges)))
+                factors.append(DirectedGraph(n, edges, weights,
+                                             directed=bool(rng.random() < 0.5)))
+            g1, g2 = factors
+            pg = kron_graph(g1, g2)
+            want = product_edges(edge_dict(g1), edge_dict(g2), g2.node_count)
+            assert pg.node_count == g1.node_count * g2.node_count
+            assert list(zip(pg.sources.tolist(), pg.targets.tolist())) == sorted(want)
+            if g1.weights is None or g2.weights is None:
+                assert pg.weights is None
+            else:  # zero products stay edges
+                assert pg.weights.tolist() == [want[p] for p in sorted(want)]
 
 
 class TestProductSccCheck:

@@ -204,6 +204,13 @@ class TestRunExperiment:
         assert rows2[0]["error"] != ""
         assert rows2[-1]["converges"] != ""
 
+    def test_fixed_graph_error_on_every_row(self, tmp_path):
+        cfg = small_config(tmp_path, constraint=str(tmp_path / "missing.txt"))
+        rows = run_experiment(cfg)
+        assert len(rows) == 3
+        assert all(r["error"].startswith("FileNotFoundError: ") for r in rows)
+        assert all(r["n"] == r["m"] == "" for r in rows)
+
     def test_tmix_column_monotone_for_cycles(self, tmp_path):
         cfg = small_config(tmp_path, sweep_start=5, sweep_stop=13, sweep_stride=4)
         rows = run_experiment(cfg)
@@ -295,6 +302,17 @@ class TestCli:
         assert "nodes=6" in capsys.readouterr().out
         g = load_edgelist(out)
         assert g.node_count == 6
+
+    def test_generate_header_names_seed(self, tmp_path, capsys):
+        flags = ["generate", "--family", "erdos-renyi", "--n", "8", "--p", "0.5"]
+        first, again = tmp_path / "er.txt", tmp_path / "again.txt"
+        assert main(flags + ["--out", str(first)]) == 0
+        header, *edges = first.read_text(encoding="utf-8").splitlines()
+        assert header.endswith(" seed=0")  # the default the graph was drawn with
+        assert edges
+        seed = header.rsplit("seed=", 1)[1]
+        assert main(flags + ["--graph-seed", seed, "--out", str(again)]) == 0
+        assert again.read_text(encoding="utf-8").splitlines()[1:] == edges
 
     def test_bad_family_exit_2(self, capsys):
         assert main(["generate", "--family", "cycle", "--n", "1"]) == 2
@@ -400,6 +418,21 @@ class TestCli:
         assert "nodes=5 edges=6" in out  # the report covers the raw graph
         assert "converges: True" in out
         assert len(calls) == 1
+
+    def test_experiment_fixed_graph_parsed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        load = netio.load_edgelist
+        monkeypatch.setattr(netio, "load_edgelist",
+                            lambda *a, **kw: calls.append(a) or load(*a, **kw))
+        path = write(tmp_path, "g.txt", "0 1\n1 2\n2 0\n2 3\n3 2\n3 4\n")
+        code = main(["experiment", "--agent-path", path, "--constraint-family", "cycle",
+                     "--sweep", "m", "--sweep-start", "3", "--sweep-stop", "7",
+                     "--sweep-stride", "1", "--trials", "20",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "5 sweep points" in out and "(0 with errors)" in out
+        assert len(calls) == 1  # the agent graph is not swept: read once, not per point
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--lam", "@{lam}"],

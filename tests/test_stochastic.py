@@ -40,6 +40,19 @@ class TestEqualWeight:
         np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(m.diagonal(), 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("family, n", [("hypercube", 64), ("lollipop", 30),
+                                           ("erdos-renyi", 40)])
+    def test_lazy_rows_divide_by_sequential_totals(self, family, n):
+        # bit for bit: each weight over its row total summed edge by edge
+        g = lazify(generate(TopologySpec(family, n, p=0.2)), 0.5)
+        totals = np.zeros(g.node_count)
+        for s, w in zip(g.sources.tolist(), g.weights.tolist()):
+            totals[s] += w
+        m = equal_weight_matrix(g).csr
+        assert np.array_equal(m.indptr, g._indptr)
+        assert np.array_equal(m.indices, g.targets)
+        assert np.array_equal(m.data, g.weights / totals[g.sources])
+
 
 class TestValidate:
     def test_identity_passes(self):
