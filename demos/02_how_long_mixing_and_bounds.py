@@ -19,8 +19,8 @@ import os
 import numpy as np
 
 from kronmix import (TopologySpec, equal_weight_matrix, estimate_coupling_time,
-                     coupling_bound, eigen_bounds, generate, kron, lazify,
-                     measure_mixing_time, second_eigenvalue)
+                     coupling_bound, generate, kron, lazify, measure_mixing_time,
+                     second_eigenvalue, spectral_bounds)
 from kronmix.netio import svg_loglog
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -48,7 +48,7 @@ print()
 chain = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 21)), 0.5))
 t = measure_mixing_time(chain, 0.25)
 lam2 = second_eigenvalue(chain)
-lower, upper = eigen_bounds(chain, 0.25, lambda2=lam2)
+lower, upper = spectral_bounds(lam2, chain.n, 0.25)
 est = estimate_coupling_time(chain, trials=400, rng=rng)
 print(f"lazy cycle(21):   measured t_mix(1/4) = {t}")
 print(f"  spectral: |lambda_2| = {lam2:.5f} -> bounds [{lower:.1f}, {upper:.1f}]")

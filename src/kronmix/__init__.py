@@ -14,20 +14,19 @@ from .errors import (AllTrialsCapped, DanglingNode, EmptyGraph,
                      NotErgodic, NotStochastic, NoUniqueFixedPoint,
                      ParseError, SpecError, StructuralError, TooLarge)
 from .generators import FAMILIES, TopologySpec, generate, lazify
-from .graphs import (DirectedGraph, SccDecomposition, condensation,
-                     scc_decompose, scc_period)
+from .graphs import DirectedGraph, SccDecomposition, condensation, scc_decompose
 from .kron import ProductSccReport, kron, kron_graph, product_scc_check
 from .limits import (ClosedLimit, LimitReport, SocialPower, TransientBlock,
                      absorbing_probabilities, closed_limit, limit_matrix,
                      social_power, structural_limit, stubborn_limit)
 from .mixing import (AbsorbingTimes, CouplingEstimate, MixingReport,
-                     analyze_mixing, coupling_bound, eigen_bounds,
-                     estimate_coupling_time, expected_absorbing_time,
-                     measure_mixing_time, product_distance_to_limit,
-                     second_eigenvalue, theorem_bound)
+                     analyze_mixing, coupling_bound, estimate_coupling_time,
+                     expected_absorbing_time, measure_mixing_time,
+                     product_distance_to_limit, second_eigenvalue,
+                     spectral_bounds, theorem_bound)
 from .netio import (ExperimentConfig, largest_scc, load_edgelist, read_config,
                     run_experiment)
 from .stochastic import (StochasticMatrix, equal_weight_matrix, stationary,
-                         tv_distance, validate_stochastic)
+                         validate_stochastic)
 
 __version__ = "0.1.0"

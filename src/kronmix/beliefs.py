@@ -44,13 +44,9 @@ class BeliefSystem:
 
 @dataclass
 class BeliefState:
-    """Stacked state after k updates: current beliefs over the anchors."""
+    """Stacked state: current beliefs over the anchors."""
 
-    k: int
     x: np.ndarray  # length 2nm
-
-    def beliefs(self, n: int, m: int) -> np.ndarray:
-        return self.x[: n * m].reshape(n, m)
 
 
 @dataclass
@@ -204,7 +200,7 @@ class SimulationResult:
     final_delta: float
 
     def beliefs(self, system: BeliefSystem) -> np.ndarray:
-        return self.state.beliefs(system.n, system.m).copy()
+        return self.state.x[: system.n * system.m].reshape(system.n, system.m).copy()
 
 
 def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
@@ -224,5 +220,5 @@ def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
     x, it, delta, status = _anchored_iteration(system, stop_delta, max_iter)
     if status == "stalled":
         raise NonConvergent(f"step change stuck near {delta:.3g} after {it} iterations")
-    state = BeliefState(it, np.concatenate([x.ravel(), system.x0.ravel()]))
+    state = BeliefState(np.concatenate([x.ravel(), system.x0.ravel()]))
     return SimulationResult(state, it, status == "converged", delta)

@@ -83,22 +83,15 @@ class DirectedGraph:
         lo, hi = self._indptr[node], self._indptr[node + 1]
         return self.targets[lo:hi]
 
-    def out_degree(self, node: int) -> int:
-        return int(self._indptr[node + 1] - self._indptr[node])
-
-    def has_edge(self, s: int, t: int) -> bool:
-        return bool(np.any(self.successors(s) == t))
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.sources.tolist(), self.targets.tolist()))
-
-    def reverse(self) -> "DirectedGraph":
-        return DirectedGraph(self.node_count, np.column_stack([self.targets, self.sources]),
-                             self.weights)
-
     def subgraph(self, nodes) -> "DirectedGraph":
-        """Induced subgraph; its nodes are the given ones in ascending order."""
+        """Induced subgraph; its nodes are the given ones in ascending order.
+
+        StructuralError names a node outside [0, node_count).
+        """
         nodes = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
+        bad = nodes[(nodes < 0) | (nodes >= self.node_count)]
+        if bad.size:
+            raise StructuralError(f"subgraph node {bad[0]} outside [0, {self.node_count})")
         sub = self.csr[nodes][:, nodes].tocoo()
         return DirectedGraph(nodes.size, np.column_stack([sub.row, sub.col]),
                              None if self.weights is None else sub.data,
@@ -184,21 +177,6 @@ def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
 
     return SccDecomposition(comp_of, components, list(map(tuple, cond.tolist())),
                             closed, periods.tolist(), trivial.tolist())
-
-
-def scc_period(graph: DirectedGraph, component) -> int:
-    """Gcd of all cycle lengths inside a strongly connected node set.
-
-    Raises StructuralError when the set is not strongly connected within the
-    graph. A singleton without a self-loop returns 1 (convention).
-    """
-    sub = graph.subgraph(component)
-    if sub.node_count == 0:
-        raise StructuralError("empty component")
-    decomp = scc_decompose(sub)
-    if decomp.count != 1:
-        raise StructuralError("component is not strongly connected")
-    return decomp.periods[0]
 
 
 def condensation(decomp: SccDecomposition) -> DirectedGraph:

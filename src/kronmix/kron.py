@@ -19,15 +19,15 @@ from .stochastic import StochasticMatrix
 MATERIALIZE_CAP = 10_000_000
 
 
-def kron(left: StochasticMatrix, right: StochasticMatrix,
-         cap: int = MATERIALIZE_CAP) -> StochasticMatrix:
+def kron(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
     """Kronecker product of two stochastic matrices as a sparse matrix.
 
-    Raises TooLarge when the product would hold more than `cap` nonzeros.
+    Raises TooLarge when the product would hold more than MATERIALIZE_CAP
+    nonzeros (read at call time).
     """
     nnz = left.nnz * right.nnz
-    if nnz > cap:
-        raise TooLarge(f"product has {nnz} nonzeros, cap is {cap}")
+    if nnz > MATERIALIZE_CAP:
+        raise TooLarge(f"product has {nnz} nonzeros, cap is {MATERIALIZE_CAP}")
     prod = sp.kron(left.csr, right.csr, format="csr")
     return StochasticMatrix(prod, renormalize=True)
 

@@ -42,15 +42,12 @@ class ClosedLimit:
 
     value: float
     stationary: np.ndarray
-    agent_nodes: np.ndarray
-    topic_nodes: np.ndarray
 
 
 @dataclass
 class LimitReport:
     x_inf: np.ndarray  # length 2nm
     beliefs: np.ndarray  # n x m view of the current-belief block
-    method: str
     consensus: float | None = None
 
 
@@ -94,7 +91,7 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
     pi_c = stationary(StochasticMatrix(system.c.minor(topics)))
     pi = np.kron(pi_a, pi_c)
     x0_s = system.x0[np.ix_(agents, topics)].ravel()
-    return ClosedLimit(float(pi @ x0_s), pi, agents, topics)
+    return ClosedLimit(float(pi @ x0_s), pi)
 
 
 def _apply_limit(system: BeliefSystem, x: np.ndarray) -> np.ndarray:
@@ -137,7 +134,7 @@ def structural_limit(system: BeliefSystem) -> LimitReport:
     stacked = np.concatenate([system.x0.ravel(), system.x0.ravel()])
     x_inf = _apply_limit(system, stacked[:, None])[:, 0]
     beliefs = x_inf[: system.n * system.m].reshape(system.n, system.m)
-    return LimitReport(x_inf, beliefs, "structural", consensus=_consensus_value(beliefs))
+    return LimitReport(x_inf, beliefs, _consensus_value(beliefs))
 
 
 def _consensus_value(beliefs: np.ndarray, tol: float = 1e-9) -> float | None:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import AllTrialsCapped, FailedToConverge, NotErgodic, StructuralError
+from .errors import AllTrialsCapped, FailedToConverge, StructuralError
 from .graphs import SccDecomposition, condensation, scc_decompose
 from .stochastic import (StochasticMatrix, _dominant_eigenpair, ergodicity_check,
                          stationary)
@@ -62,25 +62,19 @@ class MixingReport:
     lower_bound: float | None = None
     upper_bound: float | None = None
     coupling: CouplingEstimate | None = None
-    absorbing_h: float | None = None
     theorem_bound: float | None = None
 
 
-def _start_rows(n: int, starts, rng, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
+def _start_rows(n: int, rng, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
     """Start states for a worst-start scan over n states.
 
-    Every state when `starts` is "exact", or is None and n <= exact_limit;
-    otherwise SAMPLED_STARTS states (or the count `starts`) drawn without
-    replacement from `rng`, by default Philox(SeedSequence(3)). A count of n
-    or more takes every state and draws nothing.
+    Every state when n <= exact_limit; otherwise SAMPLED_STARTS states drawn
+    without replacement from `rng`, by default Philox(SeedSequence(3)).
     """
-    if starts == "exact" or (starts is None and n <= exact_limit):
-        return np.arange(n)
-    count = SAMPLED_STARTS if starts is None or starts == "sampled" else int(starts)
-    if count >= n:
+    if n <= exact_limit:
         return np.arange(n)
     rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
-    return rng.choice(n, size=count, replace=False)
+    return rng.choice(n, size=SAMPLED_STARTS, replace=False)
 
 
 def _basis(n: int, cols: np.ndarray) -> np.ndarray:
@@ -90,19 +84,29 @@ def _basis(n: int, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_gap(cur: np.ndarray, target: np.ndarray) -> float:
+    """Half the largest column L1 gap between `cur` and `target` (broadcast).
+
+    On columns that are distributions this is the largest total variation
+    distance.
+    """
+    return 0.5 * float(np.abs(cur - target).sum(axis=0).max())
+
+
 def _first_within(step, cur: np.ndarray, target: np.ndarray, epsilon: float,
-                  max_steps: int, curve: list | None = None) -> int:
-    """First k in 0..max_steps with half the largest column L1 gap <= epsilon.
+                  max_steps: int) -> int:
+    """First k in 0..max_steps with `_column_gap` <= epsilon.
 
     The gap at step k is between the k-th iterate of `step` on the column
-    block `cur` and `target` (broadcast against it). The distances for
-    k >= 1 are appended to `curve` when one is given; a gap still above
-    epsilon at max_steps raises FailedToConverge.
+    block `cur` and `target`; a gap still above epsilon at max_steps raises
+    FailedToConverge. ValueError unless 0 < epsilon < 1 and max_steps >= 0.
     """
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     for k in range(int(max_steps) + 1):
-        d = 0.5 * float(np.abs(cur - target).sum(axis=0).max())
-        if k and curve is not None:
-            curve.append(d)
+        d = _column_gap(cur, target)
         if d <= epsilon:
             return k
         if k < max_steps:
@@ -111,24 +115,18 @@ def _first_within(step, cur: np.ndarray, target: np.ndarray, epsilon: float,
 
 
 def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
-                        starts=None, rng=None, max_steps: int = 1_000_000,
-                        return_curve: bool = False):
+                        rng=None, max_steps: int = 1_000_000) -> int:
     """Smallest k with max-over-starts TV distance to stationarity <= epsilon.
 
     Starts come from `_start_rows`: every state up to 2000 states, otherwise
-    64 drawn from `rng` (by default Philox(SeedSequence(3))); set `starts` to
-    "exact", "sampled", or a count to override. The distributions step as
-    columns of P' through `_first_within`. Periodic or reducible chains raise
-    NotErgodic.
+    64 drawn from `rng` (by default Philox(SeedSequence(3))). The
+    distributions step as columns of P' through `_first_within`. Periodic or
+    reducible chains raise NotErgodic.
     """
     pi = stationary(matrix)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    rows = _start_rows(matrix.n, starts, rng)
-    curve = [] if return_curve else None
-    k = _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows), pi[:, None],
-                      epsilon, max_steps, curve)
-    return (k, np.asarray(curve)) if return_curve else k
+    rows = _start_rows(matrix.n, rng)
+    return _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows), pi[:, None],
+                         epsilon, max_steps)
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -149,23 +147,18 @@ def second_eigenvalue(matrix: StochasticMatrix) -> float:
 
 
 def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float, float]:
-    """Spectral mixing-time bounds for |lambda_2| < 1 on `states` states.
+    """Spectral mixing-time bounds on `states` states.
 
     lower = lambda2 / (2 (1 - lambda2)) * ln(1 / (2 epsilon))
     upper = (ln states + ln(1 / epsilon)) / (1 - lambda2)
+
+    A |lambda_2| of 1 or more gives no bound and raises FailedToConverge.
     """
+    if lambda2 >= 1.0:
+        raise FailedToConverge(f"|lambda_2| estimate {lambda2} >= 1")
     lower = lambda2 / (2.0 * (1.0 - lambda2)) * math.log(1.0 / (2.0 * epsilon))
     upper = (math.log(states) + math.log(1.0 / epsilon)) / (1.0 - lambda2)
     return lower, upper
-
-
-def eigen_bounds(matrix: StochasticMatrix, epsilon: float = 0.25,
-                 lambda2: float | None = None) -> tuple[float, float]:
-    """`spectral_bounds` of one chain; |lambda_2| is computed when not given."""
-    lam = second_eigenvalue(matrix) if lambda2 is None else float(lambda2)
-    if lam >= 1.0:
-        raise FailedToConverge(f"|lambda_2| estimate {lam} >= 1")
-    return spectral_bounds(lam, matrix.n, epsilon)
 
 
 def _row_table(matrix: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -363,27 +356,26 @@ def coupling_bound(l: float, h: float, epsilon: float) -> float:
 
 
 def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix,
-                              k: int, starts=None, rng=None) -> float:
+                              k: int, rng=None) -> float:
     """Distance to the limit at step k for the pure product operator L x R.
 
-    Exploits (L x R)^k = L^k x R^k: one column of the product power is the
-    Kronecker product of factor columns, so the worst simplex-vertex start is
-    scanned without materializing the product. Starts come from
+    Exploits (L x R)^k = L^k x R^k: column (i, u) of the product power is the
+    Kronecker product of factor columns i and u, and its limit is
+    pi_L[i] pi_R[u] in every row, so the worst simplex-vertex start is the
+    `_column_gap` of one block built from the factors. Starts come from
     `_start_rows`, as in `measure_mixing_time`: every product state up to
     2000, otherwise 64 drawn from `rng` (by default Philox(SeedSequence(3))).
-    Factors must be ergodic.
+    Factors must be ergodic; ValueError if k < 0.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     pi_l = stationary(left)
     pi_r = stationary(right)
     lk = np.linalg.matrix_power(left.dense(), int(k))
     rk = np.linalg.matrix_power(right.dense(), int(k))
-    m = right.n
-    worst = 0.0
-    for s in _start_rows(left.n * m, starts, rng):
-        i, u = divmod(int(s), m)
-        dev = np.abs(np.outer(lk[:, i], rk[:, u]) - pi_l[i] * pi_r[u]).sum()
-        worst = max(worst, 0.5 * float(dev))
-    return worst
+    i, u = np.divmod(_start_rows(left.n * right.n, rng), right.n)
+    cols = (lk[:, None, i] * rk[None, :, u]).reshape(left.n * right.n, -1)
+    return _column_gap(cols, pi_l[i] * pi_r[u])
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,
@@ -392,9 +384,8 @@ def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,
     report = MixingReport(epsilon=epsilon)
     report.t_mix = measure_mixing_time(matrix, epsilon, rng=rng)
     report.lambda2_abs = second_eigenvalue(matrix)
-    report.lower_bound, report.upper_bound = eigen_bounds(matrix, epsilon,
-                                                          lambda2=report.lambda2_abs)
+    report.lower_bound, report.upper_bound = spectral_bounds(report.lambda2_abs, matrix.n,
+                                                             epsilon)
     report.coupling = estimate_coupling_time(matrix, trials=trials, rng=rng)
-    report.absorbing_h = 0.0  # ergodic chain: nothing is transient
     report.theorem_bound = coupling_bound(report.coupling.mean, 0.0, epsilon)
     return report

@@ -368,7 +368,7 @@ def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000
     so they add no distance.
     """
     nm = system.n * system.m
-    cols = mixing._start_rows(system.dim, None, None, exact_limit=256)
+    cols = mixing._start_rows(system.dim, None, exact_limit=256)
     target = limit_matrix(system, cols)[:nm]  # before the start block: a lower peak
     start = mixing._basis(system.dim, cols)
     anchors = start[nm:]

@@ -1,4 +1,4 @@
-"""Row-stochastic sparse matrices, distances and stationary vectors.
+"""Row-stochastic sparse matrices and their stationary vectors.
 
 Distributions are plain 1-D numpy arrays. The walk convention matches the
 graph module: a chain at state i steps to j with probability M[i, j].
@@ -47,9 +47,6 @@ class StochasticMatrix:
     @property
     def nnz(self) -> int:
         return self.csr.nnz
-
-    def row(self, i: int) -> np.ndarray:
-        return np.asarray(self.csr.getrow(i).todense()).ravel()
 
     def dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -103,15 +100,6 @@ def equal_weight_matrix(graph: DirectedGraph) -> StochasticMatrix:
         raise DanglingNode(int(np.argmin(row_tot)))
     return StochasticMatrix(sp.csr_matrix((graph.csr.data / row_tot[src], graph.targets,
                                            graph._indptr), shape=(n, n), copy=True))
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance, computed as half the L1 distance."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
-    if p.size != q.size:
-        raise ValueError(f"dimension mismatch: {p.size} vs {q.size}")
-    return 0.5 * float(np.abs(p - q).sum())
 
 
 def ergodicity_check(matrix: StochasticMatrix) -> None:

@@ -246,6 +246,6 @@ class TestSimulate:
         system = cycle_path_system()
         result = simulate(system, max_iter=5)
         assert not result.converged
-        assert result.iterations == result.state.k == 5
+        assert result.iterations == 5
         assert result.final_delta > 1e-10
         np.testing.assert_array_equal(result.state.x[20:], system.x0.ravel())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kronmix.errors import StructuralError
-from kronmix.graphs import DirectedGraph, condensation, scc_decompose, scc_period
+from kronmix.graphs import DirectedGraph, condensation, scc_decompose
 from oracles import (edge_dict, has_cycle_dfs, induced_edges, merged_edges,
                      reachability_components, simple_cycle_lengths)
 
@@ -69,7 +69,8 @@ class TestSccDecompose:
         for _ in range(20):
             g = random_digraph(rng, 7)
             fwd = {frozenset(c.tolist()) for c in scc_decompose(g).components}
-            rev = {frozenset(c.tolist()) for c in scc_decompose(g.reverse()).components}
+            reverse = DirectedGraph(g.node_count, np.column_stack([g.targets, g.sources]))
+            rev = {frozenset(c.tolist()) for c in scc_decompose(reverse).components}
             assert fwd == rev
 
     def test_period_divides_enumerated_cycles(self):
@@ -89,28 +90,31 @@ class TestSccDecompose:
                 assert d.trivial_period[cid] == (not lengths)
 
 
+def single_period(graph):
+    """Period of a strongly connected graph, from its one component."""
+    d = scc_decompose(graph)
+    assert d.count == 1
+    return d.periods[0]
+
+
 class TestSccPeriod:
     def test_directed_cycle_five(self):
         g = DirectedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert scc_period(g, range(5)) == 5
+        assert single_period(g) == 5
 
     def test_undirected_cycles(self):
         g6 = DirectedGraph(6, [(i, (i + 1) % 6) for i in range(6)], directed=False)
         g7 = DirectedGraph(7, [(i, (i + 1) % 7) for i in range(7)], directed=False)
-        assert scc_period(g6, range(6)) == 2
-        assert scc_period(g7, range(7)) == 1
+        assert single_period(g6) == 2
+        assert single_period(g7) == 1
 
     def test_self_loop_forces_period_one(self):
         g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0), (1, 1)])
-        assert scc_period(g, range(3)) == 1
-
-    def test_not_strongly_connected_raises(self):
-        g = DirectedGraph(3, [(0, 1), (1, 2)])
-        with pytest.raises(StructuralError):
-            scc_period(g, range(3))
+        assert single_period(g) == 1
 
     def test_loop_free_singleton_convention(self):
-        assert scc_period(DirectedGraph(1), [0]) == 1
+        assert single_period(DirectedGraph(1)) == 1
+        assert scc_decompose(DirectedGraph(1)).trivial_period == [True]
 
 
 class TestCondensation:
@@ -118,7 +122,7 @@ class TestCondensation:
         d = scc_decompose(three_component_graph())
         dag = condensation(d)
         assert dag.node_count == 3
-        out_degrees = [dag.out_degree(c) for c in range(3)]
+        out_degrees = [dag.successors(c).size for c in range(3)]
         assert out_degrees.count(0) == 1  # exactly one sink = the closed component
 
     def test_strongly_connected_collapses(self):
@@ -154,7 +158,7 @@ class TestDirectedGraph:
 
     def test_undirected_symmetrizes(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)], directed=False)
-        assert g.edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        assert set(edge_dict(g)) == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(StructuralError):
@@ -170,6 +174,12 @@ class TestDirectedGraph:
         assert sub.node_count == 4
         assert sub.edge_count == 4
         assert scc_decompose(sub).count == 1
+
+    @pytest.mark.parametrize("node", [-1, 3, 5])
+    def test_subgraph_node_out_of_range_rejected(self, node):
+        g = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(StructuralError, match=f"node {node} outside"):
+            g.subgraph([0, node])
 
 
 def random_input(rng, n):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronmix import beliefs, graphs
+from kronmix import beliefs, graphs, netio
 from kronmix.beliefs import (assemble, closed_factor_classes, converges, simulate,
                              system_matrix)
 from kronmix.errors import FailedToConverge, NotErgodic, NoUniqueFixedPoint, StructuralError
@@ -378,6 +378,19 @@ class TestFactorSpaceLimit:
         system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
         with pytest.raises(FailedToConverge):
             system_mixing_time(system, 0.01, max_steps=2)
+
+    @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
+                                        {"max_steps": -1}])
+    def test_mixing_time_arguments_checked_before_stepping(self, kwargs, monkeypatch):
+        # a bad argument fails before the first update: epsilon 0 would
+        # otherwise step until max_steps (10^6 updates)
+        def no_update(*args):
+            raise AssertionError("stepped before checking its arguments")
+
+        monkeypatch.setattr(netio, "update", no_update)
+        system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            system_mixing_time(system, **kwargs)
 
     def test_stubborn_scale(self):
         # lazy 2000-cycle x lazy eulerian ring (m = 5, k = 2), 10 % at lambda 0.5:

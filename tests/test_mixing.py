@@ -12,11 +12,10 @@ from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
 from kronmix import mixing
-from kronmix.mixing import (coupling_bound, eigen_bounds, estimate_coupling_time,
-                            expected_absorbing_time, measure_mixing_time,
-                            product_distance_to_limit, second_eigenvalue,
-                            theorem_bound)
-from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary, tv_distance
+from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_absorbing_time,
+                            measure_mixing_time, product_distance_to_limit,
+                            second_eigenvalue, spectral_bounds, theorem_bound)
+from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
 from oracles import (dense_cdf_step, distance_to_limit_curve, mc_absorption_time,
                      pair_chain_coupling, pair_chain_expectations)
 
@@ -47,7 +46,7 @@ class TestMeasureMixingTime:
         for n in (5, 8, 12):
             m = equal_weight_matrix(generate(TopologySpec("complete", n)))
             pi = stationary(m)
-            one_step = tv_distance(m.row(0), pi)
+            one_step = 0.5 * np.abs(m.dense()[0] - pi).sum()
             assert one_step == pytest.approx(1.0 / n, abs=1e-12)
             assert measure_mixing_time(m, 0.25) == 1
 
@@ -60,15 +59,12 @@ class TestMeasureMixingTime:
         assert measure_mixing_time(StochasticMatrix(np.eye(1)), 0.25) == 0
 
     def test_curve_non_increasing(self):
+        # the worst-start distance (oracle curve) never rises up to t_mix,
+        # the first step at which it reaches epsilon
         m = lazy_chain("path", 9)
-        _, curve = measure_mixing_time(m, 0.01, return_curve=True)
-        assert np.all(np.diff(curve) <= 1e-12)
-
-    def test_sampled_starts_lower_bound_exact(self):
-        m = lazy_chain("cycle", 15)
-        exact = measure_mixing_time(m, 0.25, starts="exact")
-        sampled = measure_mixing_time(m, 0.25, starts=8)
-        assert sampled <= exact
+        k = measure_mixing_time(m, 0.01)
+        curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], k)
+        assert np.all(np.diff(curve) <= 1e-12) and curve[-1] <= 0.01 < curve[-2]
 
     @pytest.mark.parametrize("case", sorted(PINNED_T_MIX))
     def test_pinned_values(self, case):
@@ -84,15 +80,20 @@ class TestMeasureMixingTime:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2501)))
         assert measure_mixing_time(lazy_chain("cycle", 2501), 0.97, rng=rng) == 260
 
-    def test_mixed_at_start_has_empty_curve(self):
+    def test_mixed_at_start_is_zero(self):
         for m, eps in ((StochasticMatrix(np.eye(1)), 0.25),
                        (StochasticMatrix(np.full((2, 2), 0.5)), 0.6)):
-            k, curve = measure_mixing_time(m, eps, return_curve=True)
-            assert k == 0 and curve.size == 0
+            assert measure_mixing_time(m, eps) == 0
 
     def test_step_cap_is_failed_to_converge(self):
         with pytest.raises(FailedToConverge):
             measure_mixing_time(lazy_chain("path", 9), 0.01, max_steps=3)
+
+    @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
+                                        {"epsilon": -0.5}, {"max_steps": -1}])
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            measure_mixing_time(lazy_chain("path", 9), **kwargs)
 
 
 class TestStartRows:
@@ -101,20 +102,19 @@ class TestStartRows:
             want = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(3))).choice(dim, 64, replace=False)
             np.testing.assert_array_equal(
-                mixing._start_rows(dim, None, None, exact_limit=256), want)
+                mixing._start_rows(dim, None, exact_limit=256), want)
 
-    def test_exact_up_to_the_limit_and_for_large_counts(self):
+    def test_exact_up_to_the_limit(self):
         np.testing.assert_array_equal(
-            mixing._start_rows(256, None, None, exact_limit=256), np.arange(256))
-        np.testing.assert_array_equal(mixing._start_rows(3000, "exact", None), np.arange(3000))
-        np.testing.assert_array_equal(mixing._start_rows(40, 40, None), np.arange(40))
+            mixing._start_rows(256, None, exact_limit=256), np.arange(256))
+        np.testing.assert_array_equal(mixing._start_rows(2000, None), np.arange(2000))
 
 
 class TestEigenBounds:
     def test_rank_one_chain(self):
         m = StochasticMatrix(np.tile([0.3, 0.2, 0.5], (3, 1)))
         assert second_eigenvalue(m) == pytest.approx(0.0, abs=1e-9)
-        lower, upper = eigen_bounds(m, 0.25)
+        lower, upper = spectral_bounds(second_eigenvalue(m), m.n, 0.25)
         assert lower == pytest.approx(0.0, abs=1e-9)
         assert upper == pytest.approx((math.log(3) + math.log(4)), rel=1e-6)
 
@@ -122,8 +122,13 @@ class TestEigenBounds:
         m = StochasticMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
         lam = second_eigenvalue(m)
         assert lam == pytest.approx(0.5, abs=1e-8)  # 2x2 eigen oracle: 1 - 2*0.25
-        lower, _ = eigen_bounds(m, 0.25, lambda2=lam)
+        lower, _ = spectral_bounds(lam, m.n, 0.25)
         assert lower == pytest.approx(0.5 * math.log(2), rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_unit_modulus_gives_no_bound(self, lam):
+        with pytest.raises(FailedToConverge, match=">= 1"):
+            spectral_bounds(lam, 10, 0.25)
 
     def test_negative_eigenvalue_modulus(self):
         # odd cycle: dominant non-unit eigenvalue is negative, |.| = cos(pi/n)
@@ -181,7 +186,7 @@ class TestEigenBounds:
                   equal_weight_matrix(generate(TopologySpec("cycle", 101)))]
         for m in chains:
             t = measure_mixing_time(m, 0.25, max_steps=100_000)
-            lower, upper = eigen_bounds(m, 0.25)
+            lower, upper = spectral_bounds(second_eigenvalue(m), m.n, 0.25)
             assert lower <= t <= upper
 
 
@@ -417,6 +422,26 @@ class TestProductBehavior:
                                   - np.outer(np.ones(12), pi)).sum(axis=0).max()
             assert product_distance_to_limit(m1, m2, k) == pytest.approx(direct, abs=1e-12)
 
+    def test_sampled_starts_match_per_start_outer_products(self):
+        # past 2000 product states the 64 starts come from the rng; each start's
+        # column is the outer product of its factor columns
+        rng = np.random.default_rng(16)
+        m1, m2 = random_ergodic(rng, 41), random_ergodic(rng, 50)
+        k = 2
+        got = product_distance_to_limit(m1, m2, k, rng=np.random.default_rng(5))
+        starts = np.random.default_rng(5).choice(41 * 50, 64, replace=False)
+        l1 = np.linalg.matrix_power(m1.dense(), k)
+        l2 = np.linalg.matrix_power(m2.dense(), k)
+        pi1, pi2 = stationary(m1), stationary(m2)
+        want = max(0.5 * np.abs(np.outer(l1[:, s // 50], l2[:, s % 50])
+                                - pi1[s // 50] * pi2[s % 50]).sum() for s in starts)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_negative_k_rejected(self):
+        m = lazy_chain("cycle", 5)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            product_distance_to_limit(m, m, -1)
+
 
 class TestCompositeBoundWithTransients:
     def test_distance_small_at_coupling_bound(self):
@@ -457,13 +482,12 @@ class TestDistanceCurve:
             assert curve[k - 1] == pytest.approx(direct, abs=1e-12)
 
     def test_mixing_curve_matches_oracle(self):
-        # the scan's curve is the operator-power curve of P', over the rows of P^k
+        # t_mix is the first step at which the operator-power curve of P',
+        # over the rows of P^k, falls to epsilon
         m = lazy_chain("path", 12)
-        pi = stationary(m)
-        k, curve = measure_mixing_time(m, 0.01, return_curve=True)
-        want = distance_to_limit_curve(m.csr.T, pi[:, None], k)
-        assert curve.size == k
-        np.testing.assert_allclose(curve, want, rtol=0, atol=1e-12)
+        curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 204)
+        for eps in (0.5, 0.25, 0.1, 0.01):
+            assert measure_mixing_time(m, eps) == 1 + int(np.argmax(curve <= eps))
 
 
 def test_periodic_structures_rejected_everywhere():
