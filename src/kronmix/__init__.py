@@ -14,8 +14,8 @@ from .errors import (AllTrialsCapped, DanglingNode, EmptyGraph,
                      NotErgodic, NotStochastic, NoUniqueFixedPoint,
                      ParseError, SpecError, StructuralError, TooLarge)
 from .generators import FAMILIES, TopologySpec, generate, lazify
-from .graphs import DirectedGraph, SccDecomposition, condensation, scc_decompose
-from .kron import ProductSccReport, kron, kron_graph, product_scc_check
+from .graphs import DirectedGraph, SccDecomposition, scc_decompose
+from .kron import kron, kron_graph
 from .limits import (ClosedLimit, LimitReport, SocialPower, TransientBlock,
                      absorbing_probabilities, closed_limit, limit_matrix,
                      social_power, structural_limit, stubborn_limit)

@@ -72,9 +72,10 @@ def assemble(a, c, lam, x0) -> BeliefSystem:
         raise ValueError(f"lambda has {lam.size} entries for {a.n} agents")
     if x0.shape != (a.n, c.n):
         raise ValueError(f"x0 shape {x0.shape} does not match ({a.n}, {c.n})")
-    if lam.size and (lam.min() < 0 or lam.max() > 1):
+    # written so that NaN, which fails every comparison, fails the check
+    if not np.all((lam >= 0) & (lam <= 1)):
         raise ValueError("lambda entries must lie in [0, 1]")
-    if x0.size and (x0.min() < 0 or x0.max() > 1):
+    if not np.all((x0 >= 0) & (x0 <= 1)):
         raise ValueError("initial beliefs must lie in [0, 1]")
     return BeliefSystem(a, c, lam, x0.copy())
 
@@ -173,8 +174,13 @@ def _anchored_iteration(system: BeliefSystem, tol: float,
     Returns (X, iterations, last sup-norm step change, status): "converged"
     once a step changes X by at most tol, "stalled" when the smallest step
     change of a 100-step window falls by less than a 1e-9 fraction below the
-    previous window's, "capped" at max_iter.
+    previous window's, "capped" at max_iter. A negative max_iter, or a tol
+    that is negative or NaN, raises ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
     x = system.x0
     delta = np.inf
     floor_prev = floor_cur = np.inf

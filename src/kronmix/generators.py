@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .graphs import DirectedGraph, scc_decompose
+from .graphs import DirectedGraph
 
 FAMILIES = (
     "cycle", "path", "star", "two-star", "complete", "dumbbell", "lollipop",
@@ -51,12 +51,8 @@ def generate(spec: TopologySpec) -> DirectedGraph:
         raise SpecError(f"unknown family {fam!r}")
     if spec.directed and fam not in _DIRECTED_OK:
         raise SpecError(f"family {fam!r} has no directed variant")
-    n = int(spec.n)
-    builder = _BUILDERS[fam]
-    graph = builder(spec, n)
-    graph.meta.update({"family": fam, "n_requested": n, "seed": spec.seed})
-    if fam == "geometric":
-        graph.meta["components"] = scc_decompose(graph).count
+    graph = _BUILDERS[fam](spec, int(spec.n))
+    graph.meta["seed"] = spec.seed
     return graph
 
 
@@ -177,9 +173,7 @@ def _grid(spec, n, wrap):
             else:
                 continue
             edges.append((v, int(np.ravel_multi_index(nxt, shape))))
-    g = DirectedGraph(size, edges, directed=False)
-    g.meta["side"] = side
-    return g
+    return DirectedGraph(size, edges, directed=False)
 
 
 def _eulerian_ring(spec, n):
@@ -272,6 +266,4 @@ def lazify(graph: DirectedGraph, alpha: float) -> DirectedGraph:
     loops = np.flatnonzero(loop_w > 0)
     edges = np.concatenate([np.column_stack([src, dst]), np.column_stack([loops, loops])])
     weights = np.concatenate([(1.0 - alpha) * base[off_loop] / totals[src], loop_w[loops]])
-    out = DirectedGraph(n, edges, weights, meta=dict(graph.meta))
-    out.meta["lazy_alpha"] = alpha
-    return out
+    return DirectedGraph(n, edges, weights, meta=graph.meta)

@@ -1,9 +1,9 @@
-"""Sparse directed graphs, strongly connected components, condensation, periods.
+"""Sparse directed graphs, strongly connected components and their periods.
 
 A graph is one scipy CSR matrix whose entry (i, j) is the edge i -> j: a random
 walk at i may step to j, and the transition matrix built from the graph puts
-its mass on row i. A component is *closed* when no condensation edge leaves
-it, i.e. it is the recurrent part of the walk.
+its mass on row i. A component is *closed* when no edge leaves it, i.e. it is
+the recurrent part of the walk.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class DirectedGraph:
     def meta(self) -> dict:
         return self._meta
 
-    def successors(self, node: int) -> np.ndarray:
-        lo, hi = self._indptr[node], self._indptr[node + 1]
-        return self.targets[lo:hi]
-
     def subgraph(self, nodes) -> "DirectedGraph":
         """Induced subgraph; its nodes are the given ones in ascending order.
 
@@ -105,14 +101,15 @@ class DirectedGraph:
 class SccDecomposition:
     """Partition of a graph into strongly connected components.
 
-    `closed[c]` is True when component c has no outgoing condensation edge
-    (the walk cannot leave it). `periods[c]` is the gcd of all cycle lengths;
-    a single loop-free node gets period 1 with `trivial_period[c]` set.
+    Components are numbered in reverse topological order: every edge between
+    two components runs from the higher id to the lower. `closed[c]` is True
+    when no edge leaves component c (the walk cannot leave it). `periods[c]`
+    is the gcd of all cycle lengths; a single loop-free node gets period 1
+    with `trivial_period[c]` set.
     """
 
     component_of: np.ndarray
     components: list[np.ndarray]
-    condensation_edges: list[tuple[int, int]]
     closed: np.ndarray
     periods: list[int]
     trivial_period: list[bool]
@@ -136,11 +133,11 @@ class SccDecomposition:
 
 
 def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
-    """Strong components plus condensation, closed flags and periods.
+    """Strong components plus closed flags and periods.
 
     Components come from scipy's strong `connected_components`, which numbers
-    them in the order they complete, i.e. in reverse topological order of the
-    condensation: every condensation edge (s, t) has s > t. Periods are the
+    them in the order they complete, i.e. in reverse topological order: every
+    edge from component s to another component t has s > t. Periods are the
     gcd of |level[u] + 1 - level[w]| over the component's edges (u, w), with
     BFS levels taken from one shortest-path pass out of a super-source that
     feeds the smallest node of each component.
@@ -159,11 +156,10 @@ def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
     starts = np.concatenate([[0], np.cumsum(np.bincount(comp_of, minlength=count))])
     components = [members[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
 
-    cs, ct = comp_of[src], comp_of[dst]
-    cross = cs != ct
-    cond = np.unique(np.column_stack([cs[cross], ct[cross]]), axis=0)
+    cs = comp_of[src]
+    cross = cs != comp_of[dst]
     closed = np.ones(count, dtype=bool)
-    closed[cond[:, 0]] = False
+    closed[cs[cross]] = False
 
     u, w = src[~cross], dst[~cross]
     feed_src = np.concatenate([u, np.full(count, n)])
@@ -175,10 +171,4 @@ def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
     trivial = gaps == 0  # no edge inside: a loop-free singleton, period 1
     periods = np.where(trivial, 1, gaps)
 
-    return SccDecomposition(comp_of, components, list(map(tuple, cond.tolist())),
-                            closed, periods.tolist(), trivial.tolist())
-
-
-def condensation(decomp: SccDecomposition) -> DirectedGraph:
-    """One node per component; deduplicated inter-component edges; acyclic."""
-    return DirectedGraph(decomp.count, decomp.condensation_edges)
+    return SccDecomposition(comp_of, components, closed, periods.tolist(), trivial.tolist())

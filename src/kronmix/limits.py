@@ -46,7 +46,6 @@ class ClosedLimit:
 
 @dataclass
 class LimitReport:
-    x_inf: np.ndarray  # length 2nm
     beliefs: np.ndarray  # n x m view of the current-belief block
     consensus: float | None = None
 
@@ -132,9 +131,9 @@ def structural_limit(system: BeliefSystem) -> LimitReport:
     get absorption-weighted combinations, solved in one pass.
     """
     stacked = np.concatenate([system.x0.ravel(), system.x0.ravel()])
-    x_inf = _apply_limit(system, stacked[:, None])[:, 0]
-    beliefs = x_inf[: system.n * system.m].reshape(system.n, system.m)
-    return LimitReport(x_inf, beliefs, _consensus_value(beliefs))
+    beliefs = _apply_limit(system, stacked[:, None])[: system.n * system.m, 0]
+    beliefs = beliefs.reshape(system.n, system.m)
+    return LimitReport(beliefs, _consensus_value(beliefs))
 
 
 def _consensus_value(beliefs: np.ndarray, tol: float = 1e-9) -> float | None:

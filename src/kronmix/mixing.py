@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AllTrialsCapped, FailedToConverge, StructuralError
-from .graphs import SccDecomposition, condensation, scc_decompose
+from .graphs import SccDecomposition, scc_decompose
 from .stochastic import (StochasticMatrix, _dominant_eigenpair, ergodicity_check,
                          stationary)
 
@@ -42,16 +42,10 @@ class CouplingEstimate:
 
 @dataclass
 class AbsorbingTimes:
-    """Expected steps to enter the union of closed components.
-
-    `longest_path_total` is the proof-level variant: the largest sum of
-    per-component exit times along a condensation path.
-    """
+    """Expected steps to enter the union of closed components."""
 
     node_expectation: np.ndarray  # full length, zero on recurrent nodes
     max_expectation: float
-    component_expectation: dict[int, float]
-    longest_path_total: float
 
 
 @dataclass
@@ -281,41 +275,18 @@ def expected_absorbing_time(matrix: StochasticMatrix,
                             decomp: SccDecomposition | None = None) -> AbsorbingTimes:
     """Exact expected times to enter the union of closed components.
 
-    Solves (I - Z) h = 1 on the transient block. Also reports per-component
-    exit times and their largest sum along a condensation path.
+    Solves (I - Z) h = 1 on the transient block.
     """
     if decomp is None:
         decomp = scc_decompose(matrix.to_graph())
     if not any(decomp.closed):
         raise StructuralError("graph has no closed component")
-    n = matrix.n
-    node_h = np.zeros(n)
+    node_h = np.zeros(matrix.n)
     transient = decomp.transient_nodes()
-    comp_h: dict[int, float] = {}
     if transient.size:
         z = matrix.minor(transient, transient)
         node_h[transient] = _solve_fundamental(z, np.ones(transient.size))
-        # exit times of each component on its own: Z cut to its diagonal blocks
-        z = z.tocoo()
-        cid = decomp.component_of[transient]
-        inside = cid[z.row] == cid[z.col]
-        z_blocks = sp.coo_matrix((z.data[inside], (z.row[inside], z.col[inside])),
-                                 shape=z.shape)
-        worst = np.zeros(decomp.count)
-        np.maximum.at(worst, cid, _solve_fundamental(z_blocks, np.ones(transient.size)))
-        comp_h = {c: float(worst[c]) for c in range(decomp.count) if not decomp.closed[c]}
-
-    # largest node-weighted path through the condensation (closed nodes weigh 0)
-    cond = condensation(decomp)
-    best = np.zeros(decomp.count)
-    for cid in range(decomp.count):  # successors always carry a smaller id
-        succ = cond.successors(cid)
-        follow = max((best[int(s)] for s in succ), default=0.0)
-        best[cid] = comp_h.get(cid, 0.0) + follow
-    longest = float(best.max()) if decomp.count else 0.0
-
-    h_max = float(node_h.max()) if n else 0.0
-    return AbsorbingTimes(node_h, h_max, comp_h, longest)
+    return AbsorbingTimes(node_h, float(node_h.max()))
 
 
 def _solve_fundamental(z: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:

@@ -60,9 +60,8 @@ def load_edgelist(path: str, directed: bool = True) -> DirectedGraph:
             fh.seek(0)
             raise _bad_line(fh, exc) from None
     ids, edges = np.unique(pairs, return_inverse=True)
-    graph = DirectedGraph(ids.size, edges.reshape(-1, 2), directed=directed,
-                          meta={"id_map": ids, "path": path})
-    return graph
+    return DirectedGraph(ids.size, edges.reshape(-1, 2), directed=directed,
+                         meta={"id_map": ids})
 
 
 def _bad_line(lines, exc: ValueError) -> ParseError:

@@ -66,14 +66,16 @@ class StochasticMatrix:
 
 
 def validate_stochastic(matrix) -> bool:
-    """Pass iff all entries are >= 0 and every row sums to 1 within ROW_SUM_TOL.
+    """Pass iff all entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL.
 
     Raises NotStochastic naming the first offending row.
     """
     csr = matrix.csr if isinstance(matrix, StochasticMatrix) else sp.csr_matrix(matrix)
-    if csr.nnz and csr.data.min() < 0:
-        bad = int(np.searchsorted(csr.indptr, np.argmin(csr.data), side="right") - 1)
-        raise NotStochastic(bad, "negative entry")
+    for bad_entries, what in ((~np.isfinite(csr.data), "non-finite entry"),
+                              (csr.data < 0, "negative entry")):
+        if bad_entries.any():
+            bad = int(np.searchsorted(csr.indptr, np.argmax(bad_entries), side="right") - 1)
+            raise NotStochastic(bad, what)
     sums = np.asarray(csr.sum(axis=1)).ravel()
     off = np.abs(sums - 1.0)
     if off.size and off.max() > ROW_SUM_TOL:

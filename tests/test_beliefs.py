@@ -75,6 +75,16 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(a, c, np.ones(3), np.full((3, 2), 2.0))  # x0 range
 
+    def test_nan_rejected(self):
+        a = StochasticMatrix(np.eye(3))
+        c = StochasticMatrix(np.eye(2))
+        with pytest.raises(ValueError, match="lambda"):
+            assemble(a, c, [1.0, np.nan, 1.0], np.zeros((3, 2)))
+        x0 = np.zeros((3, 2))
+        x0[2, 1] = np.nan
+        with pytest.raises(ValueError, match="initial beliefs"):
+            assemble(a, c, np.ones(3), x0)
+
 
 class TestStep:
     def test_matches_dense_operator(self):
@@ -241,6 +251,19 @@ class TestSimulate:
         with pytest.raises(NonConvergent):
             simulate(cycle_path_system(4), check_convergence=False)
         assert 0 < len(calls) <= 300
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"stop_delta": -1.0},
+                                        {"stop_delta": np.nan}])
+    def test_bad_arguments_raise(self, kwargs, monkeypatch):
+        monkeypatch.setattr(beliefs, "update", None)  # rejected before any step
+        with pytest.raises(ValueError):
+            simulate(cycle_path_system(), **kwargs)
+
+    def test_zero_iterations_return_x0(self):
+        system = cycle_path_system()
+        result = simulate(system, max_iter=0)
+        assert (result.iterations, result.converged) == (0, False)
+        np.testing.assert_array_equal(result.beliefs(system), system.x0)
 
     def test_cap_without_stall_returns_unconverged(self):
         system = cycle_path_system()

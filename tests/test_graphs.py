@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kronmix.errors import StructuralError
-from kronmix.graphs import DirectedGraph, condensation, scc_decompose
+from kronmix.graphs import DirectedGraph, scc_decompose
 from oracles import (edge_dict, has_cycle_dfs, induced_edges, merged_edges,
                      reachability_components, simple_cycle_lengths)
 
@@ -23,6 +23,12 @@ def random_digraph(rng, n, p=0.3, self_loops=False):
     edges = [(i, j) for i in range(n) for j in range(n)
              if (i != j or self_loops) and rng.random() < p]
     return DirectedGraph(n, edges)
+
+
+def cross_pairs(graph, decomp):
+    """(source component, target component) of every edge between components."""
+    cid = decomp.component_of
+    return {(int(cid[s]), int(cid[t])) for s, t in edge_dict(graph) if cid[s] != cid[t]}
 
 
 class TestSccDecompose:
@@ -118,32 +124,42 @@ class TestSccPeriod:
 
 
 class TestCondensation:
+    """The component graph through `component_of` and `closed`."""
+
     def test_three_component_graph(self):
-        d = scc_decompose(three_component_graph())
-        dag = condensation(d)
-        assert dag.node_count == 3
-        out_degrees = [dag.successors(c).size for c in range(3)]
-        assert out_degrees.count(0) == 1  # exactly one sink = the closed component
+        g = three_component_graph()
+        d = scc_decompose(g)
+        assert d.count == 3
+        sources = {s for s, _ in cross_pairs(g, d)}
+        sinks = [c for c in range(3) if c not in sources]
+        assert sinks == d.closed_components()  # exactly one sink: the closed component
+        assert len(sinks) == 1
 
     def test_strongly_connected_collapses(self):
         g = DirectedGraph(4, [(i, (i + 1) % 4) for i in range(4)])
-        dag = condensation(scc_decompose(g))
-        assert dag.node_count == 1
-        assert dag.edge_count == 0
+        d = scc_decompose(g)
+        assert d.count == 1
+        assert cross_pairs(g, d) == set()
+        assert d.closed.tolist() == [True]
 
     def test_acyclic_by_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = random_digraph(rng, int(rng.integers(2, 10)))
-            dag = condensation(scc_decompose(g))
-            assert not has_cycle_dfs(dag.node_count, zip(dag.sources, dag.targets))
+            d = scc_decompose(g)
+            assert not has_cycle_dfs(d.count, cross_pairs(g, d))
 
     def test_edges_point_to_smaller_ids(self):
-        # reverse topological numbering: successors carry a smaller id
+        # reverse topological numbering: every cross edge runs to a smaller
+        # id, and a component is closed iff no cross edge leaves it
         rng = np.random.default_rng(9)
         for _ in range(40):
-            d = scc_decompose(random_digraph(rng, int(rng.integers(2, 12)), p=0.2))
-            assert all(s > t for s, t in d.condensation_edges)
+            g = random_digraph(rng, int(rng.integers(2, 12)), p=0.2)
+            d = scc_decompose(g)
+            pairs = cross_pairs(g, d)
+            assert all(s > t for s, t in pairs)
+            sources = {s for s, _ in pairs}
+            assert d.closed.tolist() == [c not in sources for c in range(d.count)]
 
 
 class TestDirectedGraph:

@@ -244,6 +244,11 @@ class TestStubbornLimit:
         with pytest.raises(NoUniqueFixedPoint):
             stubborn_limit(system, max_iter=5000)
 
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"tol": -1e-10}, {"tol": np.nan}])
+    def test_bad_arguments_raise(self, kwargs):
+        with pytest.raises(ValueError):
+            stubborn_limit(cycle_path_system(lam=np.full(5, 0.5)), **kwargs)
+
 
 class TestSocialPower:
     def test_complete_graph_uniform(self):
@@ -322,8 +327,9 @@ class TestFactorSpaceLimit:
             block = np.zeros((system.dim, 1 + cols.size))
             block[:, 0] = np.tile(system.x0.ravel(), 2)
             block[cols, 1 + np.arange(cols.size)] = 1.0
-            got = _outcome(lambda: np.column_stack([structural_limit(system).x_inf,
-                                                    limit_matrix(system, cols)]))
+            got = _outcome(lambda: np.column_stack([
+                np.concatenate([structural_limit(system).beliefs.ravel(), system.x0.ravel()]),
+                limit_matrix(system, cols)]))
             want = _outcome(lambda: system_graph_limit(system, block))
             assert isinstance(got, NotErgodic) == isinstance(want, NotErgodic)
             if isinstance(want, NotErgodic):

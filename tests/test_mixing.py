@@ -298,7 +298,7 @@ class TestAbsorbing:
         m = equal_weight_matrix(generate(TopologySpec("complete", 5)))
         times = expected_absorbing_time(m)
         assert times.max_expectation == 0.0
-        assert times.longest_path_total == 0.0
+        assert times.node_expectation.tolist() == [0.0] * 5
 
     def test_geometric_exit(self):
         m = StochasticMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
@@ -310,7 +310,7 @@ class TestAbsorbing:
             g = generate(TopologySpec("path", t + 1, directed=True))
             times = expected_absorbing_time(equal_weight_matrix(g))
             assert times.max_expectation == pytest.approx(t)
-            assert times.longest_path_total == pytest.approx(t)
+            np.testing.assert_allclose(times.node_expectation, np.arange(t, -1, -1))
 
     def test_longest_path_sums_components(self):
         # two chained transient singletons, each with exit probability 1/2
@@ -318,9 +318,8 @@ class TestAbsorbing:
                         [0.0, 0.5, 0.5],
                         [0.0, 0.0, 1.0]])
         times = expected_absorbing_time(StochasticMatrix(mat))
-        assert times.node_expectation[0] == pytest.approx(4.0)
-        assert times.component_expectation == {2: pytest.approx(2.0), 1: pytest.approx(2.0)}
-        assert times.longest_path_total == pytest.approx(4.0)
+        np.testing.assert_allclose(times.node_expectation, [4.0, 2.0, 0.0])
+        assert times.max_expectation == pytest.approx(4.0)
 
     def test_component_exits_match_dense_solves(self):
         # transient components of 2-5 nodes (a weighted cycle plus chords)
@@ -345,16 +344,13 @@ class TestAbsorbing:
             m = StochasticMatrix(mat)
             decomp = scc_decompose(m.to_graph())
             times = expected_absorbing_time(m, decomp)
-            want = {}
-            for cid in range(decomp.count):
-                if not decomp.closed[cid]:
-                    comp = decomp.components[cid]
-                    z = mat[np.ix_(comp, comp)]
-                    want[cid] = np.linalg.solve(np.eye(comp.size) - z, np.ones(comp.size)).max()
-            assert len(want) == sizes.size
-            assert times.component_expectation.keys() == want.keys()
-            for cid, h in want.items():
-                assert times.component_expectation[cid] == pytest.approx(h, rel=1e-10)
+            assert decomp.count - len(decomp.closed_components()) == sizes.size
+            transient = decomp.transient_nodes()
+            z = mat[np.ix_(transient, transient)]
+            want = np.zeros(n)
+            want[transient] = np.linalg.solve(np.eye(transient.size) - z, np.ones(transient.size))
+            np.testing.assert_allclose(times.node_expectation, want, rtol=1e-10)
+            assert times.max_expectation == pytest.approx(want.max(), rel=1e-10)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(13)

@@ -438,6 +438,11 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--lam", "@{lam}"],
         ["simulate", "--x0-constant", "2"],
+        ["simulate", "--x0-constant", "nan"],
+        ["simulate", "--lam", "@{nan_lam}"],
+        ["simulate", "--max-iter", "-5"],
+        ["simulate", "--stop-delta", "-1"],
+        ["simulate", "--stop-delta", "nan"],
         ["mixing", "--family", "cycle", "--n", "5", "--epsilon", "1.5"],
         ["mixing", "--family", "cycle", "--n", "5", "--alpha", "0.5", "--trials", "0"],
         ["experiment", "--trials", "0"],
@@ -445,7 +450,8 @@ class TestCli:
     ])
     def test_rejected_input_exit_2(self, tmp_path, capsys, argv):
         lam = write(tmp_path, "lam.txt", "2\n2\n2\n2\n2\n")
-        argv = [a.format(lam=lam) for a in argv]
+        nan_lam = write(tmp_path, "nan-lam.txt", "1\n1\nnan\n1\n1\n")
+        argv = [a.format(lam=lam, nan_lam=nan_lam) for a in argv]
         if argv[0] == "simulate":
             argv += ["--agent-family", "cycle", "--agent-n", "5",
                      "--constraint-family", "cycle", "--constraint-n", "3"]

@@ -69,6 +69,16 @@ class TestValidate:
         with pytest.raises(NotStochastic):
             validate_stochastic(bad)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_flagged(self, value):
+        # NaN fails every comparison, so the sign and row-sum checks alone pass it
+        bad = np.array([[1.0, 0.0], [0.5, 0.5], [value, 1.0]])
+        with pytest.raises(NotStochastic, match="non-finite") as exc:
+            validate_stochastic(bad)
+        assert exc.value.row == 2
+        with pytest.raises(NotStochastic):
+            StochasticMatrix([[np.nan, 1.0], [0.5, 0.5]])
+
     def test_renormalize_fixes_small_drift(self):
         drift = np.array([[0.5 + 1e-8, 0.5], [0.25, 0.75]])
         m = StochasticMatrix(drift, renormalize=True)
