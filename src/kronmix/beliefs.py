@@ -167,6 +167,14 @@ def converges(system: BeliefSystem) -> ConvergenceVerdict:
     return ConvergenceVerdict(not witnesses, witnesses, oblivious)
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """ValueError unless max_iter >= 0 and tol >= 0 (NaN fails)."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be non-negative, got {tol}")
+
+
 def _anchored_iteration(system: BeliefSystem, tol: float,
                         max_iter: int) -> tuple[np.ndarray, int, float, str]:
     """Iterate X <- Lambda A X C' + (I - Lambda) X0 from X0.
@@ -177,10 +185,7 @@ def _anchored_iteration(system: BeliefSystem, tol: float,
     previous window's, "capped" at max_iter. A negative max_iter, or a tol
     that is negative or NaN, raises ValueError.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    _check_iteration(tol, max_iter)
     x = system.x0
     delta = np.inf
     floor_prev = floor_cur = np.inf
@@ -217,8 +222,11 @@ def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
     check_convergence=False to override), and as soon as the iteration
     stalls: the smallest step change of a 100-step window falls by less than
     a 1e-9 fraction below the previous window's (oscillation). Reaching
-    max_iter without either returns converged=False.
+    max_iter without either returns converged=False. A negative max_iter, or
+    a stop_delta that is negative or NaN, raises ValueError before the
+    verdict.
     """
+    _check_iteration(stop_delta, max_iter)
     if check_convergence:
         verdict = converges(system)
         if not verdict.converges:

@@ -87,24 +87,27 @@ def _column_gap(cur: np.ndarray, target: np.ndarray) -> float:
     return 0.5 * float(np.abs(cur - target).sum(axis=0).max())
 
 
-def _first_within(step, cur: np.ndarray, target: np.ndarray, epsilon: float,
-                  max_steps: int) -> int:
-    """First k in 0..max_steps with `_column_gap` <= epsilon.
+def _first_within(step, state, gap, epsilon: float, max_steps: int) -> int:
+    """First k in 0..max_steps with gap(k-th iterate of `step` on `state`) <= epsilon.
 
-    The gap at step k is between the k-th iterate of `step` on the column
-    block `cur` and `target`; a gap still above epsilon at max_steps raises
-    FailedToConverge. ValueError unless 0 < epsilon < 1 and max_steps >= 0.
+    The one worst-start scan behind every mixing time: `state` is whatever
+    `step` advances (a column block of the chain, or the factor blocks of a
+    Kronecker product whose columns are (L^k e_i) (x) (R^k e_u), since
+    (L (x) R)^k = L^k (x) R^k), and `gap` reads it as the largest distance
+    of a tracked start from its limit. A gap still above epsilon at
+    max_steps raises FailedToConverge. ValueError unless 0 < epsilon < 1 and
+    max_steps >= 0, checked before the first step.
     """
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     for k in range(int(max_steps) + 1):
-        d = _column_gap(cur, target)
+        d = gap(state)
         if d <= epsilon:
             return k
         if k < max_steps:
-            cur = step(cur)
+            state = step(state)
     raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
 
 
@@ -117,10 +120,10 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     distributions step as columns of P' through `_first_within`. Periodic or
     reducible chains raise NotErgodic.
     """
-    pi = stationary(matrix)
+    target = stationary(matrix)[:, None]
     rows = _start_rows(matrix.n, rng)
-    return _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows), pi[:, None],
-                         epsilon, max_steps)
+    return _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows),
+                         lambda cur: _column_gap(cur, target), epsilon, max_steps)
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -310,8 +313,8 @@ def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,
                   epsilon: float) -> float:
     """Composite convergence-time bound 32 (max L + max H) ln(1/epsilon)."""
     for name, v in (("l_g", l_g), ("l_t", l_t), ("h_g", h_g), ("h_t", h_t)):
-        if v < 0:
-            raise ValueError(f"{name} must be non-negative")
+        if not v >= 0:  # NaN fails this check too
+            raise ValueError(f"{name} must be non-negative, got {v}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     return 32.0 * (max(l_g, l_t) + max(h_g, h_t)) * math.log(1.0 / epsilon)
@@ -319,8 +322,8 @@ def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,
 
 def coupling_bound(l: float, h: float, epsilon: float) -> float:
     """Single-graph convergence-time bound 4 (L + H) ln(1/epsilon)."""
-    if l < 0 or h < 0:
-        raise ValueError("L and H must be non-negative")
+    if not (l >= 0 and h >= 0):  # NaN fails this check too
+        raise ValueError(f"L and H must be non-negative, got {l} and {h}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     return 4.0 * (l + h) * math.log(1.0 / epsilon)

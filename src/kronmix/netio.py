@@ -359,20 +359,51 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
 def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000) -> int:
     """Smallest k at which the worst simplex start is within epsilon of its limit.
 
-    Tracks basis columns of the system operator power against the limit
-    operator, stepped blockwise through `update` by `mixing._first_within`.
-    The columns come from `mixing._start_rows` with an exact limit of 256:
-    every column up to 256 states, otherwise 64 drawn from
-    Philox(SeedSequence(3)). Anchor rows never move and equal their limit,
-    so they add no distance.
+    Tracks basis columns of the power W^k of the 2nm system operator against
+    the limit operator, through `mixing._first_within`. The columns come from
+    `mixing._start_rows` with an exact limit of 256: every column up to 256
+    states, otherwise 64 drawn from Philox(SeedSequence(3)). Anchor rows
+    never move and equal their limit, so only the top nm rows are compared.
+
+    A top column (i, u) is never stepped nm-wide: it starts with no anchor
+    mass, so by (L (x) R)^k = L^k (x) R^k its k-th iterate is
+    (Lambda A)^k e_i (x) C^k e_u. For the t tracked top columns the scan
+    carries an n x t block of (Lambda A)^k e_i and an m x t block of
+    C^k e_u, and compares their outer products with the limit. An anchor
+    column of an agent with lambda = 1 feeds nothing into the top rows, so
+    it and its limit are zero there and it is dropped; only the anchor
+    columns of stubborn agents step through `update`.
     """
-    nm = system.n * system.m
+    n, m = system.n, system.m
+    nm = n * m
     cols = mixing._start_rows(system.dim, None, exact_limit=256)
-    target = limit_matrix(system, cols)[:nm]  # before the start block: a lower peak
-    start = mixing._basis(system.dim, cols)
-    anchors = start[nm:]
-    return mixing._first_within(lambda cur: update(system, cur, anchors), start[:nm],
-                                target, epsilon, max_steps)
+    top = cols[cols < nm]
+    anchor = cols[cols >= nm]
+    anchor = anchor[system.lam[(anchor - nm) // m] < 1.0]
+    target = limit_matrix(system, np.concatenate([top, anchor]))[:nm]
+    top_target = target[:, :top.size].reshape(n, m, top.size)
+    anchor_target = target[:, top.size:]
+    anchors = mixing._basis(nm, anchor - nm)
+    lam = system.lam[:, None]
+    i, u = np.divmod(top, m)
+    prod = np.empty((n, m, top.size))
+
+    def step(state):
+        a, c, z = state
+        return (lam * (system.a.csr @ a), system.c.csr @ c,
+                update(system, z, anchors) if anchor.size else z)
+
+    def gap(state):
+        a, c, z = state
+        np.multiply(a[:, None, :], c[None, :, :], out=prod)
+        np.subtract(prod, top_target, out=prod)
+        np.abs(prod, out=prod)
+        top_gap = prod.reshape(nm, top.size).sum(axis=0).max(initial=0.0)
+        anchor_gap = np.abs(z - anchor_target).sum(axis=0).max(initial=0.0)
+        return 0.5 * float(max(top_gap, anchor_gap))
+
+    start = (mixing._basis(n, i), mixing._basis(m, u), np.zeros((nm, anchor.size)))
+    return mixing._first_within(step, start, gap, epsilon, max_steps)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

@@ -256,8 +256,10 @@ class TestSimulate:
                                         {"stop_delta": np.nan}])
     def test_bad_arguments_raise(self, kwargs, monkeypatch):
         monkeypatch.setattr(beliefs, "update", None)  # rejected before any step
-        with pytest.raises(ValueError):
-            simulate(cycle_path_system(), **kwargs)
+        # the periodic 4-cycle system: arguments are checked before the verdict
+        for system in (cycle_path_system(), cycle_path_system(4)):
+            with pytest.raises(ValueError):
+                simulate(system, **kwargs)
 
     def test_zero_iterations_return_x0(self):
         system = cycle_path_system()

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronmix import beliefs, graphs, netio
+from kronmix import beliefs, graphs, mixing, netio
 from kronmix.beliefs import (assemble, closed_factor_classes, converges, simulate,
-                             system_matrix)
+                             system_matrix, update)
 from kronmix.errors import FailedToConverge, NotErgodic, NoUniqueFixedPoint, StructuralError
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import scc_decompose
@@ -14,7 +14,8 @@ from kronmix.limits import (absorbing_probabilities, closed_limit, limit_matrix,
                             social_power, structural_limit, stubborn_limit)
 from kronmix.netio import system_mixing_time
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
-from oracles import system_graph_closed_classes, system_graph_limit
+from oracles import (dense_system_operator, distance_to_limit_curve,
+                     system_graph_closed_classes, system_graph_limit)
 from test_acceptance import philox, random_belief_system
 from test_beliefs import cycle_path_system, random_system
 
@@ -419,3 +420,56 @@ class TestFactorSpaceLimit:
         assert peak < 50e6
         fixed = stubborn_limit(system, tol=1e-13)
         assert float(np.abs(report.beliefs - fixed).max()) <= 1e-8
+
+
+def _stepped_mixing_time(system, epsilon):
+    """t_mix by stepping the 2nm-wide basis block through `update`, column by column."""
+    nm = system.n * system.m
+    cols = mixing._start_rows(system.dim, None, exact_limit=256)
+    target = limit_matrix(system, cols)[:nm]
+    start = mixing._basis(system.dim, cols)
+    cur, anchors = start[:nm], start[nm:]
+    for k in range(100_000):
+        if mixing._column_gap(cur, target) <= epsilon:
+            return k
+        cur = update(system, cur, anchors)
+    raise AssertionError("reference scan did not reach epsilon")
+
+
+class TestSystemMixingTime:
+    """The factor-column scan against the dense operator and the stepped scan."""
+
+    def test_matches_dense_operator_curve(self):
+        # dim <= 72 here, so every column is tracked
+        rng = philox(1204)
+        modes, checked = set(), 0
+        while checked < 60:
+            system = random_belief_system(rng)
+            if not converges(system).converges:
+                continue
+            modes.add("ones" if np.all(system.lam == 1) else
+                      "zeros" if np.all(system.lam == 0) else
+                      "mixed" if np.any(system.lam == 1) else "stubborn")
+            op = dense_system_operator(system.a.dense(), system.c.dense(), system.lam)
+            limit = limit_matrix(system)
+            for eps in (0.25, 0.05):
+                t = system_mixing_time(system, eps)
+                curve = np.r_[0.5 * np.abs(np.eye(system.dim) - limit).sum(axis=0).max(),
+                              distance_to_limit_curve(op, limit, t)]
+                assert np.all(curve[:t] > eps) and curve[t] <= eps
+            checked += 1
+        assert modes == {"ones", "zeros", "mixed", "stubborn"}
+
+    def test_sampled_columns_match_stepped_scan(self):
+        # lazy 15-cycle x directed path (m = 10): dim 300 > 256, so 64 sampled
+        # columns, among them anchor columns of stubborn and of oblivious agents
+        a = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 15)), 0.5))
+        c = equal_weight_matrix(lazify(generate(TopologySpec("path", 10, directed=True)), 0.5))
+        lam = np.where(np.arange(15) % 3 == 0, 0.5, 1.0)
+        system = assemble(a, c, lam, philox(1205).random((15, 10)))
+        nm = system.n * system.m
+        cols = mixing._start_rows(system.dim, None, exact_limit=256)
+        anchor_lam = lam[(cols[cols >= nm] - nm) // system.m]
+        assert cols.size == 64 and {0.5, 1.0} <= set(anchor_lam)
+        for eps in (0.25, 0.1, 0.01):
+            assert system_mixing_time(system, eps) == _stepped_mixing_time(system, eps)

@@ -395,6 +395,16 @@ class TestBounds:
         with pytest.raises(ValueError):
             coupling_bound(1, -1, 0.5)
 
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_rejected(self, at):
+        # NaN fails every comparison, so a `v < 0` check would let it through
+        args = [1.0, 1.0, 1.0, 1.0]
+        args[at] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            theorem_bound(*args, 0.25)
+        with pytest.raises(ValueError, match="non-negative"):
+            coupling_bound(*(args[:2] if at < 2 else args[2:]), 0.25)
+
 
 class TestProductBehavior:
     def test_max_behavior_small(self):

@@ -164,6 +164,25 @@ SMALL_CONFIG_CSV = (
     "1657.638377,0.7296574664,\n")
 
 
+# t_mix of the README sweep (lazy cycle n = 11..101 x lazy directed path m = 10,
+# alpha 0.5, epsilon 0.25); the initial beliefs, so the seed, do not enter it
+README_SWEEP_T_MIX = [40, 145, 315, 551, 853, 1221, 1653, 2152, 2716, 3346]
+
+
+def test_readme_sweep_t_mix_pinned(monkeypatch):
+    def no_update(*args):
+        raise AssertionError("an oblivious system stepped the 2nm-wide update")
+
+    monkeypatch.setattr(netio, "update", no_update)
+    path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
+    got = []
+    for n in range(11, 102, 10):
+        cycle = netio.resolve_graph(TopologySpec("cycle", n), 0.5)
+        system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
+        got.append(netio.system_mixing_time(system, 0.25))
+    assert got == README_SWEEP_T_MIX
+
+
 class TestRunExperiment:
     def test_small_config_csv_pinned(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -345,6 +364,14 @@ class TestCli:
                      "--constraint-family", "path", "--constraint-n", "4",
                      "--constraint-directed"])
         assert code == 4
+
+    def test_simulate_bad_max_iter_exit_2(self, capsys):
+        # a config error, even on a system whose verdict is negative
+        code = main(["simulate", "--agent-family", "cycle", "--agent-n", "4",
+                     "--constraint-family", "path", "--constraint-n", "4",
+                     "--constraint-directed", "--max-iter", "-5"])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
 
     def test_simulate_ok(self, capsys):
         code = main(["simulate", "--agent-family", "cycle", "--agent-n", "5",
