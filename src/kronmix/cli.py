@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import mixing as mixing_mod
 from . import netio
 from .beliefs import converges, simulate
 from .errors import (EmptyGraph, KronmixError, ParseError, SpecError)
-from .generators import FAMILIES
+from .generators import FAMILIES, TopologySpec
 from .graphs import DirectedGraph, scc_decompose
 from .limits import social_power, structural_limit, stubborn_limit
 from .stochastic import equal_weight_matrix
@@ -87,9 +88,12 @@ def _cmd_generate(args) -> int:
     keys = vars(args)
     graph = netio.resolve_graph(_source(args, "graph"))
     if args.out:
+        # the spec fields the flags set, then the seed the graph was drawn with
+        header = [f"{f.name}={keys[f'graph.{f.name}']}" for f in fields(TopologySpec)
+                  if f.name != "seed" and keys[f"graph.{f.name}"] is not None]
+        header.append(f"seed={graph.meta.get('seed')}")
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# kronmix generate family={keys['graph.family']} n={keys['graph.n']} "
-                     f"seed={graph.meta.get('seed')}\n")
+            fh.write(f"# kronmix generate {' '.join(header)}\n")
             for s, t in zip(graph.sources.tolist(), graph.targets.tolist()):
                 fh.write(f"{s} {t}\n")
     print(f"nodes={graph.node_count} edges={graph.edge_count}"

@@ -11,7 +11,6 @@ import hashlib
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -220,13 +219,12 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("KRONMIX_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise SpecError(f"KRONMIX_THREADS={raw!r} is not an integer") from None
-    return min(4, os.cpu_count() or 1)
+    """1: `run_experiment` runs its sweep points one after another.
+
+    Kept only for `kronbench/tracing.py`, which scales `netio.pool_busy_ratio`
+    by it; it goes with the benchmark refresh, ROADMAP item 8.
+    """
+    return 1
 
 
 # -- sweep execution ---------------------------------------------------------
@@ -409,10 +407,10 @@ def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run the sweep, write experiment.csv and one SVG per plotted metric.
 
-    Rows are computed in parallel (KRONMIX_THREADS caps the pool) but written
-    in sweep order; per-point Philox streams keep results reproducible
-    regardless of the worker count. The graph whose size is not swept is
-    resolved once for all points. Errors land in the row's error column.
+    Points run one after another in sweep order, each on its own Philox
+    stream SeedSequence((seed, index)). The graph whose size is not swept is
+    resolved once for all points. Errors land in the row's error column. An
+    SVG that this run does not redraw is removed, so none outlives its CSV.
     """
     values = config.sweep_values()
     try:
@@ -420,14 +418,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                               config.alpha)
     except (KronmixError, ValueError, OSError) as exc:
         fixed = exc  # every row reports it
-    workers = min(_thread_count(), len(values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_point, config, i, v, fixed)
-                       for i, v in enumerate(values)]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_run_point(config, i, v, fixed) for i, v in enumerate(values)]
+    rows = [_run_point(config, i, v, fixed) for i, v in enumerate(values)]
 
     os.makedirs(config.outdir, exist_ok=True)
     write_csv(os.path.join(config.outdir, "experiment.csv"), rows)
@@ -437,9 +428,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
             if row[metric] != "" and row["error"] == "":
                 xs.append(float(row["sweep_value"]))
                 ys.append(float(row[metric]))
+        path = os.path.join(config.outdir, f"{metric}.svg")
+        if os.path.exists(path):
+            os.remove(path)  # a plot from an earlier run into this outdir
         if len(xs) >= 2 and min(ys) > 0:
-            svg_loglog(os.path.join(config.outdir, f"{metric}.svg"), xs, ys,
-                       xlabel=config.sweep, ylabel=metric,
+            svg_loglog(path, xs, ys, xlabel=config.sweep, ylabel=metric,
                        title=f"{metric} vs {config.sweep}")
     return rows
 

@@ -111,3 +111,8 @@ def test_sweep_csv_columns():
                  "lower_bound", "upper_bound", "coupling_L", "coupling_se",
                  "absorbing_H", "theorem_bound", "limit_consensus"):
         assert name in columns
+
+
+def test_sweep_runs_one_point_at_a_time():
+    # the tracer scales netio.pool_busy_ratio by this worker count
+    assert netio._thread_count() == 1

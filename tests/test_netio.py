@@ -1,5 +1,6 @@
 import argparse
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -204,12 +205,21 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert open(csv_path, encoding="utf-8").read() == first
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = small_config(tmp_path)
-        rows_serial = run_experiment(cfg)
-        monkeypatch.setenv("KRONMIX_THREADS", "3")
-        rows_parallel = run_experiment(cfg)
-        assert rows_serial == rows_parallel
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_points_run_in_order_on_calling_thread(self, tmp_path, monkeypatch, threads):
+        monkeypatch.delenv("KRONMIX_THREADS", raising=False)
+        if threads:
+            monkeypatch.setenv("KRONMIX_THREADS", threads)
+        calls, run_point = [], netio._run_point
+
+        def recording(config, index, value, fixed):
+            calls.append((threading.get_ident(), index))
+            return run_point(config, index, value, fixed)
+
+        monkeypatch.setattr(netio, "_run_point", recording)
+        rows = run_experiment(small_config(tmp_path))
+        assert calls == [(threading.get_ident(), i) for i in range(len(rows))]
+        assert len(rows) == 3
 
     def test_error_rows_recorded(self, tmp_path):
         # even cycle sizes: periodic oblivious component, verdict false, no t_mix
@@ -244,6 +254,20 @@ class TestRunExperiment:
         assert os.path.exists(svg)
         body = open(svg, encoding="utf-8").read()
         assert body.startswith("<svg") and "slope" in body
+
+    def test_rerun_removes_plots_it_does_not_redraw(self, tmp_path, capsys):
+        outdir = str(tmp_path / "X")
+        flags = ["experiment", "--agent-family", "cycle", "--constraint-family", "path",
+                 "--constraint-directed", "--constraint-n", "4", "--sweep-stride", "2",
+                 "--trials", "20", "--outdir", outdir]
+        plots = {"t_mix.svg", "coupling_L.svg", "absorbing_H.svg", "theorem_bound.svg"}
+        assert main(flags + ["--sweep-start", "5", "--sweep-stop", "9"]) == 0
+        assert plots <= set(os.listdir(outdir))
+        # even cycles without laziness are periodic: no row has a metric to plot
+        assert main(flags + ["--sweep-start", "4", "--sweep-stop", "8", "--alpha", "0"]) == 0
+        with open(os.path.join(outdir, "experiment.csv"), encoding="utf-8") as fh:
+            assert [line.split(",")[3] for line in fh.read().splitlines()[1:]] == ["false"] * 3
+        assert os.listdir(outdir) == ["experiment.csv"]
 
     def test_epsilon_one_rejected_by_validation(self, tmp_path):
         cfg = small_config(tmp_path, epsilon=1.0)
@@ -328,11 +352,18 @@ class TestCli:
         first, again = tmp_path / "er.txt", tmp_path / "again.txt"
         assert main(flags + ["--out", str(first)]) == 0
         header, *edges = first.read_text(encoding="utf-8").splitlines()
-        assert header.endswith(" seed=0")  # the default the graph was drawn with
+        # every field the flags set; last the default seed the graph was drawn with
+        assert header == "# kronmix generate family=erdos-renyi n=8 p=0.5 seed=0"
         assert edges
         seed = header.rsplit("seed=", 1)[1]
         assert main(flags + ["--graph-seed", seed, "--out", str(again)]) == 0
         assert again.read_text(encoding="utf-8").splitlines()[1:] == edges
+        for other, fields in ((["--family", "hypercube", "--k", "3"], "family=hypercube k=3"),
+                              (["--family", "cycle", "--n", "5", "--directed"],
+                               "family=cycle n=5 directed=True")):
+            assert main(["generate"] + other + ["--out", str(first)]) == 0
+            header = first.read_text(encoding="utf-8").splitlines()[0]
+            assert header == f"# kronmix generate {fields} seed=0"
 
     def test_bad_family_exit_2(self, capsys):
         assert main(["generate", "--family", "cycle", "--n", "1"]) == 2

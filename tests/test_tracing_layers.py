@@ -2,8 +2,9 @@
 
 `kronbench/tracing.py` lists the layers it wraps in `LAYERS` (plus the pool
 task `POOL_TASK`) and resolves them with getattr on the kronmix submodules.
-The file is read as source, never imported or run, so this test leaves the
-benchmark directory untouched.
+Its `_HOOKS` read `netio.<attr>` off the module as well. The file is read as
+source, never imported or run, so these tests leave the benchmark directory
+untouched.
 """
 
 import ast
@@ -14,9 +15,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "kronbench", "tracing.py")
 
 
-def _constants(path: str) -> dict:
+def _module(path: str) -> ast.Module:
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+        return ast.parse(fh.read(), filename=path)
+
+
+def _constants(path: str) -> dict:
+    tree = _module(path)
     values = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -35,3 +40,20 @@ def test_every_traced_layer_resolves():
                if not callable(getattr(importlib.import_module(
                    f"kronmix.{name.split('.')[0]}"), name.split(".")[1], None))]
     assert not missing, f"kronbench/tracing.py wraps names kronmix lacks: {missing}"
+
+
+def test_every_netio_name_a_hook_reads_resolves():
+    tree = _module(TRACING)
+    hooks = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_HOOKS"])
+    hook_names = {value.id for value in hooks.values}
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in hook_names]
+    assert len(functions) == len(hook_names)
+    read = {node.attr for fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "netio"}
+    assert "_thread_count" in read
+    netio = importlib.import_module("kronmix.netio")
+    missing = sorted(name for name in read if not hasattr(netio, name))
+    assert not missing, f"kronbench/tracing.py hooks read names kronmix.netio lacks: {missing}"
