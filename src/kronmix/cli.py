@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the coupling estimate only; above 2000 states t_mix "
+                        "scans the same fixed 64 starts whatever the seed")
     p.set_defaults(func=_cmd_mixing)
 
     p = sub.add_parser("limits", help="structural and fixed-point limits, social power")

@@ -21,7 +21,6 @@ FAMILIES = (
     "eulerian-ring", "erdos-renyi", "newman-watts", "geometric",
 )
 _DIRECTED_OK = {"cycle", "path", "star", "complete", "eulerian-ring"}
-_RANDOM = {"erdos-renyi", "newman-watts", "geometric"}
 
 
 @dataclass

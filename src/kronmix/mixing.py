@@ -59,15 +59,15 @@ class MixingReport:
     theorem_bound: float | None = None
 
 
-def _start_rows(n: int, rng, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
+def _start_rows(n: int, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
     """Start states for a worst-start scan over n states.
 
-    Every state when n <= exact_limit; otherwise SAMPLED_STARTS states drawn
-    without replacement from `rng`, by default Philox(SeedSequence(3)).
+    Every state when n <= exact_limit; otherwise the same SAMPLED_STARTS
+    states on every call, drawn without replacement from Philox(SeedSequence(3)).
     """
     if n <= exact_limit:
         return np.arange(n)
-    rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
     return rng.choice(n, size=SAMPLED_STARTS, replace=False)
 
 
@@ -112,16 +112,16 @@ def _first_within(step, state, gap, epsilon: float, max_steps: int) -> int:
 
 
 def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
-                        rng=None, max_steps: int = 1_000_000) -> int:
+                        max_steps: int = 1_000_000) -> int:
     """Smallest k with max-over-starts TV distance to stationarity <= epsilon.
 
-    Starts come from `_start_rows`: every state up to 2000 states, otherwise
-    64 drawn from `rng` (by default Philox(SeedSequence(3))). The
-    distributions step as columns of P' through `_first_within`. Periodic or
-    reducible chains raise NotErgodic.
+    A start's distance is its row of P^k against pi. Starts come from
+    `_start_rows`: every state up to 2000 states, otherwise the fixed 64 that
+    `netio.system_mixing_time` also samples. The rows step as columns of P'
+    through `_first_within`. Periodic or reducible chains raise NotErgodic.
     """
     target = stationary(matrix)[:, None]
-    rows = _start_rows(matrix.n, rng)
+    rows = _start_rows(matrix.n)
     return _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows),
                          lambda cur: _column_gap(cur, target), epsilon, max_steps)
 
@@ -216,15 +216,14 @@ def _run_coupling(table, pairs_x, pairs_y, step_cap, rng):
 
 
 def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
-                           step_cap: int = 10_000_000, rng=None,
-                           pairs=None) -> CouplingEstimate:
+                           step_cap: int = 10_000_000, rng=None) -> CouplingEstimate:
     """Monte-Carlo mean of the meeting time of two independent walks.
 
-    Start pairs: the worst of 32 random pairs, plus every pair when the chain
-    has at most 40 states (override with `pairs`). Walks move independently
-    until they meet. Trials that never couple within step_cap are excluded
-    from the mean and reported in `capped`; AllTrialsCapped if none couple.
-    ValueError if trials < 1.
+    Start pairs: the worst of 32 random pairs, or of every pair when the
+    chain has at most 40 states. Walks move independently until they meet.
+    Trials that never couple within step_cap are excluded from the mean and
+    reported in `capped`; AllTrialsCapped if none couple. ValueError if
+    trials < 1.
 
     Walkers sample from the CSR row cumulatives (`_row_table`): a step costs
     O(w) per live walker and the table O(n w) memory, w the largest
@@ -240,17 +239,15 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
         return CouplingEstimate(0.0, 0.0, trials, 0, (0, 0))
     table = _row_table(matrix)
 
-    if pairs is None:
-        if n <= 40:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            seen = set()
-            while len(seen) < 32:
-                i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i != j:
-                    seen.add((min(i, j), max(i, j)))
-            pairs = sorted(seen)
-    pairs = list(pairs)
+    if n <= 40:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        seen = set()
+        while len(seen) < 32:
+            i, j = int(rng.integers(n)), int(rng.integers(n))
+            if i != j:
+                seen.add((min(i, j), max(i, j)))
+        pairs = sorted(seen)
 
     worst = pairs[0]
     if len(pairs) > 1:
@@ -329,34 +326,32 @@ def coupling_bound(l: float, h: float, epsilon: float) -> float:
     return 4.0 * (l + h) * math.log(1.0 / epsilon)
 
 
-def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix,
-                              k: int, rng=None) -> float:
-    """Distance to the limit at step k for the pure product operator L x R.
+def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k: int) -> float:
+    """Worst-start distance at step k of L x R: `measure_mixing_time`'s on kron(L, R).
 
-    Exploits (L x R)^k = L^k x R^k: column (i, u) of the product power is the
-    Kronecker product of factor columns i and u, and its limit is
-    pi_L[i] pi_R[u] in every row, so the worst simplex-vertex start is the
-    `_column_gap` of one block built from the factors. Starts come from
-    `_start_rows`, as in `measure_mixing_time`: every product state up to
-    2000, otherwise 64 drawn from `rng` (by default Philox(SeedSequence(3))).
-    Factors must be ergodic; ValueError if k < 0.
+    Built from the factors: by (L x R)^k = L^k x R^k, start (i, u)'s row is
+    (L')^k e_i (x) (R')^k e_u, against the limit pi_L (x) pi_R, over the
+    starts of `_start_rows`. Factors must be ergodic; ValueError if k < 0.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    pi_l = stationary(left)
-    pi_r = stationary(right)
-    lk = np.linalg.matrix_power(left.dense(), int(k))
-    rk = np.linalg.matrix_power(right.dense(), int(k))
-    i, u = np.divmod(_start_rows(left.n * right.n, rng), right.n)
+    target = np.kron(stationary(left), stationary(right))[:, None]
+    lk = np.linalg.matrix_power(left.dense().T, int(k))
+    rk = np.linalg.matrix_power(right.dense().T, int(k))
+    i, u = np.divmod(_start_rows(left.n * right.n), right.n)
     cols = (lk[:, None, i] * rk[None, :, u]).reshape(left.n * right.n, -1)
-    return _column_gap(cols, pi_l[i] * pi_r[u])
+    return _column_gap(cols, target)
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,
                    trials: int = 300, rng=None) -> MixingReport:
-    """Bundle t_mix, spectral bounds, and a coupling estimate for one chain."""
+    """Bundle t_mix, spectral bounds, and a coupling estimate for one chain.
+
+    `rng` drives only the coupling estimate; above 2000 states t_mix scans
+    `measure_mixing_time`'s fixed 64 starts.
+    """
     report = MixingReport(epsilon=epsilon)
-    report.t_mix = measure_mixing_time(matrix, epsilon, rng=rng)
+    report.t_mix = measure_mixing_time(matrix, epsilon)
     report.lambda2_abs = second_eigenvalue(matrix)
     report.lower_bound, report.upper_bound = spectral_bounds(report.lambda2_abs, matrix.n,
                                                              epsilon)

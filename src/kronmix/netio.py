@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise SpecError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.trials < 1:
             raise SpecError(f"trials must be at least 1, got {self.trials}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be non-negative, got {self.seed}")
         return list(range(self.sweep_start, self.sweep_stop + 1, self.sweep_stride))
 
 
@@ -374,7 +376,7 @@ def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000
     """
     n, m = system.n, system.m
     nm = n * m
-    cols = mixing._start_rows(system.dim, None, exact_limit=256)
+    cols = mixing._start_rows(system.dim, exact_limit=256)
     top = cols[cols < nm]
     anchor = cols[cols >= nm]
     anchor = anchor[system.lam[(anchor - nm) // m] < 1.0]

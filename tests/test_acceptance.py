@@ -269,7 +269,7 @@ def _composite_bound_case(agent_spec, constraint_spec, trials, rng):
     out = {}
     for eps in (0.25, 1 / 16):
         k = math.ceil(32 * (max(l_g, l_t) + 0.0) * math.log(1 / eps))
-        out[eps] = (k, product_distance_to_limit(a, c, k, rng=rng))
+        out[eps] = (k, product_distance_to_limit(a, c, k))
     return (l_g, l_t), out
 
 

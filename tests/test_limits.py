@@ -425,7 +425,7 @@ class TestFactorSpaceLimit:
 def _stepped_mixing_time(system, epsilon):
     """t_mix by stepping the 2nm-wide basis block through `update`, column by column."""
     nm = system.n * system.m
-    cols = mixing._start_rows(system.dim, None, exact_limit=256)
+    cols = mixing._start_rows(system.dim, exact_limit=256)
     target = limit_matrix(system, cols)[:nm]
     start = mixing._basis(system.dim, cols)
     cur, anchors = start[:nm], start[nm:]
@@ -468,7 +468,7 @@ class TestSystemMixingTime:
         lam = np.where(np.arange(15) % 3 == 0, 0.5, 1.0)
         system = assemble(a, c, lam, philox(1205).random((15, 10)))
         nm = system.n * system.m
-        cols = mixing._start_rows(system.dim, None, exact_limit=256)
+        cols = mixing._start_rows(system.dim, exact_limit=256)
         anchor_lam = lam[(cols[cols >= nm] - nm) // system.m]
         assert cols.size == 64 and {0.5, 1.0} <= set(anchor_lam)
         for eps in (0.25, 0.1, 0.01):

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kronmix.errors import FailedToConverge, NotErgodic
+from kronmix.errors import AllTrialsCapped, FailedToConverge, NotErgodic
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
@@ -28,6 +28,16 @@ def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
 def random_ergodic(rng, n):
     raw = rng.random((n, n)) + 0.02
     return StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+
+
+def sparse_ergodic(rng):
+    """A lazy random strongly connected digraph's chain: slower than random_ergodic."""
+    while True:
+        size = int(rng.integers(5, 31))
+        edges = [(i, j) for i in range(size) for j in range(size) if rng.random() < 0.15]
+        g = lazify(DirectedGraph(size, edges), float(rng.uniform(0.2, 0.6)))
+        if scc_decompose(g).count == 1:
+            return equal_weight_matrix(g)
 
 
 # exact-start t_mix at epsilon 0.25 of lazy (alpha 0.5) chains; a change to
@@ -76,9 +86,8 @@ class TestMeasureMixingTime:
         assert measure_mixing_time(prod, 0.25) == 103
 
     def test_pinned_sampled_value(self):
-        # past 2000 states the 64 starts come from the rng the caller passes
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2501)))
-        assert measure_mixing_time(lazy_chain("cycle", 2501), 0.97, rng=rng) == 260
+        # past 2000 states the scan takes the fixed 64 starts of _start_rows
+        assert measure_mixing_time(lazy_chain("cycle", 2501), 0.97) == 260
 
     def test_mixed_at_start_is_zero(self):
         for m, eps in ((StochasticMatrix(np.eye(1)), 0.25),
@@ -101,13 +110,12 @@ class TestStartRows:
         for dim in (257, 2020):
             want = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(3))).choice(dim, 64, replace=False)
-            np.testing.assert_array_equal(
-                mixing._start_rows(dim, None, exact_limit=256), want)
+            np.testing.assert_array_equal(mixing._start_rows(dim, exact_limit=256), want)
 
     def test_exact_up_to_the_limit(self):
         np.testing.assert_array_equal(
-            mixing._start_rows(256, None, exact_limit=256), np.arange(256))
-        np.testing.assert_array_equal(mixing._start_rows(2000, None), np.arange(2000))
+            mixing._start_rows(256, exact_limit=256), np.arange(256))
+        np.testing.assert_array_equal(mixing._start_rows(2000), np.arange(2000))
 
 
 class TestEigenBounds:
@@ -235,6 +243,13 @@ def philox_13():
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 3))))
 
 
+def test_analyze_mixing_seed_drives_only_the_coupling():
+    # past 2000 states t_mix samples its starts from its own fixed stream
+    m = lazy_chain("star", 2001)
+    report = mixing.analyze_mixing(m, trials=20, rng=philox_13())
+    assert report.coupling == estimate_coupling_time(m, trials=20, rng=philox_13())
+
+
 # (family, n, trials) -> (mean, stderr, capped, start_pair) of the dense-CDF
 # sampler; pins the order in which the walks consume the stream and the
 # cumulative floats they compare against
@@ -283,10 +298,13 @@ class TestCouplingSampler:
             np.testing.assert_array_equal(mixing._step(table, np.arange(n), top), last)
 
     def test_memory_independent_of_n(self):
+        # the worst of 32 random pairs on a 5000-cycle cannot meet in 2000 steps,
+        # so every pilot and trial walks the full cap
         m = lazy_chain("cycle", 5000)
         tracemalloc.start()
         try:
-            estimate_coupling_time(m, trials=50, step_cap=2000, pairs=[(0, 1)])
+            with pytest.raises(AllTrialsCapped):
+                estimate_coupling_time(m, trials=50, step_cap=2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,6 +436,7 @@ class TestProductBehavior:
             assert max(t1, t2) <= tp <= 8 * max(t1, t2) + 4
 
     def test_product_distance_matches_direct(self):
+        # the worst row of the product power against pi, as for a chain
         rng = np.random.default_rng(15)
         m1 = random_ergodic(rng, 4)
         m2 = random_ergodic(rng, 3)
@@ -425,23 +444,37 @@ class TestProductBehavior:
         pi = stationary(prod)
         for k in (1, 3, 6):
             direct = 0.5 * np.abs(np.linalg.matrix_power(prod.dense(), k)
-                                  - np.outer(np.ones(12), pi)).sum(axis=0).max()
+                                  - pi).sum(axis=1).max()
             assert product_distance_to_limit(m1, m2, k) == pytest.approx(direct, abs=1e-12)
 
     def test_sampled_starts_match_per_start_outer_products(self):
-        # past 2000 product states the 64 starts come from the rng; each start's
-        # column is the outer product of its factor columns
+        # past 2000 product states the starts are the fixed 64 of _start_rows;
+        # each start's row is the outer product of its factor rows
         rng = np.random.default_rng(16)
         m1, m2 = random_ergodic(rng, 41), random_ergodic(rng, 50)
         k = 2
-        got = product_distance_to_limit(m1, m2, k, rng=np.random.default_rng(5))
-        starts = np.random.default_rng(5).choice(41 * 50, 64, replace=False)
+        got = product_distance_to_limit(m1, m2, k)
+        starts = mixing._start_rows(41 * 50)
+        assert starts.size == 64
         l1 = np.linalg.matrix_power(m1.dense(), k)
         l2 = np.linalg.matrix_power(m2.dense(), k)
         pi1, pi2 = stationary(m1), stationary(m2)
-        want = max(0.5 * np.abs(np.outer(l1[:, s // 50], l2[:, s % 50])
-                                - pi1[s // 50] * pi2[s % 50]).sum() for s in starts)
+        want = max(0.5 * np.abs(np.outer(l1[s // 50], l2[s % 50])
+                                - np.outer(pi1, pi2)).sum() for s in starts)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("pair", ["cycle41-star30", 0, 1, 2])
+    def test_product_distance_is_the_chain_distance_of_the_product(self, pair):
+        # t_mix of kron(l, r) is the first step at which the product distance
+        # falls to epsilon
+        if pair == "cycle41-star30":
+            l, r = lazy_chain("cycle", 41), lazy_chain("star", 30)
+        else:
+            l, r = sparse_ergodic(np.random.default_rng(pair)), \
+                sparse_ergodic(np.random.default_rng(100 + pair))
+        t = measure_mixing_time(kron(l, r), 0.25)
+        assert t >= 1
+        assert product_distance_to_limit(l, r, t) <= 0.25 < product_distance_to_limit(l, r, t - 1)
 
     def test_negative_k_rejected(self):
         m = lazy_chain("cycle", 5)

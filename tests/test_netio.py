@@ -505,6 +505,7 @@ class TestCli:
         ["mixing", "--family", "cycle", "--n", "5", "--alpha", "0.5", "--trials", "0"],
         ["experiment", "--trials", "0"],
         ["experiment", "--trials", "-3"],
+        ["experiment", "--seed", "-1"],
     ])
     def test_rejected_input_exit_2(self, tmp_path, capsys, argv):
         lam = write(tmp_path, "lam.txt", "2\n2\n2\n2\n2\n")
