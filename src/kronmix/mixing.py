@@ -27,6 +27,8 @@ SAMPLED_STARTS = 64
 # chunks of _CHUNK // w, so a step's scratch stays near _CHUNK float64 entries
 # (64 MB) however many walkers are live.
 _CHUNK = 8_000_000
+# columns per chunk of `_column_gap`
+_GAP_CHUNK = 128
 
 
 @dataclass
@@ -82,27 +84,48 @@ def _column_gap(cur: np.ndarray, target: np.ndarray) -> float:
     """Half the largest column L1 gap between `cur` and `target` (broadcast).
 
     On columns that are distributions this is the largest total variation
-    distance.
+    distance. The columns go through one reused n x (_GAP_CHUNK + 1) buffer,
+    so the scratch stays small however wide `cur` is. The result is bit for
+    bit that of `np.abs(cur - target).sum(axis=0)`: numpy sums down the rows
+    of a block at least two columns wide in row order, but a lone column
+    pairwise, so no chunk is one column unless `cur` is.
     """
-    return 0.5 * float(np.abs(cur - target).sum(axis=0).max())
+    n, w = cur.shape
+    edges = list(range(0, w, _GAP_CHUNK)) + [w]
+    if len(edges) > 2 and w - edges[-2] == 1:
+        del edges[-2]
+    buf = np.empty(n * min(w, _GAP_CHUNK + 1))
+    target = np.broadcast_to(target, cur.shape)
+    peaks = np.empty(len(edges) - 1)
+    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        part = buf[:n * (hi - lo)].reshape(n, hi - lo)
+        np.subtract(cur[:, lo:hi], target[:, lo:hi], out=part)
+        np.abs(part, out=part)
+        peaks[j] = part.sum(axis=0).max()
+    return 0.5 * float(peaks.max())
 
 
-def _first_within(step, state, gap, epsilon: float, max_steps: int) -> int:
-    """First k in 0..max_steps with gap(k-th iterate of `step` on `state`) <= epsilon.
-
-    The one worst-start scan behind every mixing time: `state` is whatever
-    `step` advances (a column block of the chain, or the factor blocks of a
-    Kronecker product whose columns are (L^k e_i) (x) (R^k e_u), since
-    (L (x) R)^k = L^k (x) R^k), and `gap` reads it as the largest distance
-    of a tracked start from its limit. A gap still above epsilon at
-    max_steps raises FailedToConverge. ValueError unless 0 < epsilon < 1 and
-    max_steps >= 0, checked before the first step.
-    """
+def _check_scan(epsilon: float, max_steps: int) -> None:
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    for k in range(int(max_steps) + 1):
+
+
+def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0) -> int:
+    """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
+
+    The one worst-start scan behind every mixing time: `state` is iterate
+    `start` of whatever `step` advances (a column block of the chain, or the
+    factor blocks of a Kronecker product whose columns are
+    (L^k e_i) (x) (R^k e_u), since (L (x) R)^k = L^k (x) R^k), and `gap`
+    reads it as the largest distance of a tracked start from its limit. A
+    gap still above epsilon at max_steps raises FailedToConverge; steps
+    count from iterate 0. ValueError unless 0 < epsilon < 1 and
+    max_steps >= 0, checked before the first step.
+    """
+    _check_scan(epsilon, max_steps)
+    for k in range(start, int(max_steps) + 1):
         d = gap(state)
         if d <= epsilon:
             return k
@@ -117,13 +140,55 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
 
     A start's distance is its row of P^k against pi. Starts come from
     `_start_rows`: every state up to 2000 states, otherwise the fixed 64 that
-    `netio.system_mixing_time` also samples. The rows step as columns of P'
-    through `_first_within`. Periodic or reducible chains raise NotErgodic.
+    `netio.system_mixing_time` also samples. The rows are the columns of the
+    block (P')^k. Sampled starts step it through `_first_within`.
+
+    With every start tracked, the worst distance never increases in k
+    (Levin, Peres & Wilmer, ch. 4), so the first step within epsilon is
+    bracketed by squaring. The block takes sparse steps while k nnz < n^2 / 16,
+    where the steps taken cost about one dense product. It is then squared
+    while its distance stays above epsilon, keeping the previous power: at
+    the first (P')^(2k) within epsilon, one descent level tries
+    (P')^k (P')^(k/2) once k/4 sparse steps cost at least that product.
+    `_first_within` steps the rest of the interval sparsely from the last
+    power above epsilon. At most three n x n blocks are alive. Periodic or
+    reducible chains raise NotErgodic.
     """
+    _check_scan(epsilon, max_steps)
     target = stationary(matrix)[:, None]
-    rows = _start_rows(matrix.n)
-    return _first_within(matrix.csr.T.tocsr().dot, _basis(matrix.n, rows),
-                         lambda cur: _column_gap(cur, target), epsilon, max_steps)
+    n = matrix.n
+    rows = _start_rows(n)
+    step = matrix.csr.T.tocsr().dot
+
+    def gap(cur):
+        return _column_gap(cur, target)
+
+    if rows.size < n:
+        return _first_within(step, _basis(n, rows), gap, epsilon, max_steps)
+    switch = -(-n * n // (16 * matrix.nnz))
+    state, k = _basis(n, rows), 0
+    while (d := gap(state)) > epsilon and k < min(switch, max_steps):
+        state, k = step(state), k + 1
+    if d <= epsilon:
+        return k
+    # state is (P')^k above epsilon; half is (P')^(k/2) once a square was
+    half, spare = None, np.empty_like(state)
+    while 0 < 2 * k <= max_steps:
+        np.matmul(state, state, out=spare)
+        if gap(spare) <= epsilon:
+            # the descent saves about k/4 sparse steps for one dense product,
+            # which costs about `switch` of them
+            if half is not None and k >= 4 * switch:
+                np.matmul(state, half, out=spare)
+                if gap(spare) > epsilon:
+                    k, state = k + k // 2, spare
+            break
+        half, state, spare = state, spare, np.empty_like(state) if half is None else half
+        k *= 2
+    # hand the block over: a reference kept in this frame would keep it alive
+    # next to the two blocks of every sparse step
+    blocks, state, half, spare = [state], None, None, None
+    return _first_within(step, blocks.pop(), gap, epsilon, max_steps, start=k)
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -150,7 +215,14 @@ def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float,
     upper = (ln states + ln(1 / epsilon)) / (1 - lambda2)
 
     A |lambda_2| of 1 or more gives no bound and raises FailedToConverge.
+    ValueError unless lambda2 >= 0, 0 < epsilon < 1 and states >= 1.
     """
+    if not lambda2 >= 0:  # NaN fails this check too
+        raise ValueError(f"lambda2 must be non-negative, got {lambda2}")
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not states >= 1:
+        raise ValueError(f"states must be at least 1, got {states}")
     if lambda2 >= 1.0:
         raise FailedToConverge(f"|lambda_2| estimate {lambda2} >= 1")
     lower = lambda2 / (2.0 * (1.0 - lambda2)) * math.log(1.0 / (2.0 * epsilon))
@@ -223,7 +295,7 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     chain has at most 40 states. Walks move independently until they meet.
     Trials that never couple within step_cap are excluded from the mean and
     reported in `capped`; AllTrialsCapped if none couple. ValueError if
-    trials < 1.
+    trials < 1 or step_cap < 1.
 
     Walkers sample from the CSR row cumulatives (`_row_table`): a step costs
     O(w) per live walker and the table O(n w) memory, w the largest
@@ -232,6 +304,8 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
     ergodicity_check(matrix)
     n = matrix.n
     rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))

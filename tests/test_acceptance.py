@@ -235,7 +235,12 @@ def test_ac5_scaling_laws():
 
 
 def test_ac6_product_max_behavior():
-    """max(t1, t2) <= t_mix(product) <= 8 max(t1, t2) + 4 on 20 ergodic pairs."""
+    """max(t1, t2) <= t_mix(product) <= 8 max(t1, t2) + 4 on 20 ergodic pairs.
+
+    On the same pairs, the factor bracket: a product measure is at least as
+    far from pi_1 (x) pi_2 as each marginal and at most the sum of the two, so
+    max(t1(eps), t2(eps)) <= t_mix(product, eps) <= max(t1(eps/2), t2(eps/2)).
+    """
     rng = philox(606)
 
     def ergodic_factor():
@@ -247,16 +252,25 @@ def test_ac6_product_max_behavior():
             if scc_decompose(g).count == 1:
                 return equal_weight_matrix(g)
 
-    failures = []
+    def t_mix(m, eps):
+        return measure_mixing_time(m, eps, max_steps=100_000)
+
+    failures, outside = [], []
     for trial in range(20):
         m1, m2 = ergodic_factor(), ergodic_factor()
-        t1 = measure_mixing_time(m1, 0.25, max_steps=100_000)
-        t2 = measure_mixing_time(m2, 0.25, max_steps=100_000)
-        tp = measure_mixing_time(kron(m1, m2), 0.25, max_steps=100_000)
+        t1, t2, tp = t_mix(m1, 0.25), t_mix(m2, 0.25), t_mix(kron(m1, m2), 0.25)
         if not (max(t1, t2) <= tp <= 8 * max(t1, t2) + 4):
             failures.append((trial, t1, t2, tp))
+        for eps in (1 / 4, 1 / 16):
+            lo = max(t_mix(m1, eps), t_mix(m2, eps))
+            hi = max(t_mix(m1, eps / 2), t_mix(m2, eps / 2))
+            tp = t_mix(kron(m1, m2), eps)
+            if not lo <= tp <= hi:
+                outside.append((trial, eps, lo, tp, hi))
     report("AC6 product max-behavior", not failures,
            f"20 pairs, violations: {failures}")
+    report("AC6 factor bracket", not outside,
+           f"20 pairs at eps 1/4 and 1/16, outside: {outside}")
 
 
 def _composite_bound_case(agent_spec, constraint_spec, trials, rng):

@@ -105,6 +105,92 @@ class TestMeasureMixingTime:
             measure_mixing_time(lazy_chain("path", 9), **kwargs)
 
 
+def sparse_random_chain(rng, n, extra):
+    """Random weights on a self-loop, the next state of a cycle and `extra` random states."""
+    src = np.repeat(np.arange(n), extra + 2)
+    dst = np.concatenate([np.arange(n)[:, None], (np.arange(n)[:, None] + 1) % n,
+                          rng.integers(0, n, (n, extra))], axis=1).ravel()
+    w = sp.csr_matrix((rng.random(src.size) + 0.1, (src, dst)), shape=(n, n))
+    return StochasticMatrix(sp.diags(1.0 / np.asarray(w.sum(axis=1)).ravel()) @ w)
+
+
+def sparse_switch(m):
+    """The step at which the exact-start scan stops stepping sparsely and squares."""
+    return -(-m.n * m.n // (16 * m.nnz))
+
+
+def oracle_crossing(m, epsilon, steps):
+    """First step at which the oracle curve is within epsilon, and its margin there."""
+    curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], steps)
+    t = 1 + int(np.argmax(curve <= epsilon))
+    if curve[t - 1] > epsilon:
+        return None, 0.0
+    above = curve[t - 2] - epsilon if t >= 2 else math.inf
+    return t, min(epsilon - curve[t - 1], above)
+
+
+class TestSquaringScan:
+    def test_matches_oracle_on_both_sides_of_the_switch(self):
+        # large sparse chains mix before the switch, small ones after it
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(15)))
+        sides, skipped = [0, 0], 0
+        for i in range(8):
+            n = int(rng.integers(40, 300) if i % 2 else rng.integers(600, 1100))
+            m = sparse_random_chain(rng, n, int(rng.integers(1, 4)))
+            for eps in (0.25, 1 / 16):
+                t = measure_mixing_time(m, eps)
+                want, margin = oracle_crossing(m, eps, t + 1)
+                if margin <= 1e-12:
+                    skipped += 1
+                    continue
+                assert t == want
+                sides[t > sparse_switch(m)] += 1
+        assert skipped == 0, f"{skipped} cases within 1e-12 of epsilon"
+        assert min(sides) >= 3, sides
+
+    @pytest.mark.parametrize("family, n", [("cycle", 40), ("cycle", 144)])
+    def test_crossings_at_power_boundaries(self, family, n):
+        # epsilon halfway between d(t - 1) and d(t) puts t_mix at t; with the
+        # switch at s the squares are s 2^j, so t = s 2^j, s 2^j + 1 and
+        # 3 s 2^(j-1) fall on a square, just past one and on the descent
+        m = lazy_chain(family, n)
+        s = sparse_switch(m)
+        curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 3 * s * 64 + 1)
+        for j in range(1, 8):
+            for t in (s * 2 ** j, s * 2 ** j + 1, 3 * s * 2 ** (j - 1)):
+                eps = 0.5 * (curve[t - 2] + curve[t - 1])
+                assert min(curve[t - 2] - eps, eps - curve[t - 1]) > 1e-12
+                assert measure_mixing_time(m, eps) == t
+                assert measure_mixing_time(m, eps, max_steps=t) == t
+                with pytest.raises(FailedToConverge, match=f"after {t - 1} steps"):
+                    measure_mixing_time(m, eps, max_steps=t - 1)
+
+    def test_peak_memory_three_blocks(self):
+        # a lazy 600-cycle steps to 13, squares up to 13 2^8 and descends; the
+        # peak does not depend on epsilon, and at 0.75 the sparse remainder
+        # is short
+        m = lazy_chain("cycle", 600)
+        tracemalloc.start()
+        try:
+            assert measure_mixing_time(m, 0.75) == 1884
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * m.n ** 2 * 8
+
+    @pytest.mark.parametrize("width", [1, 2, mixing._GAP_CHUNK, mixing._GAP_CHUNK + 1,
+                                       2 * mixing._GAP_CHUNK + 1])
+    def test_chunked_gap_bit_identical(self, width):
+        # numpy sums one column pairwise and wider blocks row by row; the last
+        # column, the one a remainder chunk would hold, has the largest gap
+        rng = np.random.default_rng(width)
+        cur = rng.random((1000, width)) * rng.choice([1e-9, 1.0, 1e3], (1000, width))
+        cur[:, -1] += 1e3
+        for target in (rng.random((1000, 1)), rng.random((1000, width))):
+            want = 0.5 * np.abs(cur - target).sum(axis=0).max()
+            assert mixing._column_gap(cur, target) == want
+
+
 class TestStartRows:
     def test_default_stream_is_seed_three(self):
         for dim in (257, 2020):
@@ -137,6 +223,15 @@ class TestEigenBounds:
     def test_unit_modulus_gives_no_bound(self, lam):
         with pytest.raises(FailedToConverge, match=">= 1"):
             spectral_bounds(lam, 10, 0.25)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 10, 0.25), "lambda2"), ((-0.5, 10, 0.25), "lambda2"),
+        ((0.5, 10, 0.0), "epsilon"), ((0.5, 10, 1.0), "epsilon"),
+        ((0.5, 10, -0.25), "epsilon"), ((0.5, 10, math.nan), "epsilon"),
+        ((0.5, 0, 0.25), "states"), ((0.5, -3, 0.25), "states")])
+    def test_bad_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            spectral_bounds(*args)
 
     def test_negative_eigenvalue_modulus(self):
         # odd cycle: dominant non-unit eigenvalue is negative, |.| = cos(pi/n)
@@ -208,6 +303,12 @@ class TestCoupling:
         m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError, match="trials"):
             estimate_coupling_time(m, trials=trials)
+
+    @pytest.mark.parametrize("step_cap", [0, -3])
+    def test_step_cap_below_one_rejected(self, step_cap):
+        m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="step_cap"):
+            estimate_coupling_time(m, trials=10, step_cap=step_cap)
 
     def test_two_state_geometric(self):
         # independent uniform walks meet with probability 1/2 each step: E[K] = 2
