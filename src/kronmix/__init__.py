@@ -9,7 +9,7 @@ and where it lands (stationary-weighted limits and absorption probabilities).
 from .beliefs import (BeliefState, BeliefSystem, ConvergenceVerdict,
                       SimulationResult, assemble, converges, oblivious_set,
                       simulate, system_matrix)
-from .errors import (AllTrialsCapped, DanglingNode, EmptyGraph,
+from .errors import (DanglingNode, EmptyGraph,
                      FailedToConverge, KronmixError, NonConvergent,
                      NotErgodic, NotStochastic, NoUniqueFixedPoint,
                      ParseError, SpecError, StructuralError, TooLarge)

@@ -164,14 +164,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_mixing(args) -> int:
     matrix = equal_weight_matrix(netio.resolve_graph(_source(args, "graph"), args.alpha))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    report = mixing_mod.analyze_mixing(matrix, epsilon=args.epsilon,
-                                       trials=args.trials, rng=rng)
+    report = mixing_mod.analyze_mixing(matrix, epsilon=args.epsilon)
     print(f"t_mix({args.epsilon}) = {report.t_mix}")
     print(f"|lambda_2| = {report.lambda2_abs:.6g}")
     print(f"spectral bounds: [{report.lower_bound:.6g}, {report.upper_bound:.6g}]")
-    print(f"coupling L = {report.coupling.mean:.6g} +- {report.coupling.stderr:.3g} "
-          f"(trials={report.coupling.trials}, capped={report.coupling.capped})")
+    coupling = report.coupling
+    print(f"coupling L = {coupling.mean:.6g} (exact, error <= {coupling.stderr:.3g}, "
+          f"{coupling.method}, {coupling.iterations} iterations)")
     print(f"coupling bound 4(L+H)ln(1/eps) = {report.theorem_bound:.6g}")
     return EXIT_OK
 
@@ -237,14 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("mixing", help="mixing time, spectral bounds, coupling estimate")
+    p = sub.add_parser("mixing", help="mixing time, spectral bounds, exact coupling time")
     _add_graph_args(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--trials", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seeds the coupling estimate only; above 2000 states t_mix "
-                        "scans the same fixed 64 starts whatever the seed")
     p.set_defaults(func=_cmd_mixing)
 
     p = sub.add_parser("limits", help="structural and fixed-point limits, social power")
@@ -263,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-stride", dest="sweep.stride", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=int,
+                   help="accepted for older configs; coupling times are exact")
     p.add_argument("--lam", dest="lambda")
     p.add_argument("--alpha", type=float)
     p.add_argument("--outdir")

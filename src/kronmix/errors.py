@@ -33,12 +33,8 @@ class FailedToConverge(KronmixError):
     """An iterative estimate hit its cap before stabilizing."""
 
 
-class AllTrialsCapped(KronmixError):
-    """No Monte-Carlo trial finished within the step cap."""
-
-
 class TooLarge(KronmixError):
-    """Materializing the requested operator would exceed the nonzero cap."""
+    """The requested operator or solve would exceed a size cap."""
 
 
 class SpecError(KronmixError):

@@ -1,9 +1,10 @@
 """Convergence-time measurement and bounds.
 
 Covers empirical mixing time (worst-start total variation), spectral bounds,
-Monte-Carlo coupling times, exact absorbing times on the transient block, and
-the composite convergence-time bound. All bound formulas use the natural
-logarithm.
+exact coupling times (the worst-pair expected meeting time of two
+independent walks, solved on the pair chain with an error bound), exact
+absorbing times on the transient block, and the composite convergence-time
+bound. All bound formulas use the natural logarithm.
 """
 
 from __future__ import annotations
@@ -14,32 +15,42 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy
 
-from .errors import AllTrialsCapped, FailedToConverge, StructuralError
+from .errors import FailedToConverge, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
 from .stochastic import (StochasticMatrix, _dominant_eigenpair, ergodicity_check,
                          stationary)
 
 EXACT_START_LIMIT = 2000
 SAMPLED_STARTS = 64
-# A coupling step compares each live walker's draw with the w cumulatives of
-# its row (w = largest out-degree): O(w) work per walker-step. Walkers go in
-# chunks of _CHUNK // w, so a step's scratch stays near _CHUNK float64 entries
-# (64 MB) however many walkers are live.
-_CHUNK = 8_000_000
+# the coupling solve holds about 4 n^2 float64 values: 128 MB at the cap
+COUPLING_STATE_LIMIT = 2000
+_COUPLING_TOL = 1e-10  # largest residual entry at which BiCGSTAB stops
+_KRYLOV_ITERATIONS = 10_000
+# nonzeros of P (x) P, about twice the pair chain's, that the fallback may factor
+_DIRECT_NNZ = 1_000_000
+_PAIR_CHUNK = 128  # rows of P per chunk of P V P'
+_TINY = np.finfo(np.float64).eps ** 2  # BiCGSTAB breakdown threshold
 # columns per chunk of `_column_gap`
 _GAP_CHUNK = 128
 
 
 @dataclass
 class CouplingEstimate:
-    """Monte-Carlo estimate of the worst-pair expected coupling time."""
+    """Worst-pair expected coupling time L, with a bound on its error.
+
+    `stderr` is that bound. `trials` and `capped` are always 0; they stay
+    for callers that summarise sampled estimates.
+    """
 
     mean: float
     stderr: float
     trials: int
     capped: int
     start_pair: tuple[int, int]
+    method: str  # "krylov" or "direct"
+    iterations: int
 
 
 @dataclass
@@ -230,119 +241,171 @@ def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float,
     return lower, upper
 
 
-def _row_table(matrix: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row cumulatives over the CSR nonzeros, padded to the largest out-degree.
+class _PairOperator:
+    """x -> x - Z x, Z the chain of two independent walks that have not met.
 
-    Returns (cum, targets), both n x w with w the largest out-degree. Row s
-    holds the running sums of its nonzeros in column order, which are the
-    same floats a dense row cumsum holds at those columns (adding 0.0 is
-    exact); its last real entry and its padding are 1.0. targets[s, j] is
-    the column of the j-th nonzero.
+    x holds T(i, j) for the pairs i < j, row by row: row i starts at
+    offsets[i], and there are n(n-1)/2 values. Z x is the strict upper
+    triangle of P V P', V the symmetric matrix of x with a zero diagonal:
+    walks that meet leave the chain. V is unpacked into one reused n x n
+    buffer and P V P' is formed in chunks of n/16 rows (at least 32, at most
+    _PAIR_CHUNK), so Z, with up to w^2 n^2 / 2 nonzeros for w the largest
+    out-degree, is never built, and a chunk's scratch stays near n^2 bytes.
     """
-    csr = matrix.csr.sorted_indices()
-    deg = np.diff(csr.indptr)
-    n, w = matrix.n, int(deg.max())
-    rows = np.repeat(np.arange(n), deg)
-    slot = np.arange(csr.nnz) - csr.indptr[rows]
-    cum = np.zeros((n, w))
-    cum[rows, slot] = csr.data
-    np.cumsum(cum, axis=1, out=cum)
-    cum[np.arange(w) >= deg[:, None] - 1] = 1.0
-    targets = np.zeros((n, w), dtype=np.int64)
-    targets[rows, slot] = csr.indices
-    return cum, targets
+
+    def __init__(self, matrix: StochasticMatrix):
+        n = matrix.n
+        i = np.arange(n + 1)
+        self.offsets = i * n - i * (i + 1) // 2
+        self.p = matrix.csr
+        self.full = np.zeros((n, n))
+        rows = min(_PAIR_CHUNK, max(n // 16, 32))
+        edges = list(range(0, n, rows)) + [n]
+        self.chunks = [(lo, hi, self.p[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        self.cols = np.arange(n)
+
+    def _upper(self, lo: int, hi: int) -> np.ndarray:
+        """Mask of the entries j > i of rows lo..hi-1, in packed order."""
+        return self.cols[None, :] > np.arange(lo, hi)[:, None]
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        full, off = self.full, self.offsets
+        for lo, hi, _ in self.chunks:
+            upper = self._upper(lo, hi)
+            full[lo:hi][upper] = x[off[lo]:off[hi]]
+            # the lower triangle mirrors the upper one block by block; a masked
+            # write into it would run down its columns
+            full[hi:, lo:hi] = full[lo:hi, hi:].T
+            block, inner = full[lo:hi, lo:hi], upper[:, lo:hi]
+            block.T[inner] = block[inner]
+        for lo, hi, rows in self.chunks:
+            # rows lo..hi-1 of P V P' are (P (P_rows V)')'
+            near = np.ascontiguousarray((rows @ full).T)
+            far = (self.p @ near).T
+            del near  # before the masked copy of far, to bound the scratch
+            np.subtract(x[off[lo]:off[hi]], far[self._upper(lo, hi)], out=out[off[lo]:off[hi]])
+        return out
+
+    def chain(self) -> sp.csr_matrix:
+        """Z as an explicit sparse matrix on the packed pairs."""
+        n, off = self.p.shape[0], self.offsets
+        q = sp.kron(self.p, self.p, format="coo")
+        i, j = np.divmod(q.row.astype(np.int64), n)
+        k, l = np.divmod(q.col.astype(np.int64), n)
+        keep = (i < j) & (k != l)
+        i, j, k, l = i[keep], j[keep], k[keep], l[keep]
+        lo, hi = np.minimum(k, l), np.maximum(k, l)
+        return sp.csr_matrix((q.data[keep], (off[i] + j - i - 1, off[lo] + hi - lo - 1)),
+                             shape=(off[-1], off[-1]))
 
 
-def _step(table, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One synchronous inverse-CDF step: walker i moves from states[i] by u[i]."""
-    cum, targets = table
-    out = np.empty_like(states)
-    chunk = max(1, _CHUNK // cum.shape[1])
-    for lo in range(0, states.size, chunk):
-        s = states[lo:lo + chunk]
-        pick = (cum[s] < u[lo:lo + chunk, None]).sum(axis=1)
-        out[lo:lo + chunk] = targets[s, pick]
-    return out
+def _inf_norm(v: np.ndarray) -> float:
+    """max |v_i| without an |v| temporary."""
+    return max(float(v.max()), -float(v.min())) if v.size else 0.0
 
 
-def _run_coupling(table, pairs_x, pairs_y, step_cap, rng):
-    """Coupling times for each (x, y) walker pair; -1 marks a capped trial.
+def _bicgstab(op, x: np.ndarray, r: np.ndarray, floor, max_iter: int) -> int:
+    """BiCGSTAB on (I - Z) x = 1 from x = 0 and r = 1, updating both in place.
 
-    Each step draws one uniform per live walker, the x walkers first; pairs
-    that met drop out at the end of that step.
+    The shadow residual is the right-hand side 1, so (1, r) is r.sum() and
+    nothing stores it: five vectors are alive, x, r, p, v and t. Stops once
+    max |r_i| <= floor(x), on a breakdown (a zero inner product), or after
+    max_iter iterations; returns the iterations taken.
     """
-    k = np.full(pairs_x.size, -1, dtype=np.int64)
-    live = pairs_x != pairs_y
-    k[~live] = 0
-    ids = np.flatnonzero(live)
-    walk = np.stack([pairs_x[ids], pairs_y[ids]])
-    steps = 0
-    while ids.size and steps < step_cap:
-        steps += 1
-        walk = _step(table, walk.ravel(), rng.random(walk.size)).reshape(2, -1)
-        met = walk[0] == walk[1]
-        if met.any():
-            k[ids[met]] = steps
-            ids, walk = ids[~met], walk[:, ~met]
-    return k
+    p, v, t = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    rho_old = alpha = omega = 1.0
+    for k in range(max_iter):
+        rho = float(r.sum())
+        if abs(rho) < _TINY:
+            return k
+        # p = r + beta (p - omega v)
+        daxpy(v, p, a=-omega)
+        p *= rho / rho_old * alpha / omega
+        daxpy(r, p)
+        op(p, v)
+        sv = float(v.sum())
+        if abs(sv) < _TINY:
+            return k
+        alpha = rho / sv
+        daxpy(v, r, a=-alpha)
+        daxpy(p, x, a=alpha)
+        if _inf_norm(r) <= floor(x):
+            return k + 1
+        op(r, t)
+        tt = float(t @ t)
+        omega = float(t @ r) / tt if tt else 0.0
+        if abs(omega) < _TINY:
+            return k + 1
+        daxpy(r, x, a=omega)
+        daxpy(t, r, a=-omega)
+        if _inf_norm(r) <= floor(x):
+            return k + 1
+        rho_old = rho
+    return max_iter
 
 
 def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
-                           step_cap: int = 10_000_000, rng=None) -> CouplingEstimate:
-    """Monte-Carlo mean of the meeting time of two independent walks.
+                           rng=None) -> CouplingEstimate:
+    """Exact worst-pair expected meeting time L of two independent walks.
 
-    Start pairs: the worst of 32 random pairs, or of every pair when the
-    chain has at most 40 states. Walks move independently until they meet.
-    Trials that never couple within step_cap are excluded from the mean and
-    reported in `capped`; AllTrialsCapped if none couple. ValueError if
-    trials < 1 or step_cap < 1.
+    T(i, j), the expected steps until walks from i and j meet, solves
+    T = 1 + P T P' off the diagonal with T_ii = 0. BiCGSTAB (van der Vorst
+    1992) solves it on the unordered pairs (`_PairOperator`) until every
+    residual entry is at most 1e-10, or four times its rounding if larger.
+    After a breakdown or _KRYLOV_ITERATIONS iterations, the explicit pair
+    chain is factored (`_solve_fundamental`) if P (x) P has at most
+    _DIRECT_NNZ nonzeros; otherwise FailedToConverge.
 
-    Walkers sample from the CSR row cumulatives (`_row_table`): a step costs
-    O(w) per live walker and the table O(n w) memory, w the largest
-    out-degree. A hub row of degree about n makes that n^2, the cost of a
-    dense CDF.
+    `mean` is L and `start_pair` a pair that attains it. `stderr` bounds
+    |mean - L|: as (I - Z)^-1 1 = T, a residual r of T~ gives
+    ||T~ - T||_inf <= ||r||_inf max T~ / (1 - ||r||_inf), with r the
+    explicit residual plus its rounding, (2w + 5) u max T~ for w the largest
+    out-degree and u the unit roundoff; it is positive for n > 1. `method`
+    is "krylov" or "direct". One state gives L = 0 with no solve.
+
+    `trials` and `rng` change nothing; they are accepted for callers of the
+    Monte-Carlo estimator this replaced, and trials < 1 still raises
+    ValueError. The solve holds about 4 n^2 floats, so chains above
+    COUPLING_STATE_LIMIT states raise TooLarge. Periodic or reducible chains
+    raise NotErgodic.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if step_cap < 1:
-        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
     ergodicity_check(matrix)
     n = matrix.n
-    rng = rng or np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
     if n == 1:
-        return CouplingEstimate(0.0, 0.0, trials, 0, (0, 0))
-    table = _row_table(matrix)
+        return CouplingEstimate(0.0, 0.0, 0, 0, (0, 0), "direct", 0)
+    if n > COUPLING_STATE_LIMIT:
+        raise TooLarge(f"coupling time on {n} states needs about {32 * n * n / 1e6:.0f} MB; "
+                       f"the cap is {COUPLING_STATE_LIMIT} states")
+    op = _PairOperator(matrix)
+    unit = (2 * int(np.diff(matrix.csr.indptr).max()) + 5) * np.finfo(np.float64).eps / 2
 
-    if n <= 40:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        seen = set()
-        while len(seen) < 32:
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            if i != j:
-                seen.add((min(i, j), max(i, j)))
-        pairs = sorted(seen)
+    def rounding(x):
+        # what rounding may put into a computed residual: each entry of
+        # P V P' sums w products twice, and 1 - (x - Z x) adds a few units
+        return unit * max(float(x.max()), 1.0)
 
-    worst = pairs[0]
-    if len(pairs) > 1:
-        pilot = max(8, trials // 50)
-        px = np.repeat([p[0] for p in pairs], pilot)
-        py = np.repeat([p[1] for p in pairs], pilot)
-        ks = _run_coupling(table, px, py, step_cap, rng).astype(np.float64)
-        ks[ks < 0] = float(step_cap)
-        means = ks.reshape(len(pairs), pilot).mean(axis=1)
-        worst = pairs[int(np.argmax(means))]
+    def floor(x):
+        return max(_COUPLING_TOL, 4 * rounding(x))
 
-    px = np.full(trials, worst[0], dtype=np.int64)
-    py = np.full(trials, worst[1], dtype=np.int64)
-    ks = _run_coupling(table, px, py, step_cap, rng)
-    coupled = ks[ks >= 0]
-    capped = int((ks < 0).sum())
-    if coupled.size == 0:
-        raise AllTrialsCapped(f"no trial coupled within {step_cap} steps")
-    mean = float(coupled.mean())
-    stderr = float(coupled.std(ddof=1) / math.sqrt(coupled.size)) if coupled.size > 1 else 0.0
-    return CouplingEstimate(mean, stderr, trials, capped, worst)
+    x, r = np.zeros(op.offsets[-1]), np.ones(op.offsets[-1])
+    iterations, method = _bicgstab(op, x, r, floor, _KRYLOV_ITERATIONS), "krylov"
+    if _inf_norm(r) > floor(x):
+        if matrix.nnz ** 2 > _DIRECT_NNZ:
+            raise FailedToConverge(
+                f"coupling solve stopped at residual {_inf_norm(r):.3g} after {iterations} "
+                f"iterations; the pair chain is too large to factor")
+        x, method = _solve_fundamental(op.chain(), np.ones(x.size)), "direct"
+    np.subtract(1.0, op(x, r), out=r)  # the explicit residual
+    slack = _inf_norm(r) + rounding(x)
+    if slack >= 1.0:
+        raise FailedToConverge(f"coupling solve residual {slack:.3g} gives no error bound")
+    top = int(np.argmax(x))
+    i = int(np.searchsorted(op.offsets, top, side="right")) - 1
+    mean = float(x[top])
+    return CouplingEstimate(mean, slack * mean / (1.0 - slack), 0, 0,
+                            (i, top - int(op.offsets[i]) + i + 1), method, iterations)
 
 
 def expected_absorbing_time(matrix: StochasticMatrix,
@@ -419,10 +482,10 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,
                    trials: int = 300, rng=None) -> MixingReport:
-    """Bundle t_mix, spectral bounds, and a coupling estimate for one chain.
+    """Bundle t_mix, spectral bounds, and the exact coupling time of one chain.
 
-    `rng` drives only the coupling estimate; above 2000 states t_mix scans
-    `measure_mixing_time`'s fixed 64 starts.
+    `trials` and `rng` are passed to `estimate_coupling_time`, which ignores
+    them: every part of the report is deterministic.
     """
     report = MixingReport(epsilon=epsilon)
     report.t_mix = measure_mixing_time(matrix, epsilon)

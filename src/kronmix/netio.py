@@ -17,7 +17,7 @@ import numpy as np
 
 from . import mixing
 from .beliefs import BeliefSystem, assemble, converges, update
-from .errors import EmptyGraph, KronmixError, ParseError, SpecError
+from .errors import EmptyGraph, KronmixError, ParseError, SpecError, TooLarge
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
 from .limits import LIMIT_MATRIX_CAP, limit_matrix, structural_limit
@@ -139,7 +139,7 @@ class ExperimentConfig:
     sweep_stride: int = 10
     epsilon: float = 0.25
     seed: int = 0
-    trials: int = 200
+    trials: int = 200  # validated but unused: coupling times are solved exactly
     lambda_policy: str = "oblivious"  # "oblivious" | scalar string | @file
     alpha: float = 0.5  # lazy self-weight applied to both graphs (0 disables)
     outdir: str = "experiment-out"
@@ -282,21 +282,30 @@ def _lambda_vector(policy: str, n: int) -> np.ndarray:
     return np.full(n, scalar)
 
 
-def _factor_metrics(matrix: StochasticMatrix, trials: int, rng) -> dict:
-    """Per-factor L (worst closed-component coupling), H, |lambda_2|."""
+def _factor_metrics(matrix: StochasticMatrix) -> dict:
+    """Per-factor L (worst closed-component coupling), its error bound, H, |lambda_2|.
+
+    L and its bound are None when a closed component has more than
+    `mixing.COUPLING_STATE_LIMIT` states.
+    """
     decomp = scc_decompose(matrix.to_graph())
-    coupling_mean = coupling_se = 0.0
+    coupling = (0.0, 0.0)
     lambda2 = None
     for cid in decomp.closed_components():
         comp = decomp.components[cid]
         minor = StochasticMatrix(matrix.minor(comp), renormalize=True)
         if minor.n > 1:
-            est = mixing.estimate_coupling_time(minor, trials=trials, rng=rng)
-            if est.mean > coupling_mean:
-                coupling_mean, coupling_se = est.mean, est.stderr
+            try:
+                est = mixing.estimate_coupling_time(minor)
+            except TooLarge:
+                coupling = None
+            else:
+                if coupling is not None and est.mean > coupling[0]:
+                    coupling = (est.mean, est.stderr)
             lam = mixing.second_eigenvalue(minor)
             lambda2 = lam if lambda2 is None else max(lambda2, lam)
     times = mixing.expected_absorbing_time(matrix, decomp)
+    coupling_mean, coupling_se = coupling or (None, None)
     return {"L": coupling_mean, "L_se": coupling_se,
             "H": times.max_expectation, "lambda2": lambda2}
 
@@ -327,17 +336,19 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
             nodes = np.asarray(sorted(verdict.oblivious_agents), dtype=np.int64)
             if nodes.size:
                 a_obl = StochasticMatrix(system.a.minor(nodes), renormalize=True)
-                g_metrics = _factor_metrics(a_obl, config.trials, rng)
+                g_metrics = _factor_metrics(a_obl)
             else:
                 g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None}
-            t_metrics = _factor_metrics(system.c, config.trials, rng)
-            row["coupling_L"] = max(g_metrics["L"], t_metrics["L"])
-            row["coupling_se"] = (g_metrics["L_se"] if g_metrics["L"] >= t_metrics["L"]
-                                  else t_metrics["L_se"])
+            t_metrics = _factor_metrics(system.c)
             row["absorbing_H"] = max(g_metrics["H"], t_metrics["H"])
-            row["theorem_bound"] = mixing.theorem_bound(
-                g_metrics["L"], t_metrics["L"], g_metrics["H"], t_metrics["H"],
-                config.epsilon)
+            if g_metrics["L"] is not None and t_metrics["L"] is not None:
+                worst = max((g_metrics, t_metrics), key=lambda f: f["L"])
+                row["coupling_L"] = worst["L"]
+                # the CSV prints 10 significant digits, which moves L by up to 5e-10 of it
+                row["coupling_se"] = worst["L_se"] + 5e-10 * worst["L"]
+                row["theorem_bound"] = mixing.theorem_bound(
+                    g_metrics["L"], t_metrics["L"], g_metrics["H"], t_metrics["H"],
+                    config.epsilon)
             lams = [v for v in (g_metrics["lambda2"], t_metrics["lambda2"])
                     if v is not None]
             if lams:

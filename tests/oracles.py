@@ -164,13 +164,6 @@ def lazify_loop(graph, alpha: float) -> tuple[list, list]:
     return edges, weights
 
 
-def dense_cdf_step(matrix: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF step on the dense row cumsums, last column forced to 1."""
-    cdf = np.cumsum(matrix, axis=1)
-    cdf[:, -1] = 1.0
-    return (cdf[states] < u[:, None]).sum(axis=1)
-
-
 def dense_evolve(vec: np.ndarray, matrix: np.ndarray, steps: int) -> np.ndarray:
     return vec @ np.linalg.matrix_power(matrix, steps)
 
@@ -223,20 +216,24 @@ def dense_system_operator(a: np.ndarray, c: np.ndarray, lam: np.ndarray) -> np.n
 def pair_chain_expectations(matrix: np.ndarray) -> dict[tuple[int, int], float]:
     """Exact E[K] of two independent walks for every distinct start pair.
 
-    States are ordered pairs (a, b), a != b; the diagonal absorbs. Solves
-    (I - Z) h = 1 on the off-diagonal block.
+    States are ordered pairs (a, b), a != b, of the dense product chain
+    kron(P, P); the diagonal absorbs. Solves (I - Z) h = 1 on the
+    off-diagonal block by dense LU, then refines h twice with residuals
+    taken in extended precision, where the products of two entries of P
+    are exact to 2^-64, so h is accurate to a few units of float64 rounding.
     """
     n = matrix.shape[0]
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    index = {p: i for i, p in enumerate(pairs)}
-    z = np.zeros((len(pairs), len(pairs)))
-    for (a, b), i in index.items():
-        for a2 in range(n):
-            for b2 in range(n):
-                if a2 != b2 and matrix[a, a2] * matrix[b, b2] > 0:
-                    z[i, index[(a2, b2)]] += matrix[a, a2] * matrix[b, b2]
-    h = np.linalg.solve(np.eye(len(pairs)) - z, np.ones(len(pairs)))
-    return {p: float(h[i]) for p, i in index.items()}
+    keep = np.array([a * n + b for a, b in pairs], dtype=np.int64)
+    wide = np.asarray(matrix, dtype=np.longdouble)
+    z = np.kron(wide, wide)[np.ix_(keep, keep)]
+    system = np.eye(len(pairs)) - z.astype(np.float64)
+    h = np.linalg.solve(system, np.ones(len(pairs)))
+    for _ in range(2):
+        wide_h = h.astype(np.longdouble)
+        residual = 1 - (wide_h - z @ wide_h)
+        h = h + np.linalg.solve(system, residual.astype(np.float64))
+    return {p: float(h[i]) for i, p in enumerate(pairs)}
 
 
 def pair_chain_coupling(matrix: np.ndarray) -> float:

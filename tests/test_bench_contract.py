@@ -32,6 +32,9 @@ def assert_coupling(est):
     assert isinstance(est.mean, float) and isinstance(est.stderr, float)
     assert isinstance(est.trials, int) and isinstance(est.capped, int)
     assert len(est.start_pair) == 2 and all(int(v) == v for v in est.start_pair)
+    # the benchmark's coupling check fails a capped trial or a zero error bound;
+    # every chain passed here has more than one state
+    assert est.capped == 0 and est.stderr > 0
 
 
 def test_mixing_report_fields():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kronmix.errors import AllTrialsCapped, FailedToConverge, NotErgodic
+from kronmix.errors import FailedToConverge, NotErgodic, TooLarge
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
@@ -16,8 +17,8 @@ from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_abs
                             measure_mixing_time, product_distance_to_limit,
                             second_eigenvalue, spectral_bounds, theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
-from oracles import (dense_cdf_step, distance_to_limit_curve, mc_absorption_time,
-                     pair_chain_coupling, pair_chain_expectations)
+from oracles import (distance_to_limit_curve, mc_absorption_time, pair_chain_coupling,
+                     pair_chain_expectations)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -304,112 +305,152 @@ class TestCoupling:
         with pytest.raises(ValueError, match="trials"):
             estimate_coupling_time(m, trials=trials)
 
-    @pytest.mark.parametrize("step_cap", [0, -3])
-    def test_step_cap_below_one_rejected(self, step_cap):
-        m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError, match="step_cap"):
-            estimate_coupling_time(m, trials=10, step_cap=step_cap)
-
     def test_two_state_geometric(self):
         # independent uniform walks meet with probability 1/2 each step: E[K] = 2
-        m = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(10)))
-        est = estimate_coupling_time(m, trials=4000, rng=rng)
-        assert abs(est.mean - 2.0) <= 3 * est.stderr
-        assert est.capped == 0
+        est = estimate_coupling_time(StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]])))
+        assert abs(est.mean - 2.0) <= est.stderr
+        assert est.capped == est.trials == 0
+        assert est.start_pair == (0, 1)
 
     def test_against_pair_chain_oracle(self):
+        # dense chains, lazy random digraphs (directed, not reversible) and a star
         rng = np.random.default_rng(11)
-        for trial in range(5):
-            n = int(rng.integers(3, 9))
-            m = random_ergodic(rng, n)
-            exact_worst = pair_chain_coupling(m.dense())
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(trial)))
-            est = estimate_coupling_time(m, trials=3000, rng=gen)
-            # the sampled worst pair can only underestimate the true worst pair
-            assert est.mean <= exact_worst + 3 * est.stderr
-            assert est.mean >= 1.0
+        chains = [random_ergodic(rng, int(n)) for n in (3, 8, 23, 40)]
+        chains += [sparse_ergodic(rng) for _ in range(4)] + [lazy_chain("star", 30)]
+        for m in chains:
+            exact = pair_chain_expectations(m.dense())
+            est = estimate_coupling_time(m)
+            assert abs(est.mean - max(exact.values())) <= est.stderr
+            assert est.stderr < 1e-8 * est.mean
+            assert est.method == "krylov"
 
     def test_chosen_pair_matches_oracle(self):
         rng = np.random.default_rng(12)
-        m = random_ergodic(rng, 5)
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
-        est = estimate_coupling_time(m, trials=6000, rng=gen)
-        # the MC mean is consistent with the exact E[K] of the pair it picked
-        exact = pair_chain_expectations(m.dense())[est.start_pair]
-        assert abs(est.mean - exact) <= 3 * est.stderr
+        for m in (random_ergodic(rng, 5), sparse_ergodic(rng), lazy_chain("cycle", 9)):
+            exact = pair_chain_expectations(m.dense())
+            est = estimate_coupling_time(m)
+            i, j = est.start_pair
+            assert i < j
+            # the pair attains the maximum up to the error of the computed values
+            assert exact[(i, j)] >= max(exact.values()) - 2 * est.stderr
 
 
-def philox_13():
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 3))))
+def _fraction_worst_meeting_time(p):
+    """Worst-pair E[K] of the chain p (Fractions) by Gaussian elimination."""
+    n = len(p)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    rows = []
+    for i, j in pairs:
+        row = [Fraction(0)] * len(pairs) + [Fraction(1)]
+        row[index[(i, j)]] += 1
+        for k in range(n):
+            for l in range(n):
+                if k != l:
+                    row[index[(min(k, l), max(k, l))]] -= p[i][k] * p[j][l]
+        rows.append(row)
+    for c in range(len(pairs)):
+        pivot = next(r for r in range(c, len(rows)) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(len(rows)):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return max(rows[k][-1] / rows[k][k] for k in range(len(pairs)))
 
 
-def test_analyze_mixing_seed_drives_only_the_coupling():
-    # past 2000 states t_mix samples its starts from its own fixed stream
-    m = lazy_chain("star", 2001)
-    report = mixing.analyze_mixing(m, trials=20, rng=philox_13())
-    assert report.coupling == estimate_coupling_time(m, trials=20, rng=philox_13())
+# rational chains: lazy and not, reversible and not, with and without self-loops
+FRACTION_CHAINS = [
+    [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]],
+    # a directed 3-cycle with one chord: no self-loops, cycles of length 2 and 3
+    [[0, Fraction(1, 3), Fraction(2, 3)], [0, 0, 1], [1, 0, 0]],
+    [[Fraction(1, 4), Fraction(3, 4), 0, 0], [0, Fraction(1, 2), Fraction(1, 2), 0],
+     [0, 0, Fraction(1, 5), Fraction(4, 5)], [Fraction(1, 7), 0, Fraction(2, 7), Fraction(4, 7)]],
+    # a directed 5-cycle with a chord 4 -> 1, no self-loops
+    [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
+     [Fraction(1, 2), Fraction(1, 2), 0, 0, 0]],
+    [[Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 0],
+     [Fraction(1, 6), 0, Fraction(1, 2), 0, Fraction(1, 3)],
+     [0, Fraction(2, 9), Fraction(1, 3), Fraction(4, 9), 0],
+     [Fraction(1, 8), Fraction(1, 8), 0, Fraction(3, 8), Fraction(3, 8)],
+     [Fraction(1, 2), 0, 0, Fraction(1, 4), Fraction(1, 4)]],
+]
 
 
-# (family, n, trials) -> (mean, stderr, capped, start_pair) of the dense-CDF
-# sampler; pins the order in which the walks consume the stream and the
-# cumulative floats they compare against
-COUPLING_REFERENCE = {
-    ("cycle", 11, 200): (33.5, 1.9451912101953126, 0, (0, 4)),  # all-pairs pilot
-    ("cycle", 33, 150): (273.43333333333334, 23.023649774063134, 0, (11, 24)),
-    ("hypercube", 32, 150): (51.63333333333333, 3.771984525847951, 0, (18, 30)),
-    ("lollipop", 100, 300): (4870.793333333333, 215.40320780046906, 0, (49, 98)),  # wide rows
-}
+class TestCouplingExact:
+    @pytest.mark.parametrize("chain", range(len(FRACTION_CHAINS)))
+    def test_within_bound_of_fraction_oracle(self, chain):
+        dense = np.array([[float(v) for v in row] for row in FRACTION_CHAINS[chain]])
+        est = estimate_coupling_time(StochasticMatrix(dense))
+        # the oracle solves the float chain: every float is a Fraction exactly
+        exact = _fraction_worst_meeting_time(
+            [[Fraction(float(v)) for v in row] for row in dense])
+        assert abs(Fraction(est.mean) - exact) <= Fraction(est.stderr)
+        assert est.stderr > 0
 
+    def test_lazy_10_cube_matches_hamming_chain(self):
+        k = 10
+        est = estimate_coupling_time(lazy_chain("hypercube", 2 ** k))
+        # the xor of the two walks moves by no flip (both stay, 1/4), one flip
+        # (one moves, 1/2) or two independent flips (both move, 1/4); its
+        # Hamming weight d is a chain on 0..k, and the walks meet at d = 0
+        flip = np.zeros((k + 1, k + 1))
+        for d in range(k + 1):
+            if d > 0:
+                flip[d, d - 1] = d / k
+            if d < k:
+                flip[d, d + 1] = (k - d) / k
+        step = 0.25 * np.eye(k + 1) + 0.5 * flip + 0.25 * flip @ flip
+        h = np.linalg.solve(np.eye(k) - step[1:, 1:], np.ones(k))
+        assert abs(est.mean - h.max()) <= est.stderr
+        x, y = est.start_pair
+        assert abs(h[bin(x ^ y).count("1") - 1] - h.max()) <= 2 * est.stderr
+        assert est.method == "krylov" and est.iterations < 20
 
-class TestCouplingSampler:
-    @pytest.mark.parametrize("case", sorted(COUPLING_REFERENCE))
-    def test_fixed_seed_reference(self, case):
-        family, n, trials = case
-        est = estimate_coupling_time(lazy_chain(family, n), trials=trials, rng=philox_13())
-        assert (est.mean, est.stderr, est.capped, est.start_pair) == COUPLING_REFERENCE[case]
-
-    def test_chunked_steps_draw_the_same_stream(self, monkeypatch):
-        monkeypatch.setattr(mixing, "_CHUNK", 50)  # 16 walkers per chunk
-        case = ("cycle", 33, 150)
-        est = estimate_coupling_time(lazy_chain("cycle", 33), trials=150, rng=philox_13())
-        assert (est.mean, est.stderr, est.capped, est.start_pair) == COUPLING_REFERENCE[case]
-
-    def test_step_matches_dense_cdf_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            n = int(rng.integers(2, 60))
-            raw = rng.random((n, n)) * (rng.random((n, n)) < rng.random((n, 1)))
-            raw[np.arange(n), rng.integers(0, n, n)] += rng.random(n) + 1e-3
-            m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
-            table = mixing._row_table(m)
-            cum = table[0]
-            deg = np.diff(m.csr.indptr)
-            # every stored cumulative below the forced 1.0, and one ulp under it
-            rows, slots = np.nonzero(np.arange(cum.shape[1]) < deg[:, None] - 1)
-            hits = cum[rows, slots]
-            states = np.concatenate([rng.integers(0, n, 500), rows, rows])
-            u = np.concatenate([rng.random(500), hits, np.nextafter(hits, 0.0)])
-            np.testing.assert_array_equal(mixing._step(table, states, u),
-                                          dense_cdf_step(m.dense(), states, u))
-            # a draw just under 1 lands on the row's last nonzero, even when the
-            # row's float sum falls short of 1 (the dense step goes to column n-1)
-            top = np.full(n, np.nextafter(1.0, 0.0))
-            last = m.csr.sorted_indices().indices[m.csr.indptr[1:] - 1]
-            np.testing.assert_array_equal(mixing._step(table, np.arange(n), top), last)
-
-    def test_memory_independent_of_n(self):
-        # the worst of 32 random pairs on a 5000-cycle cannot meet in 2000 steps,
-        # so every pilot and trial walks the full cap
-        m = lazy_chain("cycle", 5000)
+    def test_peak_memory_within_four_n_squared_floats(self):
+        m = lazy_chain("hypercube", 512)
         tracemalloc.start()
         try:
-            with pytest.raises(AllTrialsCapped):
-                estimate_coupling_time(m, trials=50, step_cap=2000)
+            estimate_coupling_time(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5e6  # a dense 5000 x 5000 CDF alone is 200 MB
+        assert peak <= 4 * 512 ** 2 * 8
+
+    def test_direct_fallback_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(mixing, "_KRYLOV_ITERATIONS", 0)
+        rng = np.random.default_rng(21)
+        for m in (random_ergodic(rng, 6), sparse_ergodic(rng), lazy_chain("star", 12)):
+            est = estimate_coupling_time(m)
+            assert (est.method, est.iterations) == ("direct", 0)
+            assert abs(est.mean - pair_chain_coupling(m.dense())) <= est.stderr
+            assert est.stderr > 0
+
+    def test_no_fallback_above_direct_cap(self, monkeypatch):
+        monkeypatch.setattr(mixing, "_KRYLOV_ITERATIONS", 3)
+        m = lazy_chain("cycle", 41)
+        monkeypatch.setattr(mixing, "_DIRECT_NNZ", m.nnz ** 2 - 1)
+        with pytest.raises(FailedToConverge, match="residual"):
+            estimate_coupling_time(m)
+
+    def test_state_cap_is_too_large(self, monkeypatch):
+        monkeypatch.setattr(mixing, "COUPLING_STATE_LIMIT", 10)
+        assert estimate_coupling_time(lazy_chain("cycle", 10)).mean > 0
+        with pytest.raises(TooLarge):
+            estimate_coupling_time(lazy_chain("cycle", 11))
+
+    def test_periodic_chain_rejected(self):
+        with pytest.raises(NotErgodic):
+            estimate_coupling_time(equal_weight_matrix(generate(TopologySpec("cycle", 6))))
+
+
+def test_analyze_mixing_rng_changes_nothing():
+    m = lazy_chain("lollipop", 20)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((1, 3))))
+    report = mixing.analyze_mixing(m, trials=20, rng=rng)
+    assert report == mixing.analyze_mixing(m)
+    assert report.coupling == estimate_coupling_time(m)
+    assert report.theorem_bound == coupling_bound(report.coupling.mean, 0.0, 0.25)
 
 
 class TestAbsorbing:

@@ -1,11 +1,13 @@
 import argparse
+import csv
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
 
-from kronmix import netio
+from kronmix import mixing, netio
 from kronmix.cli import build_parser, main
 from kronmix.errors import EmptyGraph, ParseError, SpecError
 from kronmix.generators import TopologySpec
@@ -154,15 +156,16 @@ def small_config(tmp_path, **overrides):
 
 # experiment.csv of small_config as computed on the materialised system graph;
 # the directed path makes most pairs transient, so t_mix and limit_consensus
-# both go through the transient solve
+# both go through the transient solve. coupling_L is the worst meeting time
+# of two simple walks on the odd n-cycle, (n^2 - 1) / 2.
 SMALL_CONFIG_CSV = (
     CSV_HEADER + "\n"
-    "5,5,3,true,10,0.8090169944,1.468109288,21.43826645,12.2,1.522301261,2,"
-    "629.9321577,0.662189153,\n"
-    "7,7,3,true,20,0.9009688679,3.153069228,44.74165553,17.41666667,1.809000046,2,"
-    "861.3508964,0.4496315459,\n"
-    "9,9,3,true,33,0.9396926208,5.400212206,77.63778311,35.36666667,4.467077728,2,"
-    "1657.638377,0.7296574664,\n")
+    "5,5,3,true,10,0.8090169944,1.468109288,21.43826645,12,6.000143885e-09,2,"
+    "621.0598738,0.662189153,\n"
+    "7,7,3,true,20,0.9009688679,3.153069228,44.74165553,24,1.200057554e-08,2,"
+    "1153.396908,0.4496315459,\n"
+    "9,9,3,true,33,0.9396926208,5.400212206,77.63778311,40,2.000159872e-08,2,"
+    "1863.179621,0.7296574664,\n")
 
 
 # t_mix of the README sweep (lazy cycle n = 11..101 x lazy directed path m = 10,
@@ -182,6 +185,35 @@ def test_readme_sweep_t_mix_pinned(monkeypatch):
         system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
         got.append(netio.system_mixing_time(system, 0.25))
     assert got == README_SWEEP_T_MIX
+
+
+def lazy_cycle_worst_meeting_time(n):
+    """Worst-pair meeting time of two lazy (alpha 1/2) walks on the n-cycle.
+
+    The difference of the walks moves by -2..2 with probabilities 1/16, 1/4,
+    3/8, 1/4, 1/16, and the walks meet when it is 0.
+    """
+    step = np.zeros((n, n))
+    for d in range(n):
+        for delta, prob in zip(range(-2, 3), (1 / 16, 1 / 4, 3 / 8, 1 / 4, 1 / 16)):
+            step[d, (d + delta) % n] += prob
+    return np.linalg.solve(np.eye(n - 1) - step[1:, 1:], np.ones(n - 1)).max()
+
+
+def test_readme_sweep_coupling_within_its_written_bound(tmp_path):
+    cfg = ExperimentConfig(agent=TopologySpec("cycle", 11),
+                           constraint=TopologySpec("path", 10, directed=True),
+                           sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10,
+                           epsilon=0.25, seed=1, alpha=0.5, outdir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    with open(os.path.join(cfg.outdir, "experiment.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == list(range(11, 102, 10))
+    for row in rows:
+        # the directed path's only closed class is its sink, so L is the cycle's
+        exact = lazy_cycle_worst_meeting_time(int(row["n"]))
+        assert abs(float(row["coupling_L"]) - exact) <= float(row["coupling_se"])
+        assert float(row["coupling_se"]) < 1e-8 * exact
 
 
 class TestRunExperiment:
@@ -268,6 +300,19 @@ class TestRunExperiment:
         with open(os.path.join(outdir, "experiment.csv"), encoding="utf-8") as fh:
             assert [line.split(",")[3] for line in fh.read().splitlines()[1:]] == ["false"] * 3
         assert os.listdir(outdir) == ["experiment.csv"]
+
+    def test_coupling_state_cap_blanks_only_coupling_columns(self, tmp_path, monkeypatch):
+        full = run_experiment(small_config(tmp_path))
+        monkeypatch.setattr(mixing, "COUPLING_STATE_LIMIT", 6)
+        capped = run_experiment(small_config(tmp_path, outdir=str(tmp_path / "capped")))
+        blanked = ("coupling_L", "coupling_se", "theorem_bound")
+        assert [row["n"] for row in capped] == [5, 7, 9]
+        for row, ref in zip(capped, full):
+            for key, value in ref.items():
+                if key in blanked and row["n"] > 6:
+                    assert row[key] == "", key
+                else:
+                    assert row[key] == value, key
 
     def test_epsilon_one_rejected_by_validation(self, tmp_path):
         cfg = small_config(tmp_path, epsilon=1.0)
@@ -413,7 +458,12 @@ class TestCli:
 
     def test_mixing_command(self, capsys):
         assert main(["mixing", "--family", "complete", "--n", "6"]) == 0
-        assert "t_mix" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "t_mix" in out
+        # two walks on K6 share 4 of their 5 targets: they meet with probability
+        # 4/25 each step, so L = 25/4
+        assert re.search(r"^coupling L = 6.25 \(exact, error <= [0-9.e-]+, krylov, "
+                         r"[0-9]+ iterations\)$", out, re.MULTILINE)
 
     def test_limits_command(self, capsys):
         code = main(["limits", "--agent-family", "complete", "--agent-n", "4",
@@ -502,7 +552,7 @@ class TestCli:
         ["simulate", "--stop-delta", "-1"],
         ["simulate", "--stop-delta", "nan"],
         ["mixing", "--family", "cycle", "--n", "5", "--epsilon", "1.5"],
-        ["mixing", "--family", "cycle", "--n", "5", "--alpha", "0.5", "--trials", "0"],
+        ["mixing", "--family", "cycle", "--n", "5", "--alpha", "1.5"],
         ["experiment", "--trials", "0"],
         ["experiment", "--trials", "-3"],
         ["experiment", "--seed", "-1"],
@@ -534,7 +584,7 @@ class TestCli:
             "ingest": ["--undirected-file", "--sha256", "--instructions"],
             "analyze": system,
             "simulate": system + ["--stop-delta", "--max-iter", "--force", "--out"],
-            "mixing": graph("") + ["--alpha", "--epsilon", "--trials", "--seed"],
+            "mixing": graph("") + ["--alpha", "--epsilon"],
             "limits": system + ["--social-power"],
             "experiment": ["--config"] + graph("agent-") + graph("constraint-") + [
                 "--sweep", "--sweep-start", "--sweep-stop", "--sweep-stride", "--epsilon",
