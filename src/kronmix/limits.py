@@ -18,8 +18,7 @@ from .beliefs import BeliefSystem, _anchored_iteration, closed_factor_classes
 from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
 from .kron import MATERIALIZE_CAP
-from .mixing import _basis, _solve_fundamental
-from .stochastic import StochasticMatrix, stationary
+from .stochastic import StochasticMatrix, _basis, _solve_fundamental, stationary
 
 LIMIT_MATRIX_CAP = 4000
 
@@ -176,6 +175,7 @@ def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
     dim x len(columns), so a sampled caller never holds the dim x dim matrix.
     """
     if system.dim > LIMIT_MATRIX_CAP:
-        raise TooLarge(f"limit matrix would be {system.dim}^2 dense")
+        raise TooLarge(f"limit matrix of a {system.dim}-state system; "
+                       f"the cap is {LIMIT_MATRIX_CAP} states")
     cols = np.arange(system.dim) if columns is None else np.asarray(columns, dtype=np.int64)
     return _apply_limit(system, _basis(system.dim, cols))

@@ -1,10 +1,12 @@
 """Convergence-time measurement and bounds.
 
-Covers empirical mixing time (worst-start total variation), spectral bounds,
-exact coupling times (the worst-pair expected meeting time of two
-independent walks, solved on the pair chain with an error bound), exact
-absorbing times on the transient block, and the composite convergence-time
-bound. All bound formulas use the natural logarithm.
+Covers empirical mixing times (worst-start total variation) of chains,
+product chains and belief systems, all scanned over `_start_rows` and
+measured by `_column_gap`; spectral bounds; exact coupling times (the
+worst-pair expected meeting time of two independent walks, solved on the
+pair chain with an error bound); exact absorbing times on the transient
+block; and the composite convergence-time bound. All bound formulas use the
+natural logarithm.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 
+from .beliefs import BeliefSystem, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .graphs import SccDecomposition, scc_decompose
-from .stochastic import (StochasticMatrix, _dominant_eigenpair, ergodicity_check,
-                         stationary)
+from .limits import limit_matrix
+from .stochastic import (StochasticMatrix, _basis, _dominant_eigenpair, _solve_fundamental,
+                         ergodicity_check, stationary)
 
 EXACT_START_LIMIT = 2000
+SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its columns
 SAMPLED_STARTS = 64
 # the coupling solve holds about 4 n^2 float64 values: 128 MB at the cap
 COUPLING_STATE_LIMIT = 2000
@@ -84,36 +88,40 @@ def _start_rows(n: int, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
     return rng.choice(n, size=SAMPLED_STARTS, replace=False)
 
 
-def _basis(n: int, cols: np.ndarray) -> np.ndarray:
-    """n x len(cols) block whose j-th column is the unit vector e_cols[j]."""
-    out = np.zeros((n, cols.size))
-    out[cols, np.arange(cols.size)] = 1.0
-    return out
+def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None = None,
+                buf: np.ndarray | None = None) -> float:
+    """Half the largest column L1 gap between a block and `target`.
 
+    `target` has one column for all, or one per column of the block.
 
-def _column_gap(cur: np.ndarray, target: np.ndarray) -> float:
-    """Half the largest column L1 gap between `cur` and `target` (broadcast).
-
-    On columns that are distributions this is the largest total variation
-    distance. The columns go through one reused n x (_GAP_CHUNK + 1) buffer,
-    so the scratch stays small however wide `cur` is. The result is bit for
-    bit that of `np.abs(cur - target).sum(axis=0)`: numpy sums down the rows
-    of a block at least two columns wide in row order, but a lone column
-    pairwise, so no chunk is one column unless `cur` is.
+    Column j of the block is left[:, j], or left[:, j] (x) right[:, j] if
+    `right` is given. On distributions this is the largest total variation
+    distance; no columns give 0, and a NaN entry gives NaN. The columns go
+    through one reused r x (_GAP_CHUNK + 1) scratch, r the block's rows
+    (`buf`, if a scan allocates it once), so no wide block is formed. The
+    result is bit for bit that of `np.abs(block - target).sum(axis=0).max()`:
+    numpy sums down the rows of a block at least two columns wide in row
+    order, but a lone column pairwise, so no chunk is one column unless the
+    block is.
     """
-    n, w = cur.shape
+    (n, w), m = left.shape, 1 if right is None else right.shape[0]
     edges = list(range(0, w, _GAP_CHUNK)) + [w]
     if len(edges) > 2 and w - edges[-2] == 1:
         del edges[-2]
-    buf = np.empty(n * min(w, _GAP_CHUNK + 1))
-    target = np.broadcast_to(target, cur.shape)
-    peaks = np.empty(len(edges) - 1)
-    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        part = buf[:n * (hi - lo)].reshape(n, hi - lo)
-        np.subtract(cur[:, lo:hi], target[:, lo:hi], out=part)
+    if buf is None:
+        buf = np.empty(n * m * min(w, _GAP_CHUNK + 1))
+    peak = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        part = buf[:n * m * (hi - lo)].reshape(n * m, hi - lo)
+        goal = target if target.shape[1] == 1 else target[:, lo:hi]
+        if right is None:
+            np.subtract(left[:, lo:hi], goal, out=part)
+        else:
+            np.multiply(left[:, None, lo:hi], right[None, :, lo:hi], out=part.reshape(n, m, -1))
+            np.subtract(part, goal, out=part)
         np.abs(part, out=part)
-        peaks[j] = part.sum(axis=0).max()
-    return 0.5 * float(peaks.max())
+        peak = np.maximum(peak, part.sum(axis=0).max())  # max() would drop a NaN
+    return 0.5 * float(peak)
 
 
 def _check_scan(epsilon: float, max_steps: int) -> None:
@@ -126,16 +134,13 @@ def _check_scan(epsilon: float, max_steps: int) -> None:
 def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0) -> int:
     """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
-    The one worst-start scan behind every mixing time: `state` is iterate
-    `start` of whatever `step` advances (a column block of the chain, or the
-    factor blocks of a Kronecker product whose columns are
-    (L^k e_i) (x) (R^k e_u), since (L (x) R)^k = L^k (x) R^k), and `gap`
-    reads it as the largest distance of a tracked start from its limit. A
+    The one stepping loop of the mixing times: `state` is iterate `start` of
+    whatever `step` advances (a chain's column block, or a system's factor
+    blocks), and `gap` reads it as the largest distance of a tracked start
+    from its limit. A
     gap still above epsilon at max_steps raises FailedToConverge; steps
-    count from iterate 0. ValueError unless 0 < epsilon < 1 and
-    max_steps >= 0, checked before the first step.
+    count from iterate 0. Callers check their arguments with `_check_scan`.
     """
-    _check_scan(epsilon, max_steps)
     for k in range(start, int(max_steps) + 1):
         d = gap(state)
         if d <= epsilon:
@@ -151,7 +156,7 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
 
     A start's distance is its row of P^k against pi. Starts come from
     `_start_rows`: every state up to 2000 states, otherwise the fixed 64 that
-    `netio.system_mixing_time` also samples. The rows are the columns of the
+    `system_mixing_time` also samples. The rows are the columns of the
     block (P')^k. Sampled starts step it through `_first_within`.
 
     With every start tracked, the worst distance never increases in k
@@ -426,23 +431,6 @@ def expected_absorbing_time(matrix: StochasticMatrix,
     return AbsorbingTimes(node_h, float(node_h.max()))
 
 
-def _solve_fundamental(z: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Z) x = rhs for a vector or a t x k block of right-hand sides.
-
-    The result has rhs's shape; a singular system marks a misclassified block.
-    """
-    system = (sp.eye(z.shape[0]) - z).tocsc()
-    try:
-        x = spla.spsolve(system, rhs)
-    except RuntimeError as exc:
-        raise StructuralError(f"(I - Z) solve failed: {exc}") from exc
-    x = np.asarray(x, dtype=np.float64).reshape(rhs.shape)
-    residual = np.abs(system @ x - rhs).max() if rhs.size else 0.0
-    if not np.all(np.isfinite(x)) or residual > 1e-6:
-        raise StructuralError("(I - Z) is singular; a closed block leaked into Z")
-    return x
-
-
 def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,
                   epsilon: float) -> float:
     """Composite convergence-time bound 32 (max L + max H) ln(1/epsilon)."""
@@ -468,7 +456,8 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k
 
     Built from the factors: by (L x R)^k = L^k x R^k, start (i, u)'s row is
     (L')^k e_i (x) (R')^k e_u, against the limit pi_L (x) pi_R, over the
-    starts of `_start_rows`. Factors must be ergodic; ValueError if k < 0.
+    starts of `_start_rows`, a chunk at a time (`_column_gap`). Factors must
+    be ergodic; ValueError if k < 0.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -476,8 +465,47 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k
     lk = np.linalg.matrix_power(left.dense().T, int(k))
     rk = np.linalg.matrix_power(right.dense().T, int(k))
     i, u = np.divmod(_start_rows(left.n * right.n), right.n)
-    cols = (lk[:, None, i] * rk[None, :, u]).reshape(left.n * right.n, -1)
-    return _column_gap(cols, target)
+    return _column_gap(lk[:, i], target, rk[:, u])
+
+
+def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
+                       max_steps: int = 1_000_000) -> int:
+    """Smallest k at which the worst simplex start is within epsilon of its limit.
+
+    Scans basis columns of W^k, W the 2nm system operator, against the limit
+    operator: every column up to SYSTEM_EXACT_START_LIMIT states, otherwise
+    the 64 of `_start_rows`. Anchor rows never move and equal their limit, so
+    only the top nm rows count. A top column (i, u) starts with no anchor
+    mass, so by (L (x) R)^k = L^k (x) R^k its k-th iterate is
+    (Lambda A)^k e_i (x) C^k e_u: the scan steps the two factor blocks, never
+    nm-wide, and `_column_gap` takes their Kronecker columns. Anchor columns
+    of lambda = 1 agents are zero in the top rows, like their limits, and are
+    dropped; only stubborn agents' anchor columns step through `update`.
+    ValueError unless 0 < epsilon < 1 and max_steps >= 0, checked first.
+    """
+    _check_scan(epsilon, max_steps)
+    n, m = system.n, system.m
+    nm = n * m
+    cols = _start_rows(system.dim, SYSTEM_EXACT_START_LIMIT)
+    top, anchor = cols[cols < nm], cols[cols >= nm]
+    anchor = anchor[system.lam[(anchor - nm) // m] < 1.0]
+    target = limit_matrix(system, np.concatenate([top, anchor]))[:nm]
+    top_target, anchor_target = target[:, :top.size], target[:, top.size:]
+    anchors = _basis(nm, anchor - nm)
+    i, u = np.divmod(top, m)
+    buf = np.empty(nm * min(top.size, _GAP_CHUNK + 1))
+
+    def step(state):
+        a, c, z = state
+        return (system.lam[:, None] * (system.a.csr @ a), system.c.csr @ c,
+                update(system, z, anchors) if anchor.size else z)
+
+    def gap(state):
+        a, c, z = state
+        return max(_column_gap(a, top_target, c, buf), _column_gap(z, anchor_target))
+
+    start = (_basis(n, i), _basis(m, u), np.zeros((nm, anchor.size)))
+    return _first_within(step, start, gap, epsilon, max_steps)
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,

@@ -2,7 +2,8 @@
 
 File conventions: SNAP-style edge lists ('#' comments, whitespace-separated
 integer pairs), RFC-4180-ish CSV with a fixed header, and flat key = value
-config files whose keys mirror the CLI flags.
+config files whose keys are those of the experiment flags. The sweep's
+`t_mix` is `mixing.system_mixing_time`, imported here by name.
 """
 
 from __future__ import annotations
@@ -11,16 +12,18 @@ import hashlib
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import mixing
-from .beliefs import BeliefSystem, assemble, converges, update
+from .beliefs import BeliefSystem, assemble, converges
 from .errors import EmptyGraph, KronmixError, ParseError, SpecError, TooLarge
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
-from .limits import LIMIT_MATRIX_CAP, limit_matrix, structural_limit
+from .limits import LIMIT_MATRIX_CAP, structural_limit
+from .mixing import system_mixing_time
 from .stochastic import StochasticMatrix, equal_weight_matrix
 
 CSV_HEADER = ("sweep_value,n,m,converges,t_mix,lambda2,lower_bound,upper_bound,"
@@ -160,8 +163,21 @@ class ExperimentConfig:
         return list(range(self.sweep_start, self.sweep_stop + 1, self.sweep_stride))
 
 
+# config key -> ExperimentConfig field, for the fields after agent and constraint
+_CONFIG_FIELDS = {"lambda" if f.name == "lambda_policy" else f.name.replace("_", "."): f
+                  for f in fields(ExperimentConfig)[2:]}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def read_config(path: str) -> dict[str, str]:
-    """Flat key = value file; '#' starts a comment; later keys win."""
+    """Flat key = value file; '#' starts a comment; later keys win.
+
+    The keys are those the experiment flags map to. An unknown key, or a
+    `directed` value other than true/false/yes/no/1/0, raises SpecError
+    naming its line.
+    """
+    known = set(_CONFIG_FIELDS).union(f"{side}.{key}" for side in ("agent", "constraint")
+                                      for key in ["path"] + [f.name for f in fields(TopologySpec)])
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -170,8 +186,13 @@ def read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in text:
                 raise ParseError(lineno, f"expected key = value, got {text!r}")
-            key, value = text.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key not in known:
+                raise SpecError(f"{path} line {lineno}: unknown key {key!r}")
+            if key.endswith(".directed") and value.lower() not in _BOOLEANS:
+                raise SpecError(f"{path} line {lineno}: {key} must be true, false, yes, no, "
+                                f"1 or 0, got {value!r}")
+            values[key] = value
     return values
 
 
@@ -199,7 +220,7 @@ def source_from_mapping(mapping: dict, prefix: str) -> TopologySpec | str:
         r=pick("r", float),
         bridge=pick("bridge", int),
         seed=pick("seed", int, 0),
-        directed=pick("directed", lambda s: str(s).lower() in ("1", "true", "yes"), False),
+        directed=pick("directed", lambda s: _BOOLEANS[str(s).lower()], False),
     )
 
 
@@ -210,8 +231,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     absent or empty keys keep the field's default.
     """
     values = {}
-    for field in fields(ExperimentConfig)[2:]:  # the fields after agent and constraint
-        key = "lambda" if field.name == "lambda_policy" else field.name.replace("_", ".")
+    for key, field in _CONFIG_FIELDS.items():
         if mapping.get(key) not in (None, ""):
             values[field.name] = type(field.default)(mapping[key])
     cfg = ExperimentConfig(agent=source_from_mapping(mapping, "agent"),
@@ -312,7 +332,11 @@ def _factor_metrics(matrix: StochasticMatrix) -> dict:
 
 def _run_point(config: ExperimentConfig, index: int, value: int,
                fixed: DirectedGraph | Exception) -> dict:
-    """One CSV row; `fixed` is the graph the sweep does not size, or its error."""
+    """One CSV row; `fixed` is the graph the sweep does not size, or its error.
+
+    Cells left blank by a size cap are named, with the cap, on one stderr line.
+    """
+    blank = []
     row = {"sweep_value": value, "n": "", "m": "", "converges": "", "t_mix": "",
            "lambda2": "", "lower_bound": "", "upper_bound": "", "coupling_L": "",
            "coupling_se": "", "absorbing_H": "", "theorem_bound": "",
@@ -349,6 +373,10 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                 row["theorem_bound"] = mixing.theorem_bound(
                     g_metrics["L"], t_metrics["L"], g_metrics["H"], t_metrics["H"],
                     config.epsilon)
+            else:
+                blank.append("coupling_L, coupling_se, theorem_bound (a closed factor class "
+                             f"has more than COUPLING_STATE_LIMIT = "
+                             f"{mixing.COUPLING_STATE_LIMIT} states)")
             lams = [v for v in (g_metrics["lambda2"], t_metrics["lambda2"])
                     if v is not None]
             if lams:
@@ -362,59 +390,14 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                 report = structural_limit(system)
                 if report.consensus is not None:
                     row["limit_consensus"] = report.consensus
+            else:
+                blank.append(f"t_mix, limit_consensus (the system has {system.dim} states, "
+                             f"more than LIMIT_MATRIX_CAP = {LIMIT_MATRIX_CAP})")
     except (KronmixError, ValueError, OSError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
+    if blank:
+        print(f"sweep point {value}: blank " + "; ".join(blank), file=sys.stderr)
     return row
-
-
-def system_mixing_time(system, epsilon: float = 0.25, max_steps: int = 1_000_000) -> int:
-    """Smallest k at which the worst simplex start is within epsilon of its limit.
-
-    Tracks basis columns of the power W^k of the 2nm system operator against
-    the limit operator, through `mixing._first_within`. The columns come from
-    `mixing._start_rows` with an exact limit of 256: every column up to 256
-    states, otherwise 64 drawn from Philox(SeedSequence(3)). Anchor rows
-    never move and equal their limit, so only the top nm rows are compared.
-
-    A top column (i, u) is never stepped nm-wide: it starts with no anchor
-    mass, so by (L (x) R)^k = L^k (x) R^k its k-th iterate is
-    (Lambda A)^k e_i (x) C^k e_u. For the t tracked top columns the scan
-    carries an n x t block of (Lambda A)^k e_i and an m x t block of
-    C^k e_u, and compares their outer products with the limit. An anchor
-    column of an agent with lambda = 1 feeds nothing into the top rows, so
-    it and its limit are zero there and it is dropped; only the anchor
-    columns of stubborn agents step through `update`.
-    """
-    n, m = system.n, system.m
-    nm = n * m
-    cols = mixing._start_rows(system.dim, exact_limit=256)
-    top = cols[cols < nm]
-    anchor = cols[cols >= nm]
-    anchor = anchor[system.lam[(anchor - nm) // m] < 1.0]
-    target = limit_matrix(system, np.concatenate([top, anchor]))[:nm]
-    top_target = target[:, :top.size].reshape(n, m, top.size)
-    anchor_target = target[:, top.size:]
-    anchors = mixing._basis(nm, anchor - nm)
-    lam = system.lam[:, None]
-    i, u = np.divmod(top, m)
-    prod = np.empty((n, m, top.size))
-
-    def step(state):
-        a, c, z = state
-        return (lam * (system.a.csr @ a), system.c.csr @ c,
-                update(system, z, anchors) if anchor.size else z)
-
-    def gap(state):
-        a, c, z = state
-        np.multiply(a[:, None, :], c[None, :, :], out=prod)
-        np.subtract(prod, top_target, out=prod)
-        np.abs(prod, out=prod)
-        top_gap = prod.reshape(nm, top.size).sum(axis=0).max(initial=0.0)
-        anchor_gap = np.abs(z - anchor_target).sum(axis=0).max(initial=0.0)
-        return 0.5 * float(max(top_gap, anchor_gap))
-
-    start = (mixing._basis(n, i), mixing._basis(m, u), np.zeros((nm, anchor.size)))
-    return mixing._first_within(step, start, gap, epsilon, max_steps)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

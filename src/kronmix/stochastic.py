@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DanglingNode, FailedToConverge, NotErgodic, NotStochastic
+from .errors import DanglingNode, FailedToConverge, NotErgodic, NotStochastic, StructuralError
 from .graphs import DirectedGraph, scc_decompose
 
 ROW_SUM_TOL = 1e-9
@@ -149,3 +149,27 @@ def stationary(matrix: StochasticMatrix) -> np.ndarray:
     _, vec = _dominant_eigenpair(matrix.csr.T.dot, matrix.n)
     pi = np.abs(vec)
     return pi / pi.sum()
+
+
+def _basis(n: int, cols: np.ndarray) -> np.ndarray:
+    """n x len(cols) block whose j-th column is the unit vector e_cols[j]."""
+    out = np.zeros((n, cols.size))
+    out[cols, np.arange(cols.size)] = 1.0
+    return out
+
+
+def _solve_fundamental(z: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - Z) x = rhs for a vector or a t x k block of right-hand sides.
+
+    The result has rhs's shape; a singular system marks a misclassified block.
+    """
+    system = (sp.eye(z.shape[0]) - z).tocsc()
+    try:
+        x = spla.spsolve(system, rhs)
+    except RuntimeError as exc:
+        raise StructuralError(f"(I - Z) solve failed: {exc}") from exc
+    x = np.asarray(x, dtype=np.float64).reshape(rhs.shape)
+    residual = np.abs(system @ x - rhs).max() if rhs.size else 0.0
+    if not np.all(np.isfinite(x)) or residual > 1e-6:
+        raise StructuralError("(I - Z) is singular; a closed block leaked into Z")
+    return x

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kronmix import beliefs, graphs, mixing, netio
+from kronmix import beliefs, graphs, limits, mixing
 from kronmix.beliefs import (assemble, closed_factor_classes, converges, simulate,
                              system_matrix, update)
-from kronmix.errors import FailedToConverge, NotErgodic, NoUniqueFixedPoint, StructuralError
+from kronmix.errors import (FailedToConverge, NotErgodic, NoUniqueFixedPoint, StructuralError,
+                            TooLarge)
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import scc_decompose
 from kronmix.limits import (absorbing_probabilities, closed_limit, limit_matrix,
                             social_power, structural_limit, stubborn_limit)
-from kronmix.netio import system_mixing_time
+from kronmix.mixing import system_mixing_time
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix
 from oracles import (dense_system_operator, distance_to_limit_curve,
                      system_graph_closed_classes, system_graph_limit)
@@ -381,6 +382,13 @@ class TestFactorSpaceLimit:
         system_mixing_time(system)
         assert sizes and max(sizes) <= max(system.n, system.m)
 
+    def test_limit_matrix_cap_names_dimension_and_cap(self, monkeypatch):
+        system = cycle_path_system(7)
+        monkeypatch.setattr(limits, "LIMIT_MATRIX_CAP", system.dim - 1)
+        with pytest.raises(TooLarge, match=rf"^limit matrix of a {system.dim}-state system; "
+                                           rf"the cap is {system.dim - 1} states$"):
+            limit_matrix(system, [0])
+
     def test_mixing_time_step_cap(self):
         system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
         with pytest.raises(FailedToConverge):
@@ -389,12 +397,13 @@ class TestFactorSpaceLimit:
     @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
                                         {"max_steps": -1}])
     def test_mixing_time_arguments_checked_before_stepping(self, kwargs, monkeypatch):
-        # a bad argument fails before the first update: epsilon 0 would
-        # otherwise step until max_steps (10^6 updates)
-        def no_update(*args):
-            raise AssertionError("stepped before checking its arguments")
+        # a bad argument fails before the limit solve and the first update:
+        # epsilon 0 would otherwise step until max_steps (10^6 updates)
+        def no_work(*args):
+            raise AssertionError("solved or stepped before checking its arguments")
 
-        monkeypatch.setattr(netio, "update", no_update)
+        monkeypatch.setattr(mixing, "limit_matrix", no_work)
+        monkeypatch.setattr(mixing, "update", no_work)
         system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             system_mixing_time(system, **kwargs)

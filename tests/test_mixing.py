@@ -180,16 +180,25 @@ class TestSquaringScan:
         assert peak <= 3.5 * m.n ** 2 * 8
 
     @pytest.mark.parametrize("width", [1, 2, mixing._GAP_CHUNK, mixing._GAP_CHUNK + 1,
-                                       2 * mixing._GAP_CHUNK + 1])
+                                       mixing._GAP_CHUNK + 2, 2 * mixing._GAP_CHUNK + 1])
     def test_chunked_gap_bit_identical(self, width):
         # numpy sums one column pairwise and wider blocks row by row; the last
         # column, the one a remainder chunk would hold, has the largest gap
         rng = np.random.default_rng(width)
         cur = rng.random((1000, width)) * rng.choice([1e-9, 1.0, 1e3], (1000, width))
         cur[:, -1] += 1e3
+        # Kronecker columns left[:, j] (x) right[:, j], against the whole block
+        left = rng.random((40, width)) * rng.choice([1e-9, 1.0, 1e3], (40, width))
+        right = rng.random((25, width))
+        left[:, -1] += 1e3
+        block = (left[:, None, :] * right[None, :, :]).reshape(1000, width)
         for target in (rng.random((1000, 1)), rng.random((1000, width))):
             want = 0.5 * np.abs(cur - target).sum(axis=0).max()
             assert mixing._column_gap(cur, target) == want
+            want = 0.5 * np.abs(block - target).sum(axis=0).max()
+            assert mixing._column_gap(left, target, right) == want
+        cur[0, 0] = np.nan  # never within epsilon, so a scan cannot stop on it
+        assert math.isnan(mixing._column_gap(cur, target))
 
 
 class TestStartRows:
@@ -566,6 +575,16 @@ class TestBounds:
             coupling_bound(*(args[:2] if at < 2 else args[2:]), 0.25)
 
 
+# product_distance_to_limit of lazy factors at k = 0, 1, 7, 50, 400
+PINNED_PRODUCT_DISTANCE = {
+    ("cycle", 44, "path", 45): [0.9997417355371969, 0.9976756198347181, 0.9670798482973858,
+                                0.8298742818262513, 0.39322080775842594],
+    ("hypercube", 32, "cycle", 33): [0.9990530303030445, 0.9829545454545596,
+                                     0.7366574850852359, 0.4127127567007767,
+                                     0.016875472179136815],
+}
+
+
 class TestProductBehavior:
     def test_max_behavior_small(self):
         rng = np.random.default_rng(14)
@@ -622,6 +641,26 @@ class TestProductBehavior:
         m = lazy_chain("cycle", 5)
         with pytest.raises(ValueError, match="k must be non-negative"):
             product_distance_to_limit(m, m, -1)
+
+    @pytest.mark.parametrize("pair", sorted(PINNED_PRODUCT_DISTANCE))
+    def test_pinned_values(self, pair):
+        # recorded when the nm x starts block was formed whole; the chunked
+        # Kronecker columns sum every entry in the same order
+        left, right = lazy_chain(*pair[:2]), lazy_chain(*pair[2:])
+        got = [product_distance_to_limit(left, right, k) for k in (0, 1, 7, 50, 400)]
+        assert got == PINNED_PRODUCT_DISTANCE[pair]
+
+    def test_memory_stays_off_the_product_block(self):
+        # lazy cycle 44 x lazy path 45: 1980 states, every start exact; the
+        # 1980 x 1980 block of rows alone would be 31 MB
+        left, right = lazy_chain("cycle", 44), lazy_chain("path", 45)
+        tracemalloc.start()
+        try:
+            product_distance_to_limit(left, right, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
 
 class TestCompositeBoundWithTransients:

@@ -131,6 +131,48 @@ class TestConfig:
         with pytest.raises(ParseError):
             read_config(write(tmp_path, "cfg.txt", "agent.family cycle\n"))
 
+    def test_readme_and_benchmark_keys_parse(self, tmp_path):
+        # the README config plus the `alpha` and `trials` lines the benchmark's
+        # sweep config adds
+        lines = ["agent.family = cycle", "constraint.family = path",
+                 "constraint.directed = true", "constraint.n = 10", "sweep = n",
+                 "sweep.start = 11", "sweep.stop = 101", "sweep.stride = 10",
+                 "epsilon = 0.25", "alpha = 0.5", "trials = 200", "seed = 1", "outdir = out"]
+        mapping = read_config(write(tmp_path, "cfg.txt", "\n".join(lines) + "\n"))
+        assert list(mapping) == [line.split(" = ")[0] for line in lines]
+        assert config_from_mapping(mapping) == ExperimentConfig(
+            agent=TopologySpec("cycle"), constraint=TopologySpec("path", 10, directed=True),
+            sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10, epsilon=0.25,
+            alpha=0.5, trials=200, seed=1, outdir="out")
+
+    @pytest.mark.parametrize("key", ["sweep.strid", "agent.undirected_file", "config",
+                                     "lambda_policy", "graph.family", "constraint.seeds"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        path = write(tmp_path, "cfg.txt", f"agent.family = cycle\n{key} = 50\n")
+        with pytest.raises(SpecError, match=f"line 2: unknown key '{re.escape(key)}'"):
+            read_config(path)
+
+    @pytest.mark.parametrize("value", ["on", "off", "y", "2", ""])
+    def test_non_boolean_directed_rejected(self, tmp_path, value):
+        path = write(tmp_path, "cfg.txt", f"agent.family = cycle\nconstraint.directed = {value}\n")
+        with pytest.raises(SpecError, match="line 2: constraint.directed must be"):
+            read_config(path)
+
+    @pytest.mark.parametrize("value, directed", [("true", True), ("False", False),
+                                                 ("yes", True), ("NO", False),
+                                                 ("1", True), ("0", False)])
+    def test_directed_booleans(self, tmp_path, value, directed):
+        mapping = read_config(write(tmp_path, "cfg.txt", "agent.family = cycle\n"
+                                    f"constraint.family = path\nconstraint.directed = {value}\n"))
+        assert config_from_mapping(mapping).constraint.directed is directed
+
+    def test_cli_rejects_a_typo_with_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "cfg.txt", "agent.family = cycle\nconstraint.family = path\n"
+                     f"sweep.strid = 50\noutdir = {tmp_path / 'out'}\n")
+        assert main(["experiment", "--config", path]) == 2
+        assert "line 3: unknown key 'sweep.strid'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_validation(self):
         with pytest.raises(SpecError):
             config_from_mapping({"agent.family": "cycle", "constraint.family": "path",
@@ -177,7 +219,7 @@ def test_readme_sweep_t_mix_pinned(monkeypatch):
     def no_update(*args):
         raise AssertionError("an oblivious system stepped the 2nm-wide update")
 
-    monkeypatch.setattr(netio, "update", no_update)
+    monkeypatch.setattr(mixing, "update", no_update)
     path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
     got = []
     for n in range(11, 102, 10):
@@ -313,6 +355,30 @@ class TestRunExperiment:
                     assert row[key] == "", key
                 else:
                     assert row[key] == value, key
+
+    def test_capped_cells_named_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # dims 30, 42, 54; closed classes of the cycles 5, 7, 9 and the path's sink
+        flags = ["experiment", "--agent-family", "cycle", "--constraint-family", "path",
+                 "--constraint-directed", "--constraint-n", "3", "--sweep-start", "5",
+                 "--sweep-stop", "9", "--sweep-stride", "2", "--alpha", "0"]
+        assert main(flags + ["--outdir", str(tmp_path / "full")]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(netio, "LIMIT_MATRIX_CAP", 40)
+        monkeypatch.setattr(mixing, "COUPLING_STATE_LIMIT", 8)
+        assert main(flags + ["--outdir", str(tmp_path / "capped")]) == 0
+        out, err = capsys.readouterr()
+        assert "(0 with errors)" in out
+        assert err.splitlines() == [
+            "sweep point 7: blank t_mix, limit_consensus (the system has 42 states, "
+            "more than LIMIT_MATRIX_CAP = 40)",
+            "sweep point 9: blank coupling_L, coupling_se, theorem_bound (a closed factor "
+            "class has more than COUPLING_STATE_LIMIT = 8 states); t_mix, limit_consensus "
+            "(the system has 54 states, more than LIMIT_MATRIX_CAP = 40)"]
+        with open(tmp_path / "capped" / "experiment.csv", encoding="utf-8") as fh:
+            assert fh.readline().rstrip("\n") == CSV_HEADER
+            rows = list(csv.DictReader(fh, fieldnames=CSV_HEADER.split(",")))
+        assert [(r["t_mix"] == "", r["coupling_L"] == "") for r in rows] == [
+            (False, False), (True, False), (True, True)]
 
     def test_epsilon_one_rejected_by_validation(self, tmp_path):
         cfg = small_config(tmp_path, epsilon=1.0)

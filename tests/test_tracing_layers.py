@@ -57,3 +57,9 @@ def test_every_netio_name_a_hook_reads_resolves():
     netio = importlib.import_module("kronmix.netio")
     missing = sorted(name for name in read if not hasattr(netio, name))
     assert not missing, f"kronbench/tracing.py hooks read names kronmix.netio lacks: {missing}"
+
+
+def test_netio_system_scan_is_the_mixing_scan():
+    # the tracer wraps netio.system_mixing_time, which is mixing's scan by name
+    netio = importlib.import_module("kronmix.netio")
+    assert netio.system_mixing_time is importlib.import_module("kronmix.mixing").system_mixing_time
