@@ -100,7 +100,9 @@ def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarr
     """Lambda A X C' + (I - Lambda) X_anchor on an (n, m) or (n, m, k) stack.
 
     Constraints (X C'), then social aggregation (A .), then anchor blend;
-    each of the k columns is updated on its own.
+    each of the k columns is updated on its own. When every lambda is 1 the
+    blend, X * 1 + 0, is exact and skipped: only a -0.0 would have become
+    +0.0.
     """
     n, m = system.n, system.m
     x3 = x.reshape(n, m, -1)
@@ -108,9 +110,10 @@ def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarr
     xhat = (system.c.csr @ x3.transpose(1, 0, 2).reshape(m, n * k))  # X C'
     xhat = xhat.reshape(m, n, k).transpose(1, 0, 2).reshape(n, m * k)
     xbar = (system.a.csr @ xhat).reshape(n, m, k)
-    lam = system.lam[:, None, None]
-    xbar *= lam  # in place: the stepped stacks are large
-    xbar += (1.0 - lam) * anchors.reshape(n, m, k)
+    if np.any(system.lam != 1.0):
+        lam = system.lam[:, None, None]
+        xbar *= lam  # in place: the stepped stacks are large
+        xbar += (1.0 - lam) * anchors.reshape(n, m, k)
     return xbar.reshape(x.shape)
 
 

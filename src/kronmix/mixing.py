@@ -7,6 +7,10 @@ worst-pair expected meeting time of two independent walks, solved on the
 pair chain with an error bound); exact absorbing times on the transient
 block; and the composite convergence-time bound. All bound formulas use the
 natural logarithm.
+
+A system's scan takes the Kronecker gap only at the steps that a cheaper
+lower bound from the factor marginals, `_marginal_gap`, cannot put above
+epsilon, so its `t_mix` values are those of the gap alone.
 """
 
 from __future__ import annotations
@@ -124,6 +128,45 @@ def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None =
     return 0.5 * float(peak)
 
 
+def _marginals(target: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_marginal_gap` needs of `target`: each column folded to n x m.
+
+    Per column: the row sums of the fold, its column sums, and its L1 norm.
+    """
+    folded = target.reshape(n, m, target.shape[1])
+    return folded.sum(axis=1), folded.sum(axis=0), np.abs(target).sum(axis=0)
+
+
+def _marginal_gap(left: np.ndarray, right: np.ndarray, marginals) -> float:
+    """A lower bound on `_column_gap(left, target, right)` as computed.
+
+    Summing out one factor never raises an L1 norm, so for column j,
+    0.5 max(|a_j sum(c_j) - rows_j|_1, |c_j sum(a_j) - cols_j|_1) is at most
+    the exact gap, with a_j, c_j the block's factor columns and rows_j,
+    cols_j the marginals of target column j folded to n x m
+    (`marginals = _marginals(target, n, m)`). It costs n + m entries a column
+    against the gap's nm. Before halving, the computed gap and this computed
+    bound together err by at most 2 (nm + 2) u (|a_j|_1 |c_j|_1 + |T_j|_1)
+    to first order, u the unit roundoff, and twice that is taken off each
+    column's bound. On nonnegative blocks, as a scan's factor blocks are,
+    |a_j|_1 |c_j|_1 is sum(a_j) sum(c_j), and a result above epsilon proves
+    that `_column_gap` is above epsilon too. The result is at least 0, as the
+    gap is, and no columns give 0; a NaN entry gives NaN.
+    """
+    rows, cols, mass = marginals
+    # column sums as products with ones: much faster than sum(axis=0) on these
+    # small blocks, and the rounding bound holds in any summation order
+    ones_n, ones_m = np.ones(left.shape[0]), np.ones(right.shape[0])
+    sa, sc = ones_n @ left, ones_m @ right
+    lo, hi = left * sc, right * sa
+    lo -= rows
+    hi -= cols
+    bound = np.maximum(ones_n @ np.abs(lo, out=lo), ones_m @ np.abs(hi, out=hi))
+    unit = (left.shape[0] * right.shape[0] + 2) * np.finfo(np.float64).eps  # 2 (nm + 2) u
+    bound -= 2 * unit * (np.abs(sa * sc) + mass)
+    return 0.5 * float(bound.max(initial=0.0))  # keeps a NaN, unlike max()
+
+
 def _check_scan(epsilon: float, max_steps: int) -> None:
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -131,19 +174,22 @@ def _check_scan(epsilon: float, max_steps: int) -> None:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
 
 
-def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0) -> int:
+def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0,
+                  screen=None) -> int:
     """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
     The one stepping loop of the mixing times: `state` is iterate `start` of
     whatever `step` advances (a chain's column block, or a system's factor
     blocks), and `gap` reads it as the largest distance of a tracked start
-    from its limit. A
-    gap still above epsilon at max_steps raises FailedToConverge; steps
-    count from iterate 0. Callers check their arguments with `_check_scan`.
+    from its limit. An optional `screen` is a cheaper lower bound on that
+    gap as computed: an iterate it puts above epsilon is stepped past
+    without taking the gap, except at max_steps. A gap still above epsilon
+    at max_steps raises FailedToConverge with that gap; steps count from
+    iterate 0. Callers check their arguments with `_check_scan`.
     """
     for k in range(start, int(max_steps) + 1):
-        d = gap(state)
-        if d <= epsilon:
+        screened = k < max_steps and screen is not None and screen(state) > epsilon
+        if not screened and (d := gap(state)) <= epsilon:
             return k
         if k < max_steps:
             state = step(state)
@@ -478,10 +524,14 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     only the top nm rows count. A top column (i, u) starts with no anchor
     mass, so by (L (x) R)^k = L^k (x) R^k its k-th iterate is
     (Lambda A)^k e_i (x) C^k e_u: the scan steps the two factor blocks, never
-    nm-wide, and `_column_gap` takes their Kronecker columns. Anchor columns
-    of lambda = 1 agents are zero in the top rows, like their limits, and are
-    dropped; only stubborn agents' anchor columns step through `update`.
-    ValueError unless 0 < epsilon < 1 and max_steps >= 0, checked first.
+    nm-wide. Each step is first screened by `_marginal_gap`, which reads only
+    the factor blocks against the limit's two marginals; only the steps that
+    bound cannot put above epsilon, and the step at max_steps, take the
+    Kronecker gap `_column_gap`. The bound never exceeds the gap, so every k
+    is the one the gap alone gives. Anchor columns of lambda = 1 agents are
+    zero in the top rows, like their limits, and are dropped; only stubborn
+    agents' anchor columns step through `update`. ValueError unless
+    0 < epsilon < 1 and max_steps >= 0, checked first.
     """
     _check_scan(epsilon, max_steps)
     n, m = system.n, system.m
@@ -491,21 +541,29 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     anchor = anchor[system.lam[(anchor - nm) // m] < 1.0]
     target = limit_matrix(system, np.concatenate([top, anchor]))[:nm]
     top_target, anchor_target = target[:, :top.size], target[:, top.size:]
+    marginals = _marginals(top_target, n, m)
     anchors = _basis(nm, anchor - nm)
     i, u = np.divmod(top, m)
     buf = np.empty(nm * min(top.size, _GAP_CHUNK + 1))
+    # scaling by a lambda of 1 is exact, so an oblivious system skips it
+    lam = None if np.all(system.lam == 1.0) else system.lam[:, None]
 
     def step(state):
         a, c, z = state
-        return (system.lam[:, None] * (system.a.csr @ a), system.c.csr @ c,
-                update(system, z, anchors) if anchor.size else z)
+        a = system.a.csr @ a
+        if lam is not None:
+            a *= lam
+        return a, system.c.csr @ c, update(system, z, anchors) if anchor.size else z
+
+    def screen(state):
+        return _marginal_gap(state[0], state[1], marginals)
 
     def gap(state):
         a, c, z = state
         return max(_column_gap(a, top_target, c, buf), _column_gap(z, anchor_target))
 
     start = (_basis(n, i), _basis(m, u), np.zeros((nm, anchor.size)))
-    return _first_within(step, start, gap, epsilon, max_steps)
+    return _first_within(step, start, gap, epsilon, max_steps, screen=screen)
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,

@@ -244,7 +244,7 @@ def _thread_count() -> int:
     """1: `run_experiment` runs its sweep points one after another.
 
     Kept only for `kronbench/tracing.py`, which scales `netio.pool_busy_ratio`
-    by it; it goes with the benchmark refresh, ROADMAP item 8.
+    by it; it goes with the benchmark refresh, ROADMAP item 1.
     """
     return 1
 

@@ -126,6 +126,17 @@ class TestStep:
         system = assemble(system.a, system.c, system.lam, const)
         np.testing.assert_allclose(update(system, const, system.x0), 0.7, atol=1e-12)
 
+    @pytest.mark.parametrize("lam", [np.ones(5), np.r_[0.5, 1.0, 0.0, 1.0, 0.25]])
+    def test_bit_for_bit_the_blended_formula(self, lam):
+        # a lambda = 1 system skips the blend; X * 1 + 0 is exact, so nothing changes
+        system = cycle_path_system(lam=lam)
+        anchors = np.random.default_rng(5).random((5, 4, 3))
+        x = np.random.default_rng(6).random((5, 4, 3))
+        aggregated = (system.a.csr @ (system.c.csr @ x.transpose(1, 0, 2).reshape(4, 15))
+                      .reshape(4, 5, 3).transpose(1, 0, 2).reshape(5, 12)).reshape(5, 4, 3)
+        blended = aggregated * lam[:, None, None] + (1.0 - lam[:, None, None]) * anchors
+        assert np.array_equal(update(system, x, anchors), blended)
+
 
 class TestConverges:
     def test_odd_cycle_converges(self):

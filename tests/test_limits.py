@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -391,8 +392,14 @@ class TestFactorSpaceLimit:
 
     def test_mixing_time_step_cap(self):
         system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
-        with pytest.raises(FailedToConverge):
+        with pytest.raises(FailedToConverge) as info:
             system_mixing_time(system, 0.01, max_steps=2)
+        # the message gives the exact distance at the cap, not the screen's lower bound
+        reported = float(re.fullmatch(r"distance to limit still (\S+) after 2 steps",
+                                      str(info.value)).group(1))
+        gaps = _stepped_gaps(system)
+        exact = [next(gaps) for _ in range(3)][2]
+        assert reported == float(f"{exact:.3g}")
 
     @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
                                         {"max_steps": -1}])
@@ -431,17 +438,23 @@ class TestFactorSpaceLimit:
         assert float(np.abs(report.beliefs - fixed).max()) <= 1e-8
 
 
-def _stepped_mixing_time(system, epsilon):
-    """t_mix by stepping the 2nm-wide basis block through `update`, column by column."""
+def _stepped_gaps(system):
+    """The scan's gap at steps 0, 1, ...: the 2nm-wide basis block stepped through `update`."""
     nm = system.n * system.m
     cols = mixing._start_rows(system.dim, exact_limit=256)
     target = limit_matrix(system, cols)[:nm]
     start = mixing._basis(system.dim, cols)
     cur, anchors = start[:nm], start[nm:]
-    for k in range(100_000):
-        if mixing._column_gap(cur, target) <= epsilon:
-            return k
+    while True:
+        yield mixing._column_gap(cur, target)
         cur = update(system, cur, anchors)
+
+
+def _stepped_mixing_time(system, epsilon):
+    """t_mix by stepping the 2nm-wide basis block through `update`, column by column."""
+    for k, gap in zip(range(100_000), _stepped_gaps(system)):
+        if gap <= epsilon:
+            return k
     raise AssertionError("reference scan did not reach epsilon")
 
 

@@ -8,17 +8,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from kronmix.beliefs import assemble
 from kronmix.errors import FailedToConverge, NotErgodic, TooLarge
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
+from kronmix.limits import limit_matrix
 from kronmix import mixing
 from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_absorbing_time,
                             measure_mixing_time, product_distance_to_limit,
-                            second_eigenvalue, spectral_bounds, theorem_bound)
+                            second_eigenvalue, spectral_bounds, system_mixing_time,
+                            theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
-from oracles import (distance_to_limit_curve, mc_absorption_time, pair_chain_coupling,
-                     pair_chain_expectations)
+from oracles import (dense_system_operator, distance_to_limit_curve, mc_absorption_time,
+                     pair_chain_coupling, pair_chain_expectations)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -199,6 +202,74 @@ class TestSquaringScan:
             assert mixing._column_gap(left, target, right) == want
         cur[0, 0] = np.nan  # never within epsilon, so a scan cannot stop on it
         assert math.isnan(mixing._column_gap(cur, target))
+
+
+class TestMarginalGap:
+    """The factor-marginal screen of `system_mixing_time` against the Kronecker gap."""
+
+    @pytest.mark.parametrize("width", [1, 130])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_never_exceeds_the_gap(self, width, signed):
+        rng = np.random.default_rng(width + signed)
+        n, m = 9, 7
+        for scale in (0.3, 1.0, 4.0):  # column sums other than 1
+            left = scale * rng.random((n, width)) - (0.5 * scale if signed else 0.0)
+            right = rng.random((m, width)) - (0.5 if signed else 0.0)
+            for target in (rng.random((n * m, width)) * scale, rng.random((n * m, 1))):
+                for j in range(width):  # column by column, not only the worst
+                    goal = target if target.shape[1] == 1 else target[:, [j]]
+                    a, c = left[:, [j]], right[:, [j]]
+                    bound = mixing._marginal_gap(a, c, mixing._marginals(goal, n, m))
+                    assert bound <= mixing._column_gap(a, goal, c)
+                bound = mixing._marginal_gap(left, right, mixing._marginals(target, n, m))
+                assert 0 < bound <= mixing._column_gap(left, target, right)
+
+    def test_same_marginals_not_a_product(self):
+        # T has the marginals of a (x) c but is not a product: the bound is 0
+        # and cannot settle a step, while the gap is 0.5
+        left, right = np.full((2, 1), 0.5), np.full((2, 1), 0.5)
+        target = np.array([[0.5], [0.0], [0.0], [0.5]])
+        assert mixing._marginal_gap(left, right, mixing._marginals(target, 2, 2)) == 0.0
+        assert mixing._column_gap(left, target, right) == 0.5
+
+    def test_scan_where_the_bound_cannot_decide(self, monkeypatch):
+        # lazy 4-cycle x lazy 4-cycle, lambda 1: at step 2 the bound is 0.125
+        # and the gap 0.203, so the Kronecker gap settles eps = 0.2
+        cycle = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 4)), 0.5))
+        system = assemble(cycle, cycle, np.ones(4), np.full((4, 4), 0.5))
+        screened, real = [], mixing._marginal_gap
+
+        def recording(*args):
+            screened.append(real(*args))
+            return screened[-1]
+
+        monkeypatch.setattr(mixing, "_marginal_gap", recording)
+        t = system_mixing_time(system, 0.2)
+        op = dense_system_operator(cycle.dense(), cycle.dense(), system.lam)
+        limit = limit_matrix(system)
+        curve = np.r_[0.5 * np.abs(np.eye(system.dim) - limit).sum(axis=0).max(),
+                      distance_to_limit_curve(op, limit, t)]
+        assert t == 3 and np.all(curve[:t] > 0.2) and curve[t] <= 0.2
+        assert screened[2] <= 0.2 < curve[2]
+
+    def test_nan_takes_the_gap(self):
+        # a NaN screen settles nothing: every step takes the gap, which is NaN
+        left, right = np.full((3, 2), 0.5), np.full((2, 2), 0.5)
+        left[1, 1] = np.nan
+        target = np.full((6, 2), 1 / 6)
+        marginals = mixing._marginals(target, 3, 2)
+        assert math.isnan(mixing._marginal_gap(left, right, marginals))
+        gaps = []
+
+        def gap(state):
+            gaps.append(mixing._column_gap(state, target, right))
+            return gaps[-1]
+
+        with pytest.raises(FailedToConverge, match="still nan after 3 steps"):
+            mixing._first_within(lambda state: state, left, gap, 0.25, 3,
+                                 screen=lambda state: mixing._marginal_gap(state, right,
+                                                                           marginals))
+        assert len(gaps) == 4 and all(math.isnan(g) for g in gaps)
 
 
 class TestStartRows:

@@ -229,6 +229,23 @@ def test_readme_sweep_t_mix_pinned(monkeypatch):
     assert got == README_SWEEP_T_MIX
 
 
+def test_readme_sweep_screens_the_kronecker_gap(monkeypatch):
+    # the factor-marginal bound settles every step above epsilon but about
+    # one a point, so the nm-row Kronecker gap runs at most twice a point
+    calls, real = [0], mixing._column_gap
+
+    def counting(left, target, right=None, buf=None):
+        calls[0] += right is not None
+        return real(left, target, right, buf)
+
+    monkeypatch.setattr(mixing, "_column_gap", counting)
+    path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
+    for n in range(11, 102, 10):
+        cycle = netio.resolve_graph(TopologySpec("cycle", n), 0.5)
+        system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
+        before = calls[0]
+        netio.system_mixing_time(system, 0.25)
+        assert 1 <= calls[0] - before <= 2
 def lazy_cycle_worst_meeting_time(n):
     """Worst-pair meeting time of two lazy (alpha 1/2) walks on the n-cycle.
 
