@@ -92,8 +92,7 @@ def _start_rows(n: int, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
     return rng.choice(n, size=SAMPLED_STARTS, replace=False)
 
 
-def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None = None,
-                buf: np.ndarray | None = None) -> float:
+def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None = None) -> float:
     """Half the largest column L1 gap between a block and `target`.
 
     `target` has one column for all, or one per column of the block.
@@ -101,19 +100,17 @@ def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None =
     Column j of the block is left[:, j], or left[:, j] (x) right[:, j] if
     `right` is given. On distributions this is the largest total variation
     distance; no columns give 0, and a NaN entry gives NaN. The columns go
-    through one reused r x (_GAP_CHUNK + 1) scratch, r the block's rows
-    (`buf`, if a scan allocates it once), so no wide block is formed. The
-    result is bit for bit that of `np.abs(block - target).sum(axis=0).max()`:
-    numpy sums down the rows of a block at least two columns wide in row
-    order, but a lone column pairwise, so no chunk is one column unless the
-    block is.
+    through one reused r x (_GAP_CHUNK + 1) scratch, r the block's rows, so
+    no wide block is formed. The result is bit for bit that of
+    `np.abs(block - target).sum(axis=0).max()`: numpy sums down the rows of
+    a block at least two columns wide in row order, but a lone column
+    pairwise, so no chunk is one column unless the block is.
     """
     (n, w), m = left.shape, 1 if right is None else right.shape[0]
     edges = list(range(0, w, _GAP_CHUNK)) + [w]
     if len(edges) > 2 and w - edges[-2] == 1:
         del edges[-2]
-    if buf is None:
-        buf = np.empty(n * m * min(w, _GAP_CHUNK + 1))
+    buf = np.empty(n * m * min(w, _GAP_CHUNK + 1))
     peak = 0.0
     for lo, hi in zip(edges, edges[1:]):
         part = buf[:n * m * (hi - lo)].reshape(n * m, hi - lo)
@@ -128,42 +125,47 @@ def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None =
     return 0.5 * float(peak)
 
 
-def _marginals(target: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _marginals(target: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """What `_marginal_gap` needs of `target`: each column folded to n x m.
 
-    Per column: the row sums of the fold, its column sums, and its L1 norm.
+    Per column: the row sums of the fold stacked over its column sums
+    (n + m entries), and its L1 norm.
     """
     folded = target.reshape(n, m, target.shape[1])
-    return folded.sum(axis=1), folded.sum(axis=0), np.abs(target).sum(axis=0)
+    return np.vstack([folded.sum(axis=1), folded.sum(axis=0)]), np.abs(target).sum(axis=0)
 
 
-def _marginal_gap(left: np.ndarray, right: np.ndarray, marginals) -> float:
-    """A lower bound on `_column_gap(left, target, right)` as computed.
+def _marginal_gap(block: np.ndarray, n: int, marginals) -> float:
+    """A lower bound on `_column_gap(block[:n], target, block[n:])` as computed.
 
-    Summing out one factor never raises an L1 norm, so for column j,
+    `block` stacks a factor block a (n rows) over c (m rows). Summing out
+    one factor never raises an L1 norm, so for column j,
     0.5 max(|a_j sum(c_j) - rows_j|_1, |c_j sum(a_j) - cols_j|_1) is at most
-    the exact gap, with a_j, c_j the block's factor columns and rows_j,
-    cols_j the marginals of target column j folded to n x m
-    (`marginals = _marginals(target, n, m)`). It costs n + m entries a column
-    against the gap's nm. Before halving, the computed gap and this computed
-    bound together err by at most 2 (nm + 2) u (|a_j|_1 |c_j|_1 + |T_j|_1)
-    to first order, u the unit roundoff, and twice that is taken off each
-    column's bound. On nonnegative blocks, as a scan's factor blocks are,
-    |a_j|_1 |c_j|_1 is sum(a_j) sum(c_j), and a result above epsilon proves
-    that `_column_gap` is above epsilon too. The result is at least 0, as the
-    gap is, and no columns give 0; a NaN entry gives NaN.
+    the exact gap, with rows_j, cols_j the marginals of target column j
+    folded to n x m (`marginals = _marginals(target, n, m)`). It costs
+    n + m entries a column against the gap's nm. Before halving, the
+    computed gap and this computed bound together err by at most
+    2 (nm + 2) u (|a_j|_1 |c_j|_1 + |T_j|_1) to first order, u the unit
+    roundoff, and twice that is taken off each column's bound. On
+    nonnegative blocks, as a scan's factor block is, |a_j|_1 |c_j|_1 is
+    sum(a_j) sum(c_j), and a result above epsilon proves that `_column_gap`
+    is above epsilon too. The result is at least 0, as the gap is, and no
+    columns give 0; a NaN entry gives NaN.
     """
-    rows, cols, mass = marginals
-    # column sums as products with ones: much faster than sum(axis=0) on these
-    # small blocks, and the rounding bound holds in any summation order
-    ones_n, ones_m = np.ones(left.shape[0]), np.ones(right.shape[0])
-    sa, sc = ones_n @ left, ones_m @ right
-    lo, hi = left * sc, right * sa
-    lo -= rows
-    hi -= cols
-    bound = np.maximum(ones_n @ np.abs(lo, out=lo), ones_m @ np.abs(hi, out=hi))
-    unit = (left.shape[0] * right.shape[0] + 2) * np.finfo(np.float64).eps  # 2 (nm + 2) u
-    bound -= 2 * unit * (np.abs(sa * sc) + mass)
+    stacked, mass = marginals
+    m = block.shape[0] - n
+    # one indicator row per factor: its products give both factors' column
+    # sums, much faster than sum(axis=0) on these small blocks, and the
+    # rounding bound holds in any summation order
+    ones = np.zeros((2, n + m))
+    ones[0, :n] = ones[1, n:] = 1.0
+    sums = ones @ block
+    # each factor scaled by the other's column sums, less its marginal
+    diff = block * np.repeat(sums[::-1], (n, m), axis=0)
+    diff -= stacked
+    bound = (ones @ np.abs(diff, out=diff)).max(axis=0)
+    unit = (n * m + 2) * np.finfo(np.float64).eps  # 2 (nm + 2) u
+    bound -= 2 * unit * (np.abs(sums[0] * sums[1]) + mass)
     return 0.5 * float(bound.max(initial=0.0))  # keeps a NaN, unlike max()
 
 
@@ -179,10 +181,10 @@ def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int =
     """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
     The one stepping loop of the mixing times: `state` is iterate `start` of
-    whatever `step` advances (a chain's column block, or a system's factor
-    blocks), and `gap` reads it as the largest distance of a tracked start
-    from its limit. An optional `screen` is a cheaper lower bound on that
-    gap as computed: an iterate it puts above epsilon is stepped past
+    whatever `step` advances (a chain's column block, or a system's stacked
+    factor block), and `gap` reads it as the largest distance of a tracked
+    start from its limit. An optional `screen` is a cheaper lower bound on
+    that gap as computed: an iterate it puts above epsilon is stepped past
     without taking the gap, except at max_steps. A gap still above epsilon
     at max_steps raises FailedToConverge with that gap; steps count from
     iterate 0. Callers check their arguments with `_check_scan`.
@@ -427,7 +429,7 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     if n == 1:
         return CouplingEstimate(0.0, 0.0, 0, 0, (0, 0), "direct", 0)
     if n > COUPLING_STATE_LIMIT:
-        raise TooLarge(f"coupling time on {n} states needs about {32 * n * n / 1e6:.0f} MB; "
+        raise TooLarge(f"coupling time on {n} states needs about {32 * n * n / 1e6:.3g} MB; "
                        f"the cap is {COUPLING_STATE_LIMIT} states")
     op = _PairOperator(matrix)
     unit = (2 * int(np.diff(matrix.csr.indptr).max()) + 5) * np.finfo(np.float64).eps / 2
@@ -520,18 +522,21 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
 
     Scans basis columns of W^k, W the 2nm system operator, against the limit
     operator: every column up to SYSTEM_EXACT_START_LIMIT states, otherwise
-    the 64 of `_start_rows`. Anchor rows never move and equal their limit, so
-    only the top nm rows count. A top column (i, u) starts with no anchor
-    mass, so by (L (x) R)^k = L^k (x) R^k its k-th iterate is
-    (Lambda A)^k e_i (x) C^k e_u: the scan steps the two factor blocks, never
-    nm-wide. Each step is first screened by `_marginal_gap`, which reads only
-    the factor blocks against the limit's two marginals; only the steps that
-    bound cannot put above epsilon, and the step at max_steps, take the
-    Kronecker gap `_column_gap`. The bound never exceeds the gap, so every k
-    is the one the gap alone gives. Anchor columns of lambda = 1 agents are
-    zero in the top rows, like their limits, and are dropped; only stubborn
-    agents' anchor columns step through `update`. ValueError unless
-    0 < epsilon < 1 and max_steps >= 0, checked first.
+    those of the 64 `_start_rows` that count (below). Anchor rows never move
+    and equal their limit, so only the top nm rows count. A top column
+    (i, u) starts with no anchor mass, so by (L (x) R)^k = L^k (x) R^k its
+    k-th iterate is (Lambda A)^k e_i (x) C^k e_u: the scan holds the two
+    factor columns stacked in one (n + m)-row block and steps it with one
+    block-diagonal operator diag(Lambda A, C), never nm-wide. Each step is
+    first screened by `_marginal_gap`, which reads only that block against
+    the limit's two marginals; only the steps that bound cannot put above
+    epsilon, and the step at max_steps, take the Kronecker gap
+    `_column_gap`. The bound never exceeds the gap, so every k is the one
+    the gap alone gives. Anchor columns of lambda = 1 agents are zero in
+    the top rows, like their limits, and are dropped; only stubborn agents'
+    anchor columns step through `update`. So a sampled lambda = 1 system
+    tracks fewer than 64 columns: 27-30 at the sampled README-sweep points.
+    ValueError unless 0 < epsilon < 1 and max_steps >= 0, checked first.
     """
     _check_scan(epsilon, max_steps)
     n, m = system.n, system.m
@@ -544,25 +549,20 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     marginals = _marginals(top_target, n, m)
     anchors = _basis(nm, anchor - nm)
     i, u = np.divmod(top, m)
-    buf = np.empty(nm * min(top.size, _GAP_CHUNK + 1))
-    # scaling by a lambda of 1 is exact, so an oblivious system skips it
-    lam = None if np.all(system.lam == 1.0) else system.lam[:, None]
+    both = sp.block_diag((sp.diags(system.lam) @ system.a.csr, system.c.csr), format="csr")
 
     def step(state):
-        a, c, z = state
-        a = system.a.csr @ a
-        if lam is not None:
-            a *= lam
-        return a, system.c.csr @ c, update(system, z, anchors) if anchor.size else z
+        block, z = state
+        return both @ block, update(system, z, anchors) if anchor.size else z
 
     def screen(state):
-        return _marginal_gap(state[0], state[1], marginals)
+        return _marginal_gap(state[0], n, marginals)
 
     def gap(state):
-        a, c, z = state
-        return max(_column_gap(a, top_target, c, buf), _column_gap(z, anchor_target))
+        block, z = state
+        return max(_column_gap(block[:n], top_target, block[n:]), _column_gap(z, anchor_target))
 
-    start = (_basis(n, i), _basis(m, u), np.zeros((nm, anchor.size)))
+    start = (np.vstack([_basis(n, i), _basis(m, u)]), np.zeros((nm, anchor.size)))
     return _first_within(step, start, gap, epsilon, max_steps, screen=screen)
 
 

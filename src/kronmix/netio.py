@@ -22,7 +22,7 @@ from .beliefs import BeliefSystem, assemble, converges
 from .errors import EmptyGraph, KronmixError, ParseError, SpecError, TooLarge
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
-from .limits import LIMIT_MATRIX_CAP, structural_limit
+from .limits import structural_limit
 from .mixing import system_mixing_time
 from .stochastic import StochasticMatrix, equal_weight_matrix
 
@@ -305,11 +305,11 @@ def _lambda_vector(policy: str, n: int) -> np.ndarray:
 def _factor_metrics(matrix: StochasticMatrix) -> dict:
     """Per-factor L (worst closed-component coupling), its error bound, H, |lambda_2|.
 
-    L and its bound are None when a closed component has more than
-    `mixing.COUPLING_STATE_LIMIT` states.
+    "capped" is None, or the `TooLarge` message of a closed component too
+    large for the coupling solve, which L and its bound then leave out.
     """
     decomp = scc_decompose(matrix.to_graph())
-    coupling = (0.0, 0.0)
+    coupling, capped = (0.0, 0.0), None
     lambda2 = None
     for cid in decomp.closed_components():
         comp = decomp.components[cid]
@@ -317,24 +317,24 @@ def _factor_metrics(matrix: StochasticMatrix) -> dict:
         if minor.n > 1:
             try:
                 est = mixing.estimate_coupling_time(minor)
-            except TooLarge:
-                coupling = None
+            except TooLarge as exc:
+                capped = str(exc)
             else:
-                if coupling is not None and est.mean > coupling[0]:
+                if est.mean > coupling[0]:
                     coupling = (est.mean, est.stderr)
             lam = mixing.second_eigenvalue(minor)
             lambda2 = lam if lambda2 is None else max(lambda2, lam)
     times = mixing.expected_absorbing_time(matrix, decomp)
-    coupling_mean, coupling_se = coupling or (None, None)
-    return {"L": coupling_mean, "L_se": coupling_se,
-            "H": times.max_expectation, "lambda2": lambda2}
+    return {"L": coupling[0], "L_se": coupling[1],
+            "H": times.max_expectation, "lambda2": lambda2, "capped": capped}
 
 
 def _run_point(config: ExperimentConfig, index: int, value: int,
                fixed: DirectedGraph | Exception) -> dict:
     """One CSV row; `fixed` is the graph the sweep does not size, or its error.
 
-    Cells left blank by a size cap are named, with the cap, on one stderr line.
+    Cells left blank by a size cap are named on one stderr line, each group
+    with the library's `TooLarge` message.
     """
     blank = []
     row = {"sweep_value": value, "n": "", "m": "", "converges": "", "t_mix": "",
@@ -362,10 +362,11 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                 a_obl = StochasticMatrix(system.a.minor(nodes), renormalize=True)
                 g_metrics = _factor_metrics(a_obl)
             else:
-                g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None}
+                g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None, "capped": None}
             t_metrics = _factor_metrics(system.c)
             row["absorbing_H"] = max(g_metrics["H"], t_metrics["H"])
-            if g_metrics["L"] is not None and t_metrics["L"] is not None:
+            capped = g_metrics["capped"] or t_metrics["capped"]
+            if capped is None:
                 worst = max((g_metrics, t_metrics), key=lambda f: f["L"])
                 row["coupling_L"] = worst["L"]
                 # the CSV prints 10 significant digits, which moves L by up to 5e-10 of it
@@ -374,9 +375,7 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                     g_metrics["L"], t_metrics["L"], g_metrics["H"], t_metrics["H"],
                     config.epsilon)
             else:
-                blank.append("coupling_L, coupling_se, theorem_bound (a closed factor class "
-                             f"has more than COUPLING_STATE_LIMIT = "
-                             f"{mixing.COUPLING_STATE_LIMIT} states)")
+                blank.append(f"coupling_L, coupling_se, theorem_bound ({capped})")
             lams = [v for v in (g_metrics["lambda2"], t_metrics["lambda2"])
                     if v is not None]
             if lams:
@@ -385,14 +384,14 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                 if lam2 < 1.0:
                     row["lower_bound"], row["upper_bound"] = mixing.spectral_bounds(
                         lam2, n * m, config.epsilon)
-            if system.dim <= LIMIT_MATRIX_CAP:
-                row["t_mix"] = system_mixing_time(system, config.epsilon)
-                report = structural_limit(system)
+            try:
+                t_mix, report = system_mixing_time(system, config.epsilon), structural_limit(system)
+            except TooLarge as exc:
+                blank.append(f"t_mix, limit_consensus ({exc})")
+            else:
+                row["t_mix"] = t_mix
                 if report.consensus is not None:
                     row["limit_consensus"] = report.consensus
-            else:
-                blank.append(f"t_mix, limit_consensus (the system has {system.dim} states, "
-                             f"more than LIMIT_MATRIX_CAP = {LIMIT_MATRIX_CAP})")
     except (KronmixError, ValueError, OSError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     if blank:

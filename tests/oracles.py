@@ -5,7 +5,8 @@ instead of a strong-components kernel, a fixed point instead of reverse
 reachability, dense matrix powers instead of sparse evolution, absorbing
 solves on the explicit pair chain instead of coupling simulation, closed
 components of the materialised 2nm system graph instead of its factors,
-explicit operator powers instead of the library's worst-start scan, edge
+with SVD null vectors and dense solves in numpy for their limits, explicit
+operator powers instead of the library's worst-start scan, edge
 dicts merged pair by pair instead of a sparse COO -> CSR conversion.
 """
 
@@ -17,7 +18,6 @@ import scipy.sparse as sp
 from kronmix.beliefs import system_matrix
 from kronmix.errors import NotErgodic
 from kronmix.graphs import scc_decompose
-from kronmix.limits import absorbing_probabilities, closed_limit
 from kronmix.stochastic import StochasticMatrix
 
 
@@ -286,27 +286,35 @@ def system_graph_limit(system, x: np.ndarray) -> np.ndarray:
     """W^inf x on the materialised 2nm system chain, for a 2nm x k block x.
 
     Finds the closed components on the system graph itself, gives each the
-    stationary-weighted value pi' x[comp] (anchors are singletons that keep
-    their rows), and spreads them over the transient states with the dense
-    absorption matrix N R. Any periodic closed component raises NotErgodic;
-    that includes every periodic slice of a factor product.
+    value pi' x[comp] (anchors are singletons that keep their rows), pi the
+    normalised left null vector of P_comp - I from a dense SVD, and spreads
+    them over the transient states T by a dense solve of
+    (I - P_TT) y = P_TR out[R], R the closed states. Any periodic closed
+    component raises NotErgodic; that includes every periodic slice of a
+    factor product.
     """
     matrix = StochasticMatrix(system_matrix(system), renormalize=True)
     decomp = scc_decompose(matrix.to_graph())
+    dense = matrix.dense()
     nm = system.n * system.m
     out = np.zeros(x.shape)
+    closed = np.zeros(system.dim, dtype=bool)
     for cid in decomp.closed_components():
         if decomp.periods[cid] != 1:
             raise NotErgodic(f"closed component {cid} has period {decomp.periods[cid]}")
         comp = np.sort(decomp.components[cid])
+        closed[comp] = True
         if comp[0] >= nm:
             out[comp] = x[comp]
             continue
-        agents, topics = np.unique(comp // system.m), np.unique(comp % system.m)
-        out[comp] = closed_limit(system, agents, topics).stationary @ x[comp]
-    if decomp.transient_nodes().size:
-        block = absorbing_probabilities(matrix, decomp)
-        out[block.transient] = block.absorb @ out[block.recurrent]
+        _, _, vh = np.linalg.svd(dense[np.ix_(comp, comp)].T - np.eye(comp.size))
+        pi = vh[-1] / vh[-1].sum()
+        out[comp] = pi @ x[comp]
+    transient, recurrent = np.flatnonzero(~closed), np.flatnonzero(closed)
+    if transient.size:
+        rhs = dense[np.ix_(transient, recurrent)] @ out[recurrent]
+        out[transient] = np.linalg.solve(
+            np.eye(transient.size) - dense[np.ix_(transient, transient)], rhs)
     return out
 
 

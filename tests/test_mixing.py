@@ -219,9 +219,11 @@ class TestMarginalGap:
                 for j in range(width):  # column by column, not only the worst
                     goal = target if target.shape[1] == 1 else target[:, [j]]
                     a, c = left[:, [j]], right[:, [j]]
-                    bound = mixing._marginal_gap(a, c, mixing._marginals(goal, n, m))
+                    bound = mixing._marginal_gap(np.vstack([a, c]), n,
+                                                 mixing._marginals(goal, n, m))
                     assert bound <= mixing._column_gap(a, goal, c)
-                bound = mixing._marginal_gap(left, right, mixing._marginals(target, n, m))
+                bound = mixing._marginal_gap(np.vstack([left, right]), n,
+                                             mixing._marginals(target, n, m))
                 assert 0 < bound <= mixing._column_gap(left, target, right)
 
     def test_same_marginals_not_a_product(self):
@@ -229,7 +231,8 @@ class TestMarginalGap:
         # and cannot settle a step, while the gap is 0.5
         left, right = np.full((2, 1), 0.5), np.full((2, 1), 0.5)
         target = np.array([[0.5], [0.0], [0.0], [0.5]])
-        assert mixing._marginal_gap(left, right, mixing._marginals(target, 2, 2)) == 0.0
+        assert mixing._marginal_gap(np.vstack([left, right]), 2,
+                                    mixing._marginals(target, 2, 2)) == 0.0
         assert mixing._column_gap(left, target, right) == 0.5
 
     def test_scan_where_the_bound_cannot_decide(self, monkeypatch):
@@ -254,21 +257,20 @@ class TestMarginalGap:
 
     def test_nan_takes_the_gap(self):
         # a NaN screen settles nothing: every step takes the gap, which is NaN
-        left, right = np.full((3, 2), 0.5), np.full((2, 2), 0.5)
-        left[1, 1] = np.nan
+        block = np.full((5, 2), 0.5)  # a 3 x 2 factor block over a 2 x 2 one
+        block[1, 1] = np.nan
         target = np.full((6, 2), 1 / 6)
         marginals = mixing._marginals(target, 3, 2)
-        assert math.isnan(mixing._marginal_gap(left, right, marginals))
+        assert math.isnan(mixing._marginal_gap(block, 3, marginals))
         gaps = []
 
         def gap(state):
-            gaps.append(mixing._column_gap(state, target, right))
+            gaps.append(mixing._column_gap(state[:3], target, state[3:]))
             return gaps[-1]
 
         with pytest.raises(FailedToConverge, match="still nan after 3 steps"):
-            mixing._first_within(lambda state: state, left, gap, 0.25, 3,
-                                 screen=lambda state: mixing._marginal_gap(state, right,
-                                                                           marginals))
+            mixing._first_within(lambda state: state, block, gap, 0.25, 3,
+                                 screen=lambda state: mixing._marginal_gap(state, 3, marginals))
         assert len(gaps) == 4 and all(math.isnan(g) for g in gaps)
 
 
@@ -505,6 +507,16 @@ class TestCouplingExact:
             assert (est.method, est.iterations) == ("direct", 0)
             assert abs(est.mean - pair_chain_coupling(m.dense())) <= est.stderr
             assert est.stderr > 0
+
+    @pytest.mark.parametrize("n", [34, 100])
+    def test_fallback_where_bicgstab_breaks_down(self, n):
+        # BiCGSTAB breaks down on lazy directed cycles (71 and 296 iterations).
+        # The walks' difference steps +1 and -1 with probability a(1 - a)
+        # each, so the worst pair, n/2 apart, meets after n^2 / (8 a (1 - a))
+        alpha = 0.1
+        est = estimate_coupling_time(lazy_chain("cycle", n, alpha=alpha, directed=True))
+        assert est.method == "direct" and est.iterations > 0
+        assert abs(est.mean - n * n / (8 * alpha * (1 - alpha))) <= est.stderr
 
     def test_no_fallback_above_direct_cap(self, monkeypatch):
         monkeypatch.setattr(mixing, "_KRYLOV_ITERATIONS", 3)

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from kronmix import mixing, netio
+from kronmix import limits, mixing, netio
 from kronmix.cli import build_parser, main
 from kronmix.errors import EmptyGraph, ParseError, SpecError
 from kronmix.generators import TopologySpec
@@ -234,9 +234,9 @@ def test_readme_sweep_screens_the_kronecker_gap(monkeypatch):
     # one a point, so the nm-row Kronecker gap runs at most twice a point
     calls, real = [0], mixing._column_gap
 
-    def counting(left, target, right=None, buf=None):
+    def counting(left, target, right=None):
         calls[0] += right is not None
-        return real(left, target, right, buf)
+        return real(left, target, right)
 
     monkeypatch.setattr(mixing, "_column_gap", counting)
     path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
@@ -380,17 +380,18 @@ class TestRunExperiment:
                  "--sweep-stop", "9", "--sweep-stride", "2", "--alpha", "0"]
         assert main(flags + ["--outdir", str(tmp_path / "full")]) == 0
         assert capsys.readouterr().err == ""
-        monkeypatch.setattr(netio, "LIMIT_MATRIX_CAP", 40)
+        # the caps' owners raise TooLarge, and each note quotes its message
+        monkeypatch.setattr(limits, "LIMIT_MATRIX_CAP", 40)
         monkeypatch.setattr(mixing, "COUPLING_STATE_LIMIT", 8)
         assert main(flags + ["--outdir", str(tmp_path / "capped")]) == 0
         out, err = capsys.readouterr()
         assert "(0 with errors)" in out
         assert err.splitlines() == [
-            "sweep point 7: blank t_mix, limit_consensus (the system has 42 states, "
-            "more than LIMIT_MATRIX_CAP = 40)",
-            "sweep point 9: blank coupling_L, coupling_se, theorem_bound (a closed factor "
-            "class has more than COUPLING_STATE_LIMIT = 8 states); t_mix, limit_consensus "
-            "(the system has 54 states, more than LIMIT_MATRIX_CAP = 40)"]
+            "sweep point 7: blank t_mix, limit_consensus (limit matrix of a 42-state "
+            "system; the cap is 40 states)",
+            "sweep point 9: blank coupling_L, coupling_se, theorem_bound (coupling time on "
+            "9 states needs about 0.00259 MB; the cap is 8 states); t_mix, limit_consensus "
+            "(limit matrix of a 54-state system; the cap is 40 states)"]
         with open(tmp_path / "capped" / "experiment.csv", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n") == CSV_HEADER
             rows = list(csv.DictReader(fh, fieldnames=CSV_HEADER.split(",")))

@@ -4,7 +4,8 @@
 task `POOL_TASK`) and resolves them with getattr on the kronmix submodules.
 Its `_HOOKS` read `netio.<attr>` off the module as well. The file is read as
 source, never imported or run, so these tests leave the benchmark directory
-untouched.
+untouched. The same AST reading checks that `tests/oracles.py` stays
+independent of the library routines it is compared with.
 """
 
 import ast
@@ -13,6 +14,7 @@ import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "kronbench", "tracing.py")
+ORACLES = os.path.join(ROOT, "tests", "oracles.py")
 
 
 def _module(path: str) -> ast.Module:
@@ -63,3 +65,19 @@ def test_netio_system_scan_is_the_mixing_scan():
     # the tracer wraps netio.system_mixing_time, which is mixing's scan by name
     netio = importlib.import_module("kronmix.netio")
     assert netio.system_mixing_time is importlib.import_module("kronmix.mixing").system_mixing_time
+
+
+def test_oracles_import_no_limit_or_mixing_code():
+    # an oracle built on the routine it checks cannot catch that routine's faults
+    banned = {"kronmix.limits", "kronmix.mixing"}
+    imported = set()
+    for node in ast.walk(_module(ORACLES)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert imported & {"kronmix.beliefs", "kronmix.stochastic"}  # the walk sees imports
+    used = sorted(name for name in imported
+                  if any(name == b or name.startswith(b + ".") for b in banned))
+    assert not used, f"tests/oracles.py imports library code it checks: {used}"
