@@ -15,7 +15,6 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import NonConvergent, TooLarge
-from .graphs import scc_decompose
 from .kron import MATERIALIZE_CAP
 from .stochastic import StochasticMatrix
 
@@ -100,9 +99,7 @@ def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarr
     """Lambda A X C' + (I - Lambda) X_anchor on an (n, m) or (n, m, k) stack.
 
     Constraints (X C'), then social aggregation (A .), then anchor blend;
-    each of the k columns is updated on its own. When every lambda is 1 the
-    blend, X * 1 + 0, is exact and skipped: only a -0.0 would have become
-    +0.0.
+    each of the k columns is updated on its own.
     """
     n, m = system.n, system.m
     x3 = x.reshape(n, m, -1)
@@ -110,10 +107,9 @@ def update(system: BeliefSystem, x: np.ndarray, anchors: np.ndarray) -> np.ndarr
     xhat = (system.c.csr @ x3.transpose(1, 0, 2).reshape(m, n * k))  # X C'
     xhat = xhat.reshape(m, n, k).transpose(1, 0, 2).reshape(n, m * k)
     xbar = (system.a.csr @ xhat).reshape(n, m, k)
-    if np.any(system.lam != 1.0):
-        lam = system.lam[:, None, None]
-        xbar *= lam  # in place: the stepped stacks are large
-        xbar += (1.0 - lam) * anchors.reshape(n, m, k)
+    lam = system.lam[:, None, None]
+    xbar *= lam  # in place: the stepped stacks are large
+    xbar += (1.0 - lam) * anchors.reshape(n, m, k)
     return xbar.reshape(x.shape)
 
 
@@ -144,8 +140,7 @@ def closed_factor_classes(system: BeliefSystem) -> tuple[list, list]:
     have lambda = 1, and those of C. Each product of one of each is a closed
     class of the current-belief block.
     """
-    dec_a = scc_decompose(system.a.to_graph())
-    dec_c = scc_decompose(system.c.to_graph())
+    dec_a, dec_c = system.a.scc, system.c.scc
     agents = [(dec_a.components[cid], dec_a.periods[cid]) for cid in dec_a.closed_components()
               if np.all(system.lam[dec_a.components[cid]] == 1.0)]
     topics = [(dec_c.components[cid], dec_c.periods[cid]) for cid in dec_c.closed_components()]

@@ -19,6 +19,8 @@ MATERIALIZE_CAP = 10_000_000
 def kron(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
     """Kronecker product of two stochastic matrices as a sparse matrix.
 
+    A product row sums to the product of its factors' row sums, each within
+    ROW_SUM_TOL of 1, so rows that do not sum to exactly 1 are rescaled.
     Raises TooLarge when the product would hold more than MATERIALIZE_CAP
     nonzeros (read at call time).
     """
@@ -26,7 +28,10 @@ def kron(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
     if nnz > MATERIALIZE_CAP:
         raise TooLarge(f"product has {nnz} nonzeros, cap is {MATERIALIZE_CAP}")
     prod = sp.kron(left.csr, right.csr, format="csr")
-    return StochasticMatrix(prod, renormalize=True)
+    sums = np.asarray(prod.sum(axis=1)).ravel()
+    if np.any(sums != 1.0):
+        prod = sp.diags(1.0 / sums) @ prod
+    return StochasticMatrix(prod)
 
 
 def kron_graph(g1: DirectedGraph, g2: DirectedGraph) -> DirectedGraph:

@@ -16,7 +16,6 @@ import scipy.sparse as sp
 
 from .beliefs import BeliefSystem, _anchored_iteration, closed_factor_classes
 from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
-from .graphs import SccDecomposition, scc_decompose
 from .kron import MATERIALIZE_CAP
 from .stochastic import StochasticMatrix, _basis, _solve_fundamental, stationary
 
@@ -58,16 +57,13 @@ class SocialPower:
     cumulative: np.ndarray
 
 
-def absorbing_probabilities(matrix: StochasticMatrix,
-                            decomp: SccDecomposition | None = None) -> TransientBlock:
-    """Absorption probability matrix N R for the transient block.
+def absorbing_probabilities(matrix: StochasticMatrix) -> TransientBlock:
+    """Absorption probability matrix N R for the transient block of `matrix.scc`.
 
     N R comes from one sparse solve with R's columns as right-hand sides.
     """
-    if decomp is None:
-        decomp = scc_decompose(matrix.to_graph())
-    transient = decomp.transient_nodes()
-    recurrent = decomp.recurrent_nodes()
+    transient = matrix.scc.transient_nodes()
+    recurrent = matrix.scc.recurrent_nodes()
     if transient.size == 0:
         raise StructuralError("no transient states: the absorbing block is empty")
     z = matrix.minor(transient, transient)

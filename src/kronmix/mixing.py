@@ -24,7 +24,6 @@ from scipy.linalg.blas import daxpy
 
 from .beliefs import BeliefSystem, update
 from .errors import FailedToConverge, StructuralError, TooLarge
-from .graphs import SccDecomposition, scc_decompose
 from .limits import limit_matrix
 from .stochastic import (StochasticMatrix, _basis, _dominant_eigenpair, _solve_fundamental,
                          ergodicity_check, stationary)
@@ -205,7 +204,7 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     A start's distance is its row of P^k against pi. Starts come from
     `_start_rows`: every state up to 2000 states, otherwise the fixed 64 that
     `system_mixing_time` also samples. The rows are the columns of the
-    block (P')^k. Sampled starts step it through `_first_within`.
+    block (P')^k. A sampled block is not square and only takes sparse steps.
 
     With every start tracked, the worst distance never increases in k
     (Levin, Peres & Wilmer, ch. 4), so the first step within epsilon is
@@ -227,9 +226,7 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     def gap(cur):
         return _column_gap(cur, target)
 
-    if rows.size < n:
-        return _first_within(step, _basis(n, rows), gap, epsilon, max_steps)
-    switch = -(-n * n // (16 * matrix.nnz))
+    switch = max_steps if rows.size < n else -(-n * n // (16 * matrix.nnz))
     state, k = _basis(n, rows), 0
     while (d := gap(state)) > epsilon and k < min(switch, max_steps):
         state, k = step(state), k + 1
@@ -461,18 +458,15 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
                             (i, top - int(op.offsets[i]) + i + 1), method, iterations)
 
 
-def expected_absorbing_time(matrix: StochasticMatrix,
-                            decomp: SccDecomposition | None = None) -> AbsorbingTimes:
+def expected_absorbing_time(matrix: StochasticMatrix) -> AbsorbingTimes:
     """Exact expected times to enter the union of closed components.
 
-    Solves (I - Z) h = 1 on the transient block.
+    Solves (I - Z) h = 1 on the transient block of `matrix.scc`.
     """
-    if decomp is None:
-        decomp = scc_decompose(matrix.to_graph())
-    if not any(decomp.closed):
+    if not any(matrix.scc.closed):
         raise StructuralError("graph has no closed component")
     node_h = np.zeros(matrix.n)
-    transient = decomp.transient_nodes()
+    transient = matrix.scc.transient_nodes()
     if transient.size:
         z = matrix.minor(transient, transient)
         node_h[transient] = _solve_fundamental(z, np.ones(transient.size))

@@ -308,12 +308,11 @@ def _factor_metrics(matrix: StochasticMatrix) -> dict:
     "capped" is None, or the `TooLarge` message of a closed component too
     large for the coupling solve, which L and its bound then leave out.
     """
-    decomp = scc_decompose(matrix.to_graph())
     coupling, capped = (0.0, 0.0), None
     lambda2 = None
-    for cid in decomp.closed_components():
-        comp = decomp.components[cid]
-        minor = StochasticMatrix(matrix.minor(comp), renormalize=True)
+    for cid in matrix.scc.closed_components():
+        # a closed component keeps whole rows, so the minor's sums are validated
+        minor = StochasticMatrix(matrix.minor(matrix.scc.components[cid]))
         if minor.n > 1:
             try:
                 est = mixing.estimate_coupling_time(minor)
@@ -324,7 +323,7 @@ def _factor_metrics(matrix: StochasticMatrix) -> dict:
                     coupling = (est.mean, est.stderr)
             lam = mixing.second_eigenvalue(minor)
             lambda2 = lam if lambda2 is None else max(lambda2, lam)
-    times = mixing.expected_absorbing_time(matrix, decomp)
+    times = mixing.expected_absorbing_time(matrix)
     return {"L": coupling[0], "L_se": coupling[1],
             "H": times.max_expectation, "lambda2": lambda2, "capped": capped}
 
@@ -337,10 +336,7 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
     with the library's `TooLarge` message.
     """
     blank = []
-    row = {"sweep_value": value, "n": "", "m": "", "converges": "", "t_mix": "",
-           "lambda2": "", "lower_bound": "", "upper_bound": "", "coupling_L": "",
-           "coupling_se": "", "absorbing_H": "", "theorem_bound": "",
-           "limit_consensus": "", "error": ""}
+    row = dict.fromkeys(CSV_HEADER.split(","), "") | {"sweep_value": value}
     try:
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((config.seed, index))))
@@ -359,7 +355,8 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
             # theorem-style metrics: agent side restricted to oblivious agents
             nodes = np.asarray(sorted(verdict.oblivious_agents), dtype=np.int64)
             if nodes.size:
-                a_obl = StochasticMatrix(system.a.minor(nodes), renormalize=True)
+                # oblivious agents listen only inside their set: whole rows
+                a_obl = StochasticMatrix(system.a.minor(nodes))
                 g_metrics = _factor_metrics(a_obl)
             else:
                 g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None, "capped": None}

@@ -1,7 +1,9 @@
 """Row-stochastic sparse matrices and their stationary vectors.
 
 Distributions are plain 1-D numpy arrays. The walk convention matches the
-graph module: a chain at state i steps to j with probability M[i, j].
+graph module: a chain at state i steps to j with probability M[i, j]. A
+`StochasticMatrix` is immutable and owns its chain's structure: the strong
+components of its nonzero pattern (`scc`), decomposed on first use and kept.
 """
 
 from __future__ import annotations
@@ -11,38 +13,38 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DanglingNode, FailedToConverge, NotErgodic, NotStochastic, StructuralError
-from .graphs import DirectedGraph, scc_decompose
+from .graphs import DirectedGraph, SccDecomposition, scc_decompose
 
 ROW_SUM_TOL = 1e-9
-RENORM_LIMIT = 1e-6
 
 
 class StochasticMatrix:
-    """Sparse row-stochastic matrix (rows sum to 1 within 1e-9, entries >= 0).
+    """Immutable sparse row-stochastic matrix, validated as given.
 
-    `renormalize=True` rescales rows whose sums drift by less than 1e-6,
-    which absorbs float noise after Kronecker assembly.
+    Entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL;
+    rows are never rescaled, so a caller whose rows can drift further (a
+    Kronecker product) rescales its own. `scc` is the strong-component
+    decomposition of the nonzero pattern, computed once on first use.
     """
 
-    __slots__ = ("n", "csr")
+    __slots__ = ("n", "csr", "_scc")
 
-    def __init__(self, matrix, renormalize: bool = False):
+    def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
         csr.eliminate_zeros()
-        if renormalize:
-            sums = np.asarray(csr.sum(axis=1)).ravel()
-            drift = np.abs(sums - 1.0)
-            fix = (drift > 0) & (drift < RENORM_LIMIT) & (sums > 0)
-            if fix.any():
-                scale = np.ones_like(sums)
-                scale[fix] = 1.0 / sums[fix]
-                csr = sp.diags(scale) @ csr
-                csr = sp.csr_matrix(csr)
         validate_stochastic(csr)
         self.n = csr.shape[0]
         self.csr = csr
+        self._scc = None
+
+    @property
+    def scc(self) -> SccDecomposition:
+        """Strong components, closed flags and periods of the chain's graph."""
+        if self._scc is None:
+            self._scc = scc_decompose(self.to_graph())
+        return self._scc
 
     @property
     def nnz(self) -> int:
@@ -106,7 +108,7 @@ def equal_weight_matrix(graph: DirectedGraph) -> StochasticMatrix:
 
 def ergodicity_check(matrix: StochasticMatrix) -> None:
     """Raise NotErgodic unless the chain is irreducible and aperiodic."""
-    decomp = scc_decompose(matrix.to_graph())
+    decomp = matrix.scc
     if decomp.count != 1:
         raise NotErgodic(f"chain is reducible ({decomp.count} components)")
     if decomp.periods[0] != 1:

@@ -293,7 +293,7 @@ def system_graph_limit(system, x: np.ndarray) -> np.ndarray:
     component raises NotErgodic; that includes every periodic slice of a
     factor product.
     """
-    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
+    matrix = StochasticMatrix(system_matrix(system))
     decomp = scc_decompose(matrix.to_graph())
     dense = matrix.dense()
     nm = system.n * system.m
@@ -320,7 +320,7 @@ def system_graph_limit(system, x: np.ndarray) -> np.ndarray:
 
 def system_graph_closed_classes(system) -> list[frozenset[int]]:
     """Closed components of the system graph inside the current-belief block."""
-    matrix = StochasticMatrix(system_matrix(system), renormalize=True)
+    matrix = StochasticMatrix(system_matrix(system))
     decomp = scc_decompose(matrix.to_graph())
     nm = system.n * system.m
     return [frozenset(decomp.components[cid].tolist()) for cid in decomp.closed_components()

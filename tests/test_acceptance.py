@@ -323,11 +323,11 @@ def test_ac8_absorbing_machinery():
         transient = decomp.transient_nodes()
         if transient.size == 0:
             continue
-        block = absorbing_probabilities(matrix, decomp)
+        block = absorbing_probabilities(matrix)
         if np.abs(block.absorb.sum(axis=1) - 1.0).max() > 1e-9:
             failures.append((trial, "row sums"))
             continue
-        times = expected_absorbing_time(matrix, decomp)
+        times = expected_absorbing_time(matrix)
         z = matrix.dense()[np.ix_(transient, transient)]
         h = np.linalg.solve(np.eye(transient.size) - z, np.ones(transient.size))
         gap = np.abs(h - times.node_expectation[transient]).max()

@@ -43,6 +43,14 @@ class TestKronMatrix:
             sums = np.asarray(prod.csr.sum(axis=1)).ravel()
             np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
+    def test_drifted_factor_rows_rescaled(self):
+        # each factor row is 8e-10 off, inside ROW_SUM_TOL; product rows are
+        # about 1.6e-9 off until kron rescales them
+        drift = StochasticMatrix([[0.5 + 8e-10, 0.5], [0.25, 0.75 + 8e-10]])
+        prod = kron(drift, drift)
+        sums = np.asarray(prod.csr.sum(axis=1)).ravel()
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
     def test_mixed_product_property(self):
         rng = np.random.default_rng(3)
         a, b = (random_stochastic(rng, 3) for _ in range(2))

@@ -49,7 +49,7 @@ class TestAbsorbingProbabilities:
             decomp = scc_decompose(m.to_graph())
             if decomp.transient_nodes().size == 0:
                 continue
-            block = absorbing_probabilities(m, decomp)
+            block = absorbing_probabilities(m)
             np.testing.assert_allclose(block.absorb.sum(axis=1), 1.0, atol=1e-9)
             assert block.absorb.min() >= -1e-15
 
@@ -185,13 +185,13 @@ class TestStructuralLimit:
         a = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 4)), 0.4))
         c = equal_weight_matrix(lazify(generate(TopologySpec("path", 3)), 0.4))
         system = assemble(a, c, np.ones(4), np.zeros((4, 3)))
-        matrix = StochasticMatrix(system_matrix(system), renormalize=True)
+        matrix = StochasticMatrix(system_matrix(system))
         decomp = scc_decompose(matrix.to_graph())
         top_closed = [cid for cid in decomp.closed_components()
                       if decomp.components[cid][0] < 12]
         assert len(top_closed) == 1
         comp = decomp.components[top_closed[0]]
-        pi_direct = stationary(StochasticMatrix(matrix.minor(comp), renormalize=True))
+        pi_direct = stationary(StochasticMatrix(matrix.minor(comp)))
         pi_kron = np.kron(stationary(a), stationary(c))
         assert np.abs(pi_direct - pi_kron).sum() <= 1e-10
 
@@ -382,6 +382,34 @@ class TestFactorSpaceLimit:
         limit_matrix(system, [0, 5, 40])
         system_mixing_time(system)
         assert sizes and max(sizes) <= max(system.n, system.m)
+
+    def test_each_factor_decomposed_once(self, monkeypatch):
+        # the factors keep their strong components for every later layer
+        owners, decomposed = {}, []
+        real_to_graph, real_scc = StochasticMatrix.to_graph, graphs.scc_decompose
+
+        def recording_to_graph(matrix):
+            graph = real_to_graph(matrix)
+            owners[id(graph)] = (graph, matrix)  # the graph is kept, so its id is not reused
+            return graph
+
+        def recording_scc(graph):
+            decomposed.append(owners.get(id(graph), (graph, None))[1])
+            return real_scc(graph)
+
+        monkeypatch.setattr(StochasticMatrix, "to_graph", recording_to_graph)
+        for name, module in list(sys.modules.items()):
+            if name == "kronmix" or name.startswith("kronmix."):
+                for attr, value in list(vars(module).items()):
+                    if value is real_scc:
+                        monkeypatch.setattr(module, attr, recording_scc)
+        system = cycle_path_system(7)  # every agent oblivious: `converges` reads both
+        assert converges(system).converges
+        structural_limit(system)
+        limit_matrix(system, [0, 5, 40])
+        system_mixing_time(system)
+        assert sum(m is system.a for m in decomposed) == 1
+        assert sum(m is system.c for m in decomposed) == 1
 
     def test_limit_matrix_cap_names_dimension_and_cap(self, monkeypatch):
         system = cycle_path_system(7)

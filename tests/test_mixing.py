@@ -595,7 +595,7 @@ class TestAbsorbing:
             mat /= mat.sum(axis=1, keepdims=True)
             m = StochasticMatrix(mat)
             decomp = scc_decompose(m.to_graph())
-            times = expected_absorbing_time(m, decomp)
+            times = expected_absorbing_time(m)
             assert decomp.count - len(decomp.closed_components()) == sizes.size
             transient = decomp.transient_nodes()
             z = mat[np.ix_(transient, transient)]
@@ -759,10 +759,10 @@ class TestCompositeBoundWithTransients:
         m = equal_weight_matrix(lazify(DirectedGraph(n_path + n_cycle, edges), 0.4))
         decomp = scc_decompose(m.to_graph())
         closed = decomp.components[decomp.closed_components()[0]]
-        minor = StochasticMatrix(m.minor(closed), renormalize=True)
+        minor = StochasticMatrix(m.minor(closed))
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20)))
         coupling = estimate_coupling_time(minor, trials=800, rng=rng)
-        absorbing = expected_absorbing_time(m, decomp)
+        absorbing = expected_absorbing_time(m)
         pi_closed = stationary(minor)
         limit = np.zeros((m.n, m.n))
         limit[:, closed] = pi_closed  # every row drifts to the closed stationary

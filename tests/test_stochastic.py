@@ -79,11 +79,11 @@ class TestValidate:
         with pytest.raises(NotStochastic):
             StochasticMatrix([[np.nan, 1.0], [0.5, 0.5]])
 
-    def test_renormalize_fixes_small_drift(self):
-        drift = np.array([[0.5 + 1e-8, 0.5], [0.25, 0.75]])
-        m = StochasticMatrix(drift, renormalize=True)
-        np.testing.assert_allclose(np.asarray(m.csr.sum(axis=1)).ravel(), 1.0,
-                                   atol=1e-12)
+    def test_row_off_by_1e_8_rejected_as_given(self):
+        # rows are validated as given, never rescaled
+        with pytest.raises(NotStochastic) as exc:
+            StochasticMatrix([[0.25, 0.75], [0.5 + 1e-8, 0.5]])
+        assert exc.value.row == 1
 
 
 class TestEvolve:

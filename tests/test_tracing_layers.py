@@ -5,16 +5,19 @@ task `POOL_TASK`) and resolves them with getattr on the kronmix submodules.
 Its `_HOOKS` read `netio.<attr>` off the module as well. The file is read as
 source, never imported or run, so these tests leave the benchmark directory
 untouched. The same AST reading checks that `tests/oracles.py` stays
-independent of the library routines it is compared with.
+independent of the library routines it is compared with, and that a
+matrix's strong components have one owner, `StochasticMatrix.scc`.
 """
 
 import ast
+import glob
 import importlib
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "kronbench", "tracing.py")
 ORACLES = os.path.join(ROOT, "tests", "oracles.py")
+LIBRARY = os.path.join(ROOT, "src", "kronmix")
 
 
 def _module(path: str) -> ast.Module:
@@ -81,3 +84,22 @@ def test_oracles_import_no_limit_or_mixing_code():
     used = sorted(name for name in imported
                   if any(name == b or name.startswith(b + ".") for b in banned))
     assert not used, f"tests/oracles.py imports library code it checks: {used}"
+
+
+def test_only_stochastic_matrix_decomposes_a_matrix():
+    # every other layer reads `matrix.scc`, so a chain is decomposed once
+    decomposing, renormalizing = set(), set()
+    for path in sorted(glob.glob(os.path.join(LIBRARY, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(_module(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "scc_decompose" and any(
+                    isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "to_graph"
+                    for arg in node.args):
+                decomposing.add(module)
+            if any(keyword.arg == "renormalize" for keyword in node.keywords):
+                renormalizing.add(module)
+    assert decomposing == {"stochastic"}, f"modules decomposing a matrix: {sorted(decomposing)}"
+    assert not renormalizing, f"modules passing renormalize=: {sorted(renormalizing)}"
