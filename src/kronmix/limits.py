@@ -75,15 +75,14 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
     """Limit shared by every pair of the closed class agents x topics.
 
     The agents form a closed class of A with every lambda = 1, the topics one
-    of C. The value is (pi_A (x) pi_C)' applied to the class's initial
-    beliefs, pairs in agent-major order; a periodic factor class raises
-    NotErgodic.
+    of C; each class's chain comes from its factor's `restrict`, which keeps
+    it and its stationary vector for the next call. The value is
+    (pi_A (x) pi_C)' applied to the class's initial beliefs, pairs in
+    agent-major order; a periodic factor class raises NotErgodic.
     """
     agents = np.asarray(agents, dtype=np.int64)
     topics = np.asarray(topics, dtype=np.int64)
-    pi_a = stationary(StochasticMatrix(system.a.minor(agents)))
-    pi_c = stationary(StochasticMatrix(system.c.minor(topics)))
-    pi = np.kron(pi_a, pi_c)
+    pi = np.kron(stationary(system.a.restrict(agents)), stationary(system.c.restrict(topics)))
     x0_s = system.x0[np.ix_(agents, topics)].ravel()
     return ClosedLimit(float(pi @ x0_s), pi)
 

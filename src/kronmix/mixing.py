@@ -475,13 +475,17 @@ def expected_absorbing_time(matrix: StochasticMatrix) -> AbsorbingTimes:
 
 def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,
                   epsilon: float) -> float:
-    """Composite convergence-time bound 32 (max L + max H) ln(1/epsilon)."""
+    """Composite convergence-time bound 32 (max L + max H) ln(1/epsilon).
+
+    That is 8 times the lemma's bound 4 (L + H) ln(1/epsilon), `coupling_bound`
+    at L = max L and H = max H; scaling by a power of two is exact.
+    """
     for name, v in (("l_g", l_g), ("l_t", l_t), ("h_g", h_g), ("h_t", h_t)):
         if not v >= 0:  # NaN fails this check too
             raise ValueError(f"{name} must be non-negative, got {v}")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    return 32.0 * (max(l_g, l_t) + max(h_g, h_t)) * math.log(1.0 / epsilon)
+    return 8.0 * coupling_bound(max(l_g, l_t), max(h_g, h_t), epsilon)
 
 
 def coupling_bound(l: float, h: float, epsilon: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mixing
 from .beliefs import BeliefSystem, assemble, converges
-from .errors import EmptyGraph, KronmixError, ParseError, SpecError, TooLarge
+from .errors import EmptyGraph, KronmixError, NotErgodic, ParseError, SpecError, TooLarge
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
 from .limits import structural_limit
@@ -307,33 +307,38 @@ def _factor_metrics(matrix: StochasticMatrix) -> dict:
 
     "capped" is None, or the `TooLarge` message of a closed component too
     large for the coupling solve, which L and its bound then leave out.
+    "periodic" is None, or the `NotErgodic` message of a periodic closed
+    component, which has no coupling time or |lambda_2| below 1; it is
+    skipped.
     """
-    coupling, capped = (0.0, 0.0), None
+    coupling, capped, periodic = (0.0, 0.0), None, None
     lambda2 = None
     for cid in matrix.scc.closed_components():
-        # a closed component keeps whole rows, so the minor's sums are validated
-        minor = StochasticMatrix(matrix.minor(matrix.scc.components[cid]))
-        if minor.n > 1:
+        chain = matrix.restrict(matrix.scc.components[cid])
+        if chain.n > 1:
             try:
-                est = mixing.estimate_coupling_time(minor)
+                est = mixing.estimate_coupling_time(chain)
             except TooLarge as exc:
                 capped = str(exc)
+            except NotErgodic as exc:
+                periodic = str(exc)
+                continue
             else:
                 if est.mean > coupling[0]:
                     coupling = (est.mean, est.stderr)
-            lam = mixing.second_eigenvalue(minor)
+            lam = mixing.second_eigenvalue(chain)
             lambda2 = lam if lambda2 is None else max(lambda2, lam)
     times = mixing.expected_absorbing_time(matrix)
-    return {"L": coupling[0], "L_se": coupling[1],
-            "H": times.max_expectation, "lambda2": lambda2, "capped": capped}
+    return {"L": coupling[0], "L_se": coupling[1], "H": times.max_expectation,
+            "lambda2": lambda2, "capped": capped, "periodic": periodic}
 
 
 def _run_point(config: ExperimentConfig, index: int, value: int,
                fixed: DirectedGraph | Exception) -> dict:
     """One CSV row; `fixed` is the graph the sweep does not size, or its error.
 
-    Cells left blank by a size cap are named on one stderr line, each group
-    with the library's `TooLarge` message.
+    Cells left blank by a size cap or a periodic closed factor class are
+    named on one stderr line, each group with the library's message.
     """
     blank = []
     row = dict.fromkeys(CSV_HEADER.split(","), "") | {"sweep_value": value}
@@ -355,15 +360,18 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
             # theorem-style metrics: agent side restricted to oblivious agents
             nodes = np.asarray(sorted(verdict.oblivious_agents), dtype=np.int64)
             if nodes.size:
-                # oblivious agents listen only inside their set: whole rows
-                a_obl = StochasticMatrix(system.a.minor(nodes))
-                g_metrics = _factor_metrics(a_obl)
+                g_metrics = _factor_metrics(system.a.restrict(nodes))
             else:
-                g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None, "capped": None}
+                g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None,
+                             "capped": None, "periodic": None}
             t_metrics = _factor_metrics(system.c)
             row["absorbing_H"] = max(g_metrics["H"], t_metrics["H"])
             capped = g_metrics["capped"] or t_metrics["capped"]
-            if capped is None:
+            periodic = g_metrics["periodic"] or t_metrics["periodic"]
+            if periodic is not None:
+                blank.append("lambda2, lower_bound, upper_bound, coupling_L, coupling_se, "
+                             f"theorem_bound ({periodic})")
+            elif capped is None:
                 worst = max((g_metrics, t_metrics), key=lambda f: f["L"])
                 row["coupling_L"] = worst["L"]
                 # the CSV prints 10 significant digits, which moves L by up to 5e-10 of it
@@ -375,7 +383,7 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                 blank.append(f"coupling_L, coupling_se, theorem_bound ({capped})")
             lams = [v for v in (g_metrics["lambda2"], t_metrics["lambda2"])
                     if v is not None]
-            if lams:
+            if lams and periodic is None:
                 lam2 = max(lams)
                 row["lambda2"] = lam2
                 if lam2 < 1.0:

@@ -2,8 +2,10 @@
 
 Distributions are plain 1-D numpy arrays. The walk convention matches the
 graph module: a chain at state i steps to j with probability M[i, j]. A
-`StochasticMatrix` is immutable and owns its chain's structure: the strong
-components of its nonzero pattern (`scc`), decomposed on first use and kept.
+`StochasticMatrix` is immutable and owns what is derived from its chain: the
+strong components of its nonzero pattern (`scc`), its stationary vector (read
+through `stationary`) and its restrictions to the node sets that no edge
+leaves (`restrict`), each built on first use and kept.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ class StochasticMatrix:
 
     Entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL;
     rows are never rescaled, so a caller whose rows can drift further (a
-    Kronecker product) rescales its own. `scc` is the strong-component
-    decomposition of the nonzero pattern, computed once on first use.
+    Kronecker product) rescales its own. Three things are computed once, on
+    first use, and kept: `scc`, the strong-component decomposition of the
+    nonzero pattern; the stationary vector that `stationary` returns; and
+    each chain that `restrict` returns.
     """
 
-    __slots__ = ("n", "csr", "_scc")
+    __slots__ = ("n", "csr", "_scc", "_pi", "_restrictions")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
@@ -38,6 +42,8 @@ class StochasticMatrix:
         self.n = csr.shape[0]
         self.csr = csr
         self._scc = None
+        self._pi = None
+        self._restrictions = {}
 
     @property
     def scc(self) -> SccDecomposition:
@@ -62,6 +68,22 @@ class StochasticMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = rows if cols is None else np.asarray(cols, dtype=np.int64)
         return self.csr[rows][:, cols]
+
+    def restrict(self, nodes) -> StochasticMatrix:
+        """The chain on `nodes`, a set that no edge leaves, in the given order.
+
+        Such a set (a closed class, or agents that listen only inside their
+        set) keeps whole rows, so its minor is row-stochastic and is validated
+        as given; an edge that leaves the set raises NotStochastic. All
+        states in order give `self`; any other set is built once and kept.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if np.array_equal(nodes, np.arange(self.n)):
+            return self
+        key = nodes.tobytes()
+        if key not in self._restrictions:
+            self._restrictions[key] = StochasticMatrix(self.minor(nodes))
+        return self._restrictions[key]
 
     def __repr__(self):
         return f"StochasticMatrix(n={self.n}, nnz={self.nnz})"
@@ -142,15 +164,21 @@ def _dominant_eigenpair(matvec, n: int) -> tuple[complex, np.ndarray]:
 def stationary(matrix: StochasticMatrix) -> np.ndarray:
     """Stationary distribution: the Perron vector of M', renormalised.
 
-    One ARPACK call to machine precision (`_dominant_eigenpair`); the error
-    is about machine epsilon over the spectral gap, so slow chains lose
-    digits. Periodic or reducible chains raise NotErgodic, and an ARPACK run
-    that hits its iteration cap raises FailedToConverge.
+    The first call on a matrix makes one ARPACK call to machine precision
+    (`_dominant_eigenpair`); the matrix keeps the result, and every call
+    returns that one read-only array. The error is about machine epsilon
+    over the spectral gap, so slow chains lose digits. Periodic or reducible
+    chains raise NotErgodic, and an ARPACK run that hits its iteration cap
+    raises FailedToConverge; neither is kept.
     """
-    ergodicity_check(matrix)
-    _, vec = _dominant_eigenpair(matrix.csr.T.dot, matrix.n)
-    pi = np.abs(vec)
-    return pi / pi.sum()
+    if matrix._pi is None:
+        ergodicity_check(matrix)
+        _, vec = _dominant_eigenpair(matrix.csr.T.dot, matrix.n)
+        pi = np.abs(vec)
+        pi /= pi.sum()
+        pi.flags.writeable = False
+        matrix._pi = pi
+    return matrix._pi
 
 
 def _basis(n: int, cols: np.ndarray) -> np.ndarray:

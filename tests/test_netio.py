@@ -398,6 +398,27 @@ class TestRunExperiment:
         assert [(r["t_mix"] == "", r["coupling_L"] == "") for r in rows] == [
             (False, False), (True, False), (True, True)]
 
+    def test_periodic_constraint_class_blanks_only_its_columns(self, tmp_path, capsys):
+        # every agent is stubborn, so the system converges although C, a
+        # directed 3-cycle, is periodic: only the columns C's class cannot
+        # give stay blank, and t_mix and the limit are still reported
+        cfg = ExperimentConfig(agent=TopologySpec("cycle", 5),
+                               constraint=TopologySpec("cycle", 3, directed=True),
+                               sweep="n", sweep_start=5, sweep_stop=7, sweep_stride=2,
+                               lambda_policy="0.5", alpha=0.0, seed=1,
+                               outdir=str(tmp_path / "out"))
+        rows = run_experiment(cfg)
+        blanked = ("lambda2", "lower_bound", "upper_bound", "coupling_L", "coupling_se",
+                   "theorem_bound")
+        assert [row["n"] for row in rows] == [5, 7]
+        for row in rows:
+            assert row["error"] == "" and row["converges"] == "true"
+            assert row["t_mix"] == 2 and row["absorbing_H"] == 0
+            assert [row[key] for key in blanked] == [""] * len(blanked)
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep point {n}: blank {', '.join(blanked)} (chain is periodic (period 3))"
+            for n in (5, 7)]
+
     def test_epsilon_one_rejected_by_validation(self, tmp_path):
         cfg = small_config(tmp_path, epsilon=1.0)
         with pytest.raises(SpecError):

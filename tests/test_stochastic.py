@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from kronmix import stochastic
+from kronmix.beliefs import assemble
 from kronmix.errors import DanglingNode, NotErgodic, NotStochastic
 from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph
 from kronmix.kron import kron
-from kronmix.mixing import _column_gap
+from kronmix.limits import social_power, structural_limit
+from kronmix.mixing import _column_gap, analyze_mixing
+from kronmix.netio import ExperimentConfig, run_experiment
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary, validate_stochastic
 from oracles import dense_evolve, evolve, two_state_stationary
 
@@ -172,6 +176,62 @@ class TestStationary:
         degree = np.diff(graph._indptr).astype(np.float64)
         pi = stationary(equal_weight_matrix(lazify(graph, 0.5)))
         assert np.abs(pi - degree / degree.sum()).sum() <= tol
+
+
+class TestKeptChains:
+    """A chain solves its Perron vector once and builds each restriction once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count, real = [0], stochastic._dominant_eigenpair
+
+        def counting(matvec, n):
+            count[0] += 1
+            return real(matvec, n)
+
+        # `stationary` reads this module binding; `second_eigenvalue` has its own
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", counting)
+        return count
+
+    def test_analyze_mixing_solves_once(self, solves):
+        m = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 9)), 0.5))
+        analyze_mixing(m)
+        assert solves[0] == 1
+
+    def test_limit_and_social_power_share_the_factors_vectors(self, solves):
+        a = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 5)), 0.5))
+        c = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 4)), 0.5))
+        system = assemble(a, c, np.ones(5), np.random.default_rng(2).random((5, 4)))
+        structural_limit(system)
+        social_power(system.a)
+        assert solves[0] == 2
+
+    def test_readme_sweep_point_solves_each_class_once(self, solves, tmp_path):
+        # the lazy 21-cycle and the directed path's sink, each read by the
+        # coupling and |lambda_2| columns, t_mix and the limit
+        cfg = ExperimentConfig(agent=TopologySpec("cycle", 21),
+                               constraint=TopologySpec("path", 10, directed=True),
+                               sweep="n", sweep_start=21, sweep_stop=21, sweep_stride=10,
+                               epsilon=0.25, seed=1, alpha=0.5, outdir=str(tmp_path / "out"))
+        [row] = run_experiment(cfg)
+        assert row["error"] == "" and row["t_mix"] == 145
+        assert solves[0] == 2
+
+    def test_stationary_read_only(self):
+        m = equal_weight_matrix(generate(TopologySpec("complete", 4)))
+        pi = stationary(m)
+        assert stationary(m) is pi
+        with pytest.raises(ValueError):
+            pi[0] = 1.0
+
+    def test_restrict_keeps_one_chain_per_set(self):
+        m = equal_weight_matrix(generate(TopologySpec("path", 4, directed=True)))
+        assert m.restrict(np.arange(4)) is m
+        sink = m.restrict([3])
+        assert m.restrict(np.array([3])) is sink
+        np.testing.assert_array_equal(sink.dense(), [[1.0]])
+        with pytest.raises(NotStochastic):
+            m.restrict([2, 1])  # node 2 steps to 3, outside the set
 
 
 def total_variation(p, q):

@@ -6,7 +6,8 @@ Its `_HOOKS` read `netio.<attr>` off the module as well. The file is read as
 source, never imported or run, so these tests leave the benchmark directory
 untouched. The same AST reading checks that `tests/oracles.py` stays
 independent of the library routines it is compared with, and that a
-matrix's strong components have one owner, `StochasticMatrix.scc`.
+matrix's strong components and its restrictions to closed classes have one
+owner, `StochasticMatrix`.
 """
 
 import ast
@@ -103,3 +104,20 @@ def test_only_stochastic_matrix_decomposes_a_matrix():
                 renormalizing.add(module)
     assert decomposing == {"stochastic"}, f"modules decomposing a matrix: {sorted(decomposing)}"
     assert not renormalizing, f"modules passing renormalize=: {sorted(renormalizing)}"
+
+
+def test_only_stochastic_matrix_builds_a_chain_from_a_minor():
+    # every other layer asks `restrict`, so a class's chain and its
+    # stationary vector are built once
+    building = set()
+    for path in sorted(glob.glob(os.path.join(LIBRARY, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(_module(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "StochasticMatrix" and any(
+                    isinstance(arg, ast.Call) and getattr(arg.func, "attr", None) == "minor"
+                    for arg in node.args):
+                building.add(module)
+    assert building <= {"stochastic"}, f"modules building a chain from a minor: {sorted(building)}"
