@@ -4,11 +4,12 @@ Subcommands: generate, ingest, analyze, simulate, mixing, limits, experiment.
 Exit codes: 0 success, 2 configuration error, 3 parse error, 4 analysis error.
 
 Graph flags parse into their experiment config keys (`--agent-graph-seed` is
-`agent.seed`; `--lam` on `experiment` is `lambda`), and every subcommand builds
-through `netio.resolve_graph` and `netio.build_system`. `--*-undirected-file`
-works everywhere but `experiment`, which reads edge lists as directed. Input
-that fails validation (lambda or x0 outside [0, 1], epsilon outside (0, 1),
-trials below 1) exits 2.
+`agent.seed`; `--lam` on `experiment` is `lambda`). A system is
+`netio.build_system` of two `netio.resolve_graph` graphs' equal-weight chains,
+as in the sweep. `analyze` prints a graph's closed components, the one listing
+of them outside `beliefs`. `--*-undirected-file` works everywhere but
+`experiment`, which reads edge lists as directed. Input that fails validation
+(lambda or x0 outside [0, 1], epsilon outside (0, 1), trials below 1) exits 2.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ def _build_system(args, agent=None):
     """The belief system the flags give; `agent` is the agent source if already read."""
     agent = _source(args, "agent") if agent is None else agent
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.x0_seed)))
-    return netio.build_system(netio.resolve_graph(agent, args.alpha),
-                              netio.resolve_graph(_source(args, "constraint"), args.alpha),
-                              args.lam, rng, args.x0_constant)
+    return netio.build_system(
+        equal_weight_matrix(netio.resolve_graph(agent, args.alpha)),
+        equal_weight_matrix(netio.resolve_graph(_source(args, "constraint"), args.alpha)),
+        args.lam, rng, args.x0_constant)
 
 
 def _add_system_args(parser):

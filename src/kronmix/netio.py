@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import mixing
-from .beliefs import BeliefSystem, assemble, converges
+from .beliefs import BeliefSystem, assemble, closed_factor_classes, converges
 from .errors import EmptyGraph, KronmixError, NotErgodic, ParseError, SpecError, TooLarge
 from .generators import TopologySpec, generate, lazify
 from .graphs import DirectedGraph, scc_decompose
@@ -268,21 +268,21 @@ def resolve_graph(source: TopologySpec | str | DirectedGraph, alpha: float = 0.0
     return lazify(graph, alpha) if alpha else graph
 
 
-def build_system(agent: DirectedGraph, constraint: DirectedGraph, lambda_policy: str,
+def build_system(agent: StochasticMatrix, constraint: StochasticMatrix, lambda_policy: str,
                  rng, x0_constant: float | None = None) -> BeliefSystem:
-    """Equal-weight belief system on two graphs.
+    """Belief system on the agents' and the constraints' chains.
 
+    The chains are shared, not copied, so what a chain keeps (its `scc`,
+    stationary vector and restrictions) serves every system built on it.
     lambda follows `lambda_policy` ('oblivious', a scalar, or @file); x0 is
     x0_constant everywhere, or uniform draws from rng.
     """
-    a = equal_weight_matrix(agent)
-    c = equal_weight_matrix(constraint)
-    lam = _lambda_vector(lambda_policy, a.n)
+    lam = _lambda_vector(lambda_policy, agent.n)
     if x0_constant is None:
-        x0 = rng.random((a.n, c.n))
+        x0 = rng.random((agent.n, constraint.n))
     else:
-        x0 = np.full((a.n, c.n), x0_constant)
-    return assemble(a, c, lam, x0)
+        x0 = np.full((agent.n, constraint.n), x0_constant)
+    return assemble(agent, constraint, lam, x0)
 
 
 def _lambda_vector(policy: str, n: int) -> np.ndarray:
@@ -302,43 +302,47 @@ def _lambda_vector(policy: str, n: int) -> np.ndarray:
     return np.full(n, scalar)
 
 
-def _factor_metrics(matrix: StochasticMatrix) -> dict:
-    """Per-factor L (worst closed-component coupling), its error bound, H, |lambda_2|.
+def _lemma_terms(system: BeliefSystem, oblivious: frozenset[int]) -> tuple:
+    """(L, its error bound, H, |lambda_2|, failure) of a convergent system.
 
-    "capped" is None, or the `TooLarge` message of a closed component too
-    large for the coupling solve, which L and its bound then leave out.
-    "periodic" is None, or the `NotErgodic` message of a periodic closed
-    component, which has no coupling time or |lambda_2| below 1; it is
-    skipped.
+    L is the first largest coupling time and |lambda_2| the largest (None if
+    every class is one state) over `closed_factor_classes`, agents first.
+    `failure` is None, the first `TooLarge` of a class that L leaves out, or
+    the `NotErgodic` of a periodic class, which ends the loop. H is the larger
+    absorbing time of the oblivious agents' chain (0 if none) and of C.
     """
-    coupling, capped, periodic = (0.0, 0.0), None, None
-    lambda2 = None
-    for cid in matrix.scc.closed_components():
-        chain = matrix.restrict(matrix.scc.components[cid])
-        if chain.n > 1:
+    nodes = np.asarray(sorted(oblivious), dtype=np.int64)
+    h = mixing.expected_absorbing_time(system.c).max_expectation
+    if nodes.size:
+        h = max(h, mixing.expected_absorbing_time(system.a.restrict(nodes)).max_expectation)
+    coupling, lambda2, failure = (0.0, 0.0), None, None
+    for factor, classes in zip((system.a, system.c), closed_factor_classes(system)):
+        for members, _ in classes:
+            chain = factor.restrict(members)
+            if chain.n == 1:
+                continue
             try:
                 est = mixing.estimate_coupling_time(chain)
             except TooLarge as exc:
-                capped = str(exc)
+                failure = failure or exc
             except NotErgodic as exc:
-                periodic = str(exc)
-                continue
+                return 0.0, 0.0, h, None, exc
             else:
                 if est.mean > coupling[0]:
                     coupling = (est.mean, est.stderr)
             lam = mixing.second_eigenvalue(chain)
             lambda2 = lam if lambda2 is None else max(lambda2, lam)
-    times = mixing.expected_absorbing_time(matrix)
-    return {"L": coupling[0], "L_se": coupling[1], "H": times.max_expectation,
-            "lambda2": lambda2, "capped": capped, "periodic": periodic}
+    return coupling + (h, lambda2, failure)
 
 
 def _run_point(config: ExperimentConfig, index: int, value: int,
-               fixed: DirectedGraph | Exception) -> dict:
-    """One CSV row; `fixed` is the graph the sweep does not size, or its error.
+               fixed: StochasticMatrix | Exception) -> dict:
+    """One CSV row; `fixed` is the chain the sweep does not size, or its error.
 
-    Cells left blank by a size cap or a periodic closed factor class are
-    named on one stderr line, each group with the library's message.
+    An error of `fixed` leaves n and m blank; both are written before the
+    swept graph's chain is built. Cells left blank by a size cap or a periodic
+    closed factor class are named on one stderr line, each group with the
+    library's message.
     """
     blank = []
     row = dict.fromkeys(CSV_HEADER.split(","), "") | {"sweep_value": value}
@@ -347,44 +351,30 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
             np.random.SeedSequence((config.seed, index))))
         if isinstance(fixed, Exception):
             raise fixed
-        swept = resolve_graph(config.agent if config.sweep == "n" else config.constraint,
+        graph = resolve_graph(config.agent if config.sweep == "n" else config.constraint,
                               config.alpha, value)
-        agent, constraint = (swept, fixed) if config.sweep == "n" else (fixed, swept)
-        n, m = agent.node_count, constraint.node_count
+        n, m = (graph.node_count, fixed.n) if config.sweep == "n" else (fixed.n, graph.node_count)
         row["n"], row["m"] = n, m
+        swept = equal_weight_matrix(graph)
+        agent, constraint = (swept, fixed) if config.sweep == "n" else (fixed, swept)
         system = build_system(agent, constraint, config.lambda_policy, rng)
         verdict = converges(system)
         row["converges"] = "true" if verdict.converges else "false"
 
         if verdict.converges:
-            # theorem-style metrics: agent side restricted to oblivious agents
-            nodes = np.asarray(sorted(verdict.oblivious_agents), dtype=np.int64)
-            if nodes.size:
-                g_metrics = _factor_metrics(system.a.restrict(nodes))
-            else:
-                g_metrics = {"L": 0.0, "L_se": 0.0, "H": 0.0, "lambda2": None,
-                             "capped": None, "periodic": None}
-            t_metrics = _factor_metrics(system.c)
-            row["absorbing_H"] = max(g_metrics["H"], t_metrics["H"])
-            capped = g_metrics["capped"] or t_metrics["capped"]
-            periodic = g_metrics["periodic"] or t_metrics["periodic"]
-            if periodic is not None:
+            coupling, se, h, lam2, failure = _lemma_terms(system, verdict.oblivious_agents)
+            row["absorbing_H"] = h
+            if isinstance(failure, NotErgodic):
                 blank.append("lambda2, lower_bound, upper_bound, coupling_L, coupling_se, "
-                             f"theorem_bound ({periodic})")
-            elif capped is None:
-                worst = max((g_metrics, t_metrics), key=lambda f: f["L"])
-                row["coupling_L"] = worst["L"]
+                             f"theorem_bound ({failure})")
+            elif failure is None:
+                row["coupling_L"] = coupling
                 # the CSV prints 10 significant digits, which moves L by up to 5e-10 of it
-                row["coupling_se"] = worst["L_se"] + 5e-10 * worst["L"]
-                row["theorem_bound"] = mixing.theorem_bound(
-                    g_metrics["L"], t_metrics["L"], g_metrics["H"], t_metrics["H"],
-                    config.epsilon)
+                row["coupling_se"] = se + 5e-10 * coupling
+                row["theorem_bound"] = mixing.theorem_bound(coupling, 0.0, h, 0.0, config.epsilon)
             else:
-                blank.append(f"coupling_L, coupling_se, theorem_bound ({capped})")
-            lams = [v for v in (g_metrics["lambda2"], t_metrics["lambda2"])
-                    if v is not None]
-            if lams and periodic is None:
-                lam2 = max(lams)
+                blank.append(f"coupling_L, coupling_se, theorem_bound ({failure})")
+            if lam2 is not None:
                 row["lambda2"] = lam2
                 if lam2 < 1.0:
                     row["lower_bound"], row["upper_bound"] = mixing.spectral_bounds(
@@ -408,14 +398,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run the sweep, write experiment.csv and one SVG per plotted metric.
 
     Points run one after another in sweep order, each on its own Philox
-    stream SeedSequence((seed, index)). The graph whose size is not swept is
-    resolved once for all points. Errors land in the row's error column. An
-    SVG that this run does not redraw is removed, so none outlives its CSV.
+    stream SeedSequence((seed, index)). The chain of the graph whose size is
+    not swept is built once, and every point shares it and what it keeps; if
+    it cannot be built, every row carries that error with n and m blank.
+    Other errors land in their row's error column. An SVG that this run does
+    not redraw is removed, so none outlives its CSV.
     """
     values = config.sweep_values()
     try:
-        fixed = resolve_graph(config.constraint if config.sweep == "n" else config.agent,
-                              config.alpha)
+        fixed = equal_weight_matrix(resolve_graph(
+            config.constraint if config.sweep == "n" else config.agent, config.alpha))
     except (KronmixError, ValueError, OSError) as exc:
         fixed = exc  # every row reports it
     rows = [_run_point(config, i, v, fixed) for i, v in enumerate(values)]

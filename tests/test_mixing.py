@@ -341,6 +341,20 @@ class TestEigenBounds:
         # lazy walk on the 10-cube: eigenvalues 1 - k/10, so |lambda_2| = 0.9
         assert second_eigenvalue(lazy_chain("hypercube", 1024)) == pytest.approx(0.9, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 150, 200])
+    def test_lazy_eulerian_ring_right_or_failed_to_converge(self, n):
+        # a lazy directed circulant with jumps 1..3 is not reversible; its
+        # eigenvalues are 1/2 + (w + w^2 + w^3) / 6 over the n-th roots of
+        # unity w. ARPACK may find no eigenvalue near 1 (n = 200), but it must
+        # not return one that is not the largest
+        w = np.exp(2j * np.pi * np.arange(1, n) / n)
+        exact = float(np.abs(0.5 + (w + w ** 2 + w ** 3) / 6).max())
+        try:
+            got = second_eigenvalue(lazy_chain("eulerian-ring", n, k=3, directed=True))
+        except FailedToConverge:
+            return
+        assert got == pytest.approx(exact, abs=1e-12)
+
     def test_arpack_cap_is_failed_to_converge(self, monkeypatch):
         def capped(*args, **kwargs):
             raise spla.ArpackNoConvergence("cap", np.empty(0), np.empty((0, 0)))

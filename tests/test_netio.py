@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from kronmix import limits, mixing, netio
+from kronmix import limits, mixing, netio, stochastic
 from kronmix.cli import build_parser, main
 from kronmix.errors import EmptyGraph, ParseError, SpecError
 from kronmix.generators import TopologySpec
@@ -16,6 +16,7 @@ from kronmix.netio import (CSV_HEADER, ExperimentConfig, config_from_mapping,
                            dataset_instructions, largest_scc, load_edgelist,
                            read_config, run_experiment, svg_loglog,
                            verify_checksum, write_csv)
+from kronmix.stochastic import equal_weight_matrix
 from oracles import edge_dict
 
 DATA_DIR = os.environ.get("KRONMIX_DATA", "data")
@@ -184,6 +185,10 @@ class TestConfig:
                                  "epsilon": "1.5"})
 
 
+# an Erdős–Rényi graph whose node 0 has no edge, so at alpha 0 it has no chain
+DANGLING_ER = TopologySpec("erdos-renyi", 6, p=0.05, seed=1)
+
+
 def small_config(tmp_path, **overrides):
     cfg = ExperimentConfig(
         agent=TopologySpec("cycle", 5),
@@ -220,11 +225,13 @@ def test_readme_sweep_t_mix_pinned(monkeypatch):
         raise AssertionError("an oblivious system stepped the 2nm-wide update")
 
     monkeypatch.setattr(mixing, "update", no_update)
-    path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
+    path = equal_weight_matrix(
+        netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5))
     got = []
     for n in range(11, 102, 10):
         cycle = netio.resolve_graph(TopologySpec("cycle", n), 0.5)
-        system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
+        system = netio.build_system(equal_weight_matrix(cycle), path, "oblivious", None,
+                                    x0_constant=0.5)
         got.append(netio.system_mixing_time(system, 0.25))
     assert got == README_SWEEP_T_MIX
 
@@ -239,10 +246,12 @@ def test_readme_sweep_screens_the_kronecker_gap(monkeypatch):
         return real(left, target, right)
 
     monkeypatch.setattr(mixing, "_column_gap", counting)
-    path = netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5)
+    path = equal_weight_matrix(
+        netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5))
     for n in range(11, 102, 10):
         cycle = netio.resolve_graph(TopologySpec("cycle", n), 0.5)
-        system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
+        system = netio.build_system(equal_weight_matrix(cycle), path, "oblivious", None,
+                                    x0_constant=0.5)
         before = calls[0]
         netio.system_mixing_time(system, 0.25)
         assert 1 <= calls[0] - before <= 2
@@ -273,6 +282,26 @@ def test_readme_sweep_coupling_within_its_written_bound(tmp_path):
         exact = lazy_cycle_worst_meeting_time(int(row["n"]))
         assert abs(float(row["coupling_L"]) - exact) <= float(row["coupling_se"])
         assert float(row["coupling_se"]) < 1e-8 * exact
+
+
+def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
+    # the fixed path's chain is built once and shared by every point, so the
+    # three cycles, the path and its sink are each decomposed once, and the
+    # cycles and the sink each get one Perron solve
+    calls = {"scc_decompose": 0, "_dominant_eigenpair": 0}
+    for name in calls:
+        real = getattr(stochastic, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(stochastic, name, counting)
+    run_experiment(ExperimentConfig(agent=TopologySpec("cycle", 11),
+                                    constraint=TopologySpec("path", 10, directed=True),
+                                    sweep="n", sweep_start=11, sweep_stop=31, sweep_stride=10,
+                                    seed=1, alpha=0.5, outdir=str(tmp_path / "out")))
+    assert calls == {"scc_decompose": 5, "_dominant_eigenpair": 4}
 
 
 class TestRunExperiment:
@@ -324,12 +353,25 @@ class TestRunExperiment:
         rows2 = run_experiment(cfg2)
         assert rows2[0]["error"] != ""
         assert rows2[-1]["converges"] != ""
+        # a swept graph whose chain cannot be built (node 0 is isolated) still
+        # reports its size
+        cfg3 = small_config(tmp_path, agent=DANGLING_ER, sweep_start=6, sweep_stop=6,
+                            constraint=TopologySpec("cycle", 5))
+        cfg3.outdir = str(tmp_path / "out3")
+        rows3 = run_experiment(cfg3)
+        assert [(r["n"], r["m"]) for r in rows3] == [(6, 5)]
+        assert rows3[0]["error"].startswith("DanglingNode: node 0 ")
 
-    def test_fixed_graph_error_on_every_row(self, tmp_path):
-        cfg = small_config(tmp_path, constraint=str(tmp_path / "missing.txt"))
+    @pytest.mark.parametrize("constraint, error", [
+        (lambda tmp_path: str(tmp_path / "missing.txt"), "FileNotFoundError: "),
+        # the fixed chain is built once, before any point sizes its graph
+        (lambda tmp_path: DANGLING_ER, "DanglingNode: node 0 "),
+    ], ids=["missing-file", "dangling-node"])
+    def test_fixed_graph_error_on_every_row(self, tmp_path, constraint, error):
+        cfg = small_config(tmp_path, constraint=constraint(tmp_path))
         rows = run_experiment(cfg)
         assert len(rows) == 3
-        assert all(r["error"].startswith("FileNotFoundError: ") for r in rows)
+        assert all(r["error"].startswith(error) for r in rows)
         assert all(r["n"] == r["m"] == "" for r in rows)
 
     def test_tmix_column_monotone_for_cycles(self, tmp_path):

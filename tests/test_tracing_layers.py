@@ -5,9 +5,11 @@ task `POOL_TASK`) and resolves them with getattr on the kronmix submodules.
 Its `_HOOKS` read `netio.<attr>` off the module as well. The file is read as
 source, never imported or run, so these tests leave the benchmark directory
 untouched. The same AST reading checks that `tests/oracles.py` stays
-independent of the library routines it is compared with, and that a
+independent of the library routines it is compared with, that a
 matrix's strong components and its restrictions to closed classes have one
-owner, `StochasticMatrix`.
+owner, `StochasticMatrix`, and that a system's closed classes are listed in
+one place, `beliefs.closed_factor_classes` (`cli` also lists a graph's
+components for `analyze`).
 """
 
 import ast
@@ -121,3 +123,16 @@ def test_only_stochastic_matrix_builds_a_chain_from_a_minor():
                     for arg in node.args):
                 building.add(module)
     assert building <= {"stochastic"}, f"modules building a chain from a minor: {sorted(building)}"
+
+
+def test_only_beliefs_and_cli_list_closed_components():
+    # the sweep and the limits read a system's closed classes from
+    # `beliefs.closed_factor_classes`; `analyze` prints a graph's own
+    listing = set()
+    for path in sorted(glob.glob(os.path.join(LIBRARY, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "closed_components"
+               for node in ast.walk(_module(path))):
+            listing.add(module)
+    assert listing == {"beliefs", "cli"}, f"modules listing closed components: {sorted(listing)}"
