@@ -21,8 +21,10 @@ def kron(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
 
     A product row sums to the product of its factors' row sums, each within
     ROW_SUM_TOL of 1, so rows that do not sum to exactly 1 are rescaled.
-    Raises TooLarge when the product would hold more than MATERIALIZE_CAP
-    nonzeros (read at call time).
+    The product keeps `left` and `right` as its `factors`, so
+    `measure_mixing_time` can work on them instead of the product. Raises
+    TooLarge when the product would hold more than MATERIALIZE_CAP nonzeros
+    (read at call time).
     """
     nnz = left.nnz * right.nnz
     if nnz > MATERIALIZE_CAP:
@@ -31,7 +33,9 @@ def kron(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
     sums = np.asarray(prod.sum(axis=1)).ravel()
     if np.any(sums != 1.0):
         prod = sp.diags(1.0 / sums) @ prod
-    return StochasticMatrix(prod)
+    out = StochasticMatrix(prod)
+    out._factors = (left, right)
+    return out
 
 
 def kron_graph(g1: DirectedGraph, g2: DirectedGraph) -> DirectedGraph:

@@ -2,7 +2,8 @@
 
 Covers empirical mixing times (worst-start total variation) of chains,
 product chains and belief systems, all scanned over `_start_rows` and
-measured by `_column_gap`; spectral bounds; exact coupling times (the
+measured by `_column_gap` (a Kronecker product's on its factors,
+`_product_mixing_time`); spectral bounds; exact coupling times (the
 worst-pair expected meeting time of two independent walks, solved on the
 pair chain with an error bound); exact absorbing times on the transient
 block; and the composite convergence-time bound. All bound formulas use the
@@ -16,6 +17,7 @@ epsilon, so its `t_mix` values are those of the gap alone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +170,25 @@ def _marginal_gap(block: np.ndarray, n: int, marginals) -> float:
     return 0.5 * float(bound.max(initial=0.0))  # keeps a NaN, unlike max()
 
 
+def _step_count(value, name: str) -> int:
+    """`value` as a non-negative int; ValueError naming `name` if it is not one.
+
+    Any integer type passes (`operator.index`), a numpy integer included; a
+    float does not, even an integral one.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
+
+
 def _check_scan(epsilon: float, max_steps: int) -> None:
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    _step_count(max_steps, "max_steps")
 
 
 def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0,
@@ -206,6 +222,11 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     `system_mixing_time` also samples. The rows are the columns of the
     block (P')^k. A sampled block is not square and only takes sparse steps.
 
+    A product that `kron.kron(L, R)` returned, of up to 2000 states, is
+    measured on its factors (`_product_mixing_time`), never stepped; like
+    `product_distance_to_limit`, that measures L (x) R as the factors give
+    it, before `kron` rescales a row.
+
     With every start tracked, the worst distance never increases in k
     (Levin, Peres & Wilmer, ch. 4), so the first step within epsilon is
     bracketed by squaring. The block takes sparse steps while k nnz < n^2 / 16,
@@ -215,11 +236,13 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     (P')^k (P')^(k/2) once k/4 sparse steps cost at least that product.
     `_first_within` steps the rest of the interval sparsely from the last
     power above epsilon. At most three n x n blocks are alive. Periodic or
-    reducible chains raise NotErgodic.
+    reducible chains, and products with such a factor, raise NotErgodic.
     """
     _check_scan(epsilon, max_steps)
-    target = stationary(matrix)[:, None]
     n = matrix.n
+    if matrix.factors is not None and n <= EXACT_START_LIMIT:
+        return _product_mixing_time(*matrix.factors, epsilon, max_steps)
+    target = stationary(matrix)[:, None]
     rows = _start_rows(n)
     step = matrix.csr.T.tocsr().dot
 
@@ -250,6 +273,42 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     # next to the two blocks of every sparse step
     blocks, state, half, spare = [state], None, None, None
     return _first_within(step, blocks.pop(), gap, epsilon, max_steps, start=k)
+
+
+def _product_mixing_time(left: StochasticMatrix, right: StochasticMatrix, epsilon: float,
+                         max_steps: int) -> int:
+    """`measure_mixing_time` of L (x) R over every start, from the factors alone.
+
+    A start (i, u) of the product has row L^k[i] (x) R^k[u], whose marginals
+    are the factor rows L^k[i] and R^k[u]. Summing out one factor never
+    raises an L1 norm, so the product row is at least as far from
+    pi_L (x) pi_R as either factor row is from its pi. The product's distance
+    d(k) is therefore at least the worst of the factors', and
+    t >= max(t_L, t_R): the bracket opens there. From max(that, 1) the step
+    doubles until `product_distance_to_limit` is within epsilon, then
+    bisects between the last step above epsilon and that one. With every
+    start tracked, d(k) never increases (Levin, Peres & Wilmer, ch. 4), so
+    bisection finds the first step within epsilon. A step cap below t raises
+    FailedToConverge with d(max_steps), and a periodic or reducible factor
+    raises NotErgodic from the factor's own scan.
+    """
+    try:
+        lo = max(measure_mixing_time(left, epsilon, max_steps),
+                 measure_mixing_time(right, epsilon, max_steps))
+    except FailedToConverge:
+        lo = max_steps
+    k = min(max(lo, 1), max_steps)
+    while (d := product_distance_to_limit(left, right, k)) > epsilon:
+        if k == max_steps:
+            raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
+        lo, k = k + 1, min(2 * k, max_steps)
+    while lo < k:
+        mid = (lo + k) // 2
+        if product_distance_to_limit(left, right, mid) <= epsilon:
+            k = mid
+        else:
+            lo = mid + 1
+    return k
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -502,14 +561,15 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k
 
     Built from the factors: by (L x R)^k = L^k x R^k, start (i, u)'s row is
     (L')^k e_i (x) (R')^k e_u, against the limit pi_L (x) pi_R, over the
-    starts of `_start_rows`, a chunk at a time (`_column_gap`). Factors must
-    be ergodic; ValueError if k < 0.
+    starts of `_start_rows`, a chunk at a time (`_column_gap`). This is the
+    unrescaled L (x) R, and up to 2000 states `measure_mixing_time` of
+    kron(L, R) is the first k at which it is within epsilon. Factors must be
+    ergodic; ValueError unless k is a non-negative integer.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    k = _step_count(k, "k")
     target = np.kron(stationary(left), stationary(right))[:, None]
-    lk = np.linalg.matrix_power(left.dense().T, int(k))
-    rk = np.linalg.matrix_power(right.dense().T, int(k))
+    lk = np.linalg.matrix_power(left.dense().T, k)
+    rk = np.linalg.matrix_power(right.dense().T, k)
     i, u = np.divmod(_start_rows(left.n * right.n), right.n)
     return _column_gap(lk[:, i], target, rk[:, u])
 

@@ -5,7 +5,8 @@ graph module: a chain at state i steps to j with probability M[i, j]. A
 `StochasticMatrix` is immutable and owns what is derived from its chain: the
 strong components of its nonzero pattern (`scc`), its stationary vector (read
 through `stationary`) and its restrictions to the node sets that no edge
-leaves (`restrict`), each built on first use and kept.
+leaves (`restrict`), each built on first use and kept, and, for a Kronecker
+product, the two factors that `kron.kron` built it from (`factors`).
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ class StochasticMatrix:
 
     Entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL;
     rows are never rescaled, so a caller whose rows can drift further (a
-    Kronecker product) rescales its own. Three things are computed once, on
-    first use, and kept: `scc`, the strong-component decomposition of the
-    nonzero pattern; the stationary vector that `stationary` returns; and
-    each chain that `restrict` returns.
+    Kronecker product) rescales its own. It keeps four things. Three are
+    computed once, on first use: `scc`, the strong-component decomposition
+    of the nonzero pattern; the stationary vector that `stationary` returns;
+    and each chain that `restrict` returns. The fourth, `factors`, is set
+    only by `kron.kron` on the product it returns; every other matrix,
+    a restriction of a product or one built from its CSR included, has none.
     """
 
-    __slots__ = ("n", "csr", "_scc", "_pi", "_restrictions")
+    __slots__ = ("n", "csr", "_scc", "_pi", "_restrictions", "_factors")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64)
@@ -44,6 +47,12 @@ class StochasticMatrix:
         self._scc = None
         self._pi = None
         self._restrictions = {}
+        self._factors = None
+
+    @property
+    def factors(self) -> tuple[StochasticMatrix, StochasticMatrix] | None:
+        """(L, R) for a matrix that `kron.kron(L, R)` returned, else None."""
+        return self._factors
 
     @property
     def scc(self) -> SccDecomposition:

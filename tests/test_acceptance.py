@@ -23,7 +23,7 @@ from kronmix.mixing import (estimate_coupling_time, expected_absorbing_time,
 from kronmix.netio import largest_scc, load_edgelist
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
 from oracles import (dense_system_operator, distance_to_limit_curve,
-                     empirical_convergence, mc_absorption_time)
+                     empirical_convergence, mc_absorption_time, product_mixing_time)
 
 DATA_DIR = os.environ.get("KRONMIX_DATA", "data")
 
@@ -234,13 +234,8 @@ def test_ac5_scaling_laws():
            f"lazy tree {slope_tree:.2f} (want 1+-0.3)")
 
 
-def test_ac6_product_max_behavior():
-    """max(t1, t2) <= t_mix(product) <= 8 max(t1, t2) + 4 on 20 ergodic pairs.
-
-    On the same pairs, the factor bracket: a product measure is at least as
-    far from pi_1 (x) pi_2 as each marginal and at most the sum of the two, so
-    max(t1(eps), t2(eps)) <= t_mix(product, eps) <= max(t1(eps/2), t2(eps/2)).
-    """
+def ac6_factor_pairs() -> list[tuple[StochasticMatrix, StochasticMatrix]]:
+    """AC6's 20 pairs of lazy random strongly connected factors, 3-30 states each."""
     rng = philox(606)
 
     def ergodic_factor():
@@ -252,12 +247,23 @@ def test_ac6_product_max_behavior():
             if scc_decompose(g).count == 1:
                 return equal_weight_matrix(g)
 
-    def t_mix(m, eps):
-        return measure_mixing_time(m, eps, max_steps=100_000)
+    return [(ergodic_factor(), ergodic_factor()) for _ in range(20)]
 
+
+def ac6_t_mix(m, eps):
+    return measure_mixing_time(m, eps, max_steps=100_000)
+
+
+def test_ac6_product_max_behavior():
+    """max(t1, t2) <= t_mix(product) <= 8 max(t1, t2) + 4 on 20 ergodic pairs.
+
+    On the same pairs, the factor bracket: a product measure is at least as
+    far from pi_1 (x) pi_2 as each marginal and at most the sum of the two, so
+    max(t1(eps), t2(eps)) <= t_mix(product, eps) <= max(t1(eps/2), t2(eps/2)).
+    """
+    t_mix = ac6_t_mix
     failures, outside = [], []
-    for trial in range(20):
-        m1, m2 = ergodic_factor(), ergodic_factor()
+    for trial, (m1, m2) in enumerate(ac6_factor_pairs()):
         t1, t2, tp = t_mix(m1, 0.25), t_mix(m2, 0.25), t_mix(kron(m1, m2), 0.25)
         if not (max(t1, t2) <= tp <= 8 * max(t1, t2) + 4):
             failures.append((trial, t1, t2, tp))
@@ -271,6 +277,28 @@ def test_ac6_product_max_behavior():
            f"20 pairs, violations: {failures}")
     report("AC6 factor bracket", not outside,
            f"20 pairs at eps 1/4 and 1/16, outside: {outside}")
+
+
+def test_ac6_product_route_matches_oracle():
+    """t_mix of AC6's products equals the rows of the dense product stepped.
+
+    `measure_mixing_time` bisects a `kron` product on its factors, so AC6's
+    bracket holds by construction; `oracles.product_mixing_time` steps the
+    product itself. A case within 1e-12 of epsilon would be decided by
+    rounding, and there is none.
+    """
+    mismatches, ties = [], 0
+    for trial, (m1, m2) in enumerate(ac6_factor_pairs()):
+        for eps in (1 / 4, 1 / 16):
+            want, margin = product_mixing_time(m1, m2, eps)
+            if margin <= 1e-12:
+                ties += 1
+                continue
+            got = ac6_t_mix(kron(m1, m2), eps)
+            if got != want:
+                mismatches.append((trial, eps, got, want))
+    report("AC6 product route vs stepped oracle", not mismatches and not ties,
+           f"40 cases, mismatches: {mismatches}, ties: {ties}")
 
 
 def _composite_bound_case(agent_spec, constraint_spec, trials, rng):

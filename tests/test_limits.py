@@ -430,7 +430,7 @@ class TestFactorSpaceLimit:
         assert reported == float(f"{exact:.3g}")
 
     @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
-                                        {"max_steps": -1}])
+                                        {"max_steps": -1}, {"max_steps": 2.5}])
     def test_mixing_time_arguments_checked_before_stepping(self, kwargs, monkeypatch):
         # a bad argument fails before the limit solve and the first update:
         # epsilon 0 would otherwise step until max_steps (10^6 updates)

@@ -21,7 +21,7 @@ from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_abs
                             theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
 from oracles import (dense_system_operator, distance_to_limit_curve, mc_absorption_time,
-                     pair_chain_coupling, pair_chain_expectations)
+                     pair_chain_coupling, pair_chain_expectations, product_mixing_time)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -103,7 +103,8 @@ class TestMeasureMixingTime:
             measure_mixing_time(lazy_chain("path", 9), 0.01, max_steps=3)
 
     @pytest.mark.parametrize("kwargs", [{"epsilon": 0.0}, {"epsilon": 1.0},
-                                        {"epsilon": -0.5}, {"max_steps": -1}])
+                                        {"epsilon": -0.5}, {"max_steps": -1},
+                                        {"max_steps": 2.5}, {"max_steps": 3.0}])
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             measure_mixing_time(lazy_chain("path", 9), **kwargs)
@@ -739,6 +740,19 @@ class TestProductBehavior:
         with pytest.raises(ValueError, match="k must be non-negative"):
             product_distance_to_limit(m, m, -1)
 
+    @pytest.mark.parametrize("k", [2.7, 2.0, np.float64(2.0)])
+    def test_fractional_k_rejected(self, k):
+        # int(2.7) would measure step 2
+        m = lazy_chain("cycle", 5)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            product_distance_to_limit(m, m, k)
+
+    def test_numpy_integer_steps_accepted(self):
+        m = lazy_chain("cycle", 5)
+        assert product_distance_to_limit(m, m, np.int64(3)) == product_distance_to_limit(m, m, 3)
+        assert measure_mixing_time(m, 0.25, max_steps=np.int32(100)) == \
+            measure_mixing_time(m, 0.25)
+
     @pytest.mark.parametrize("pair", sorted(PINNED_PRODUCT_DISTANCE))
     def test_pinned_values(self, pair):
         # recorded when the nm x starts block was formed whole; the chunked
@@ -758,6 +772,78 @@ class TestProductBehavior:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+
+PERIODIC = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+REDUCIBLE = StochasticMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+
+class TestProductRoute:
+    """`measure_mixing_time` of a `kron` product, bisected on its factors."""
+
+    def test_mixing_report_product_matches_oracle(self):
+        a, c = lazy_chain("hypercube", 32), lazy_chain("cycle", 33)
+        want, margin = product_mixing_time(a, c, 0.25)
+        assert margin > 1e-12
+        assert measure_mixing_time(kron(a, c), 0.25) == want == 103
+
+    @pytest.mark.parametrize("pair, at_lower_end", [(("hypercube", 16, "star", 40), True),
+                                                     (("cycle", 20, "cycle", 21), False)])
+    def test_either_end_of_the_bracket_matches_oracle(self, pair, at_lower_end):
+        # t is max(t_L, t_R) when the product is within epsilon there, and is
+        # bisected above it otherwise
+        left, right = lazy_chain(*pair[:2]), lazy_chain(*pair[2:])
+        lower = max(measure_mixing_time(left, 0.25), measure_mixing_time(right, 0.25))
+        want, margin = product_mixing_time(left, right, 0.25)
+        assert margin > 1e-12
+        assert measure_mixing_time(kron(left, right), 0.25) == want
+        assert (want == lower) == at_lower_end
+
+    def test_peak_memory_stays_off_the_product(self):
+        # the 1056 x 1056 blocks of the squaring scan peak at 28 MB
+        prod = kron(lazy_chain("hypercube", 32), lazy_chain("cycle", 33))
+        tracemalloc.start()
+        try:
+            t = measure_mixing_time(prod, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == 103
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("factor", [PERIODIC, REDUCIBLE], ids=["periodic", "reducible"])
+    def test_non_ergodic_factor_rejected(self, factor):
+        lazy = lazy_chain("cycle", 5)
+        for left, right in ((factor, lazy), (lazy, factor)):
+            with pytest.raises(NotErgodic):
+                measure_mixing_time(kron(left, right), 0.25)
+
+    @pytest.mark.parametrize("max_steps", [102, 50, 0])
+    def test_step_cap_reports_the_product_distance(self, max_steps):
+        # t is 103; below 103 the cycle factor alone fails too, and the error
+        # quotes the product's distance at the cap, not the factor's
+        a, c = lazy_chain("hypercube", 32), lazy_chain("cycle", 33)
+        d = product_distance_to_limit(a, c, max_steps)
+        with pytest.raises(FailedToConverge, match=f"still {d:.3g} after {max_steps} steps"):
+            measure_mixing_time(kron(a, c), 0.25, max_steps=max_steps)
+        assert measure_mixing_time(kron(a, c), 0.25, max_steps=103) == 103
+
+    def test_pinned_sampled_product_value(self):
+        # 2050 states: the product's own rows, at the 64 starts of _start_rows
+        prod = kron(lazy_chain("cycle", 41), lazy_chain("star", 50))
+        assert prod.n > mixing.EXACT_START_LIMIT
+        assert measure_mixing_time(prod, 0.25) == 160
+
+    def test_only_a_kron_product_has_factors(self):
+        left, right = REDUCIBLE, lazy_chain("cycle", 5)
+        prod = kron(left, right)
+        assert prod.factors[0] is left and prod.factors[1] is right
+        assert left.factors is None and right.factors is None
+        assert StochasticMatrix(prod.csr).factors is None
+        # states (0, u) are closed: their chain is the right factor's, not a product
+        closed = prod.restrict(np.arange(right.n))
+        assert closed is not prod and closed.factors is None
+        assert prod.restrict(np.arange(prod.n)) is prod
 
 
 class TestCompositeBoundWithTransients:

@@ -7,9 +7,10 @@ source, never imported or run, so these tests leave the benchmark directory
 untouched. The same AST reading checks that `tests/oracles.py` stays
 independent of the library routines it is compared with, that a
 matrix's strong components and its restrictions to closed classes have one
-owner, `StochasticMatrix`, and that a system's closed classes are listed in
-one place, `beliefs.closed_factor_classes` (`cli` also lists a graph's
-components for `analyze`).
+owner, `StochasticMatrix`, that only `kron.kron` gives a matrix factors, and
+that a system's closed classes are listed in one place,
+`beliefs.closed_factor_classes` (`cli` also lists a graph's components for
+`analyze`).
 """
 
 import ast
@@ -136,3 +137,58 @@ def test_only_beliefs_and_cli_list_closed_components():
                for node in ast.walk(_module(path))):
             listing.add(module)
     assert listing == {"beliefs", "cli"}, f"modules listing closed components: {sorted(listing)}"
+
+
+class _FactorWrites(ast.NodeVisitor):
+    """The functions that assign a `_factors` attribute, by `module.function`.
+
+    `StochasticMatrix.__init__` starting the slot at None is not counted.
+    """
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _record(self, targets, value):
+        if not any(isinstance(sub, ast.Attribute) and sub.attr == "_factors"
+                   for target in targets for sub in ast.walk(target)):
+            return
+        where = f"{self.module}.{'.'.join(self.scope) or '<module>'}"
+        if where == "stochastic.__init__" and isinstance(value, ast.Constant) \
+                and value.value is None:
+            return
+        self.found.add(where)
+
+    def visit_Assign(self, node):
+        self._record(node.targets, node.value)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        self._record([node.target], node.value)
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "setattr" and any(
+                isinstance(arg, ast.Constant) and arg.value == "_factors" for arg in node.args):
+            self._record([ast.Attribute(value=node.func, attr="_factors")], None)
+        self.generic_visit(node)
+
+
+def test_only_kron_gives_a_matrix_factors():
+    # `measure_mixing_time` measures a matrix with factors on them alone, so
+    # a matrix built any other way (a restriction, a copy of a product's CSR)
+    # must have none
+    setting = set()
+    for path in sorted(glob.glob(os.path.join(LIBRARY, "*.py"))):
+        visitor = _FactorWrites(os.path.splitext(os.path.basename(path))[0])
+        visitor.visit(_module(path))
+        setting |= visitor.found
+    assert setting == {"kron.kron"}, f"functions setting _factors: {sorted(setting)}"
