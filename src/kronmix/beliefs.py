@@ -76,7 +76,7 @@ def assemble(a, c, lam, x0) -> BeliefSystem:
         raise ValueError("lambda entries must lie in [0, 1]")
     if not np.all((x0 >= 0) & (x0 <= 1)):
         raise ValueError("initial beliefs must lie in [0, 1]")
-    return BeliefSystem(a, c, lam, x0.copy())
+    return BeliefSystem(a, c, lam.copy(), x0.copy())
 
 
 def system_matrix(system: BeliefSystem) -> sp.csr_matrix:

@@ -1,13 +1,12 @@
 """Convergence-time measurement and bounds.
 
 Covers empirical mixing times (worst-start total variation) of chains,
-product chains and belief systems, all scanned over `_start_rows` and
-measured by `_column_gap` (a Kronecker product's on its factors,
-`_product_mixing_time`); spectral bounds; exact coupling times (the
-worst-pair expected meeting time of two independent walks, solved on the
-pair chain with an error bound); exact absorbing times on the transient
-block; and the composite convergence-time bound. All bound formulas use the
-natural logarithm.
+product chains and belief systems, measured by `_column_gap` (a Kronecker
+product's on its factors, `_product_mixing_time`); spectral bounds; exact
+coupling times (the worst-pair expected meeting time of two independent
+walks, solved on the pair chain with an error bound); exact absorbing
+times on the transient block; and the composite convergence-time bound.
+All bound formulas use the natural logarithm.
 
 A system's scan takes the Kronecker gap only at the steps that a cheaper
 lower bound from the factor marginals, `_marginal_gap`, cannot put above
@@ -81,11 +80,14 @@ class MixingReport:
     theorem_bound: float | None = None
 
 
-def _start_rows(n: int, exact_limit: int = EXACT_START_LIMIT) -> np.ndarray:
-    """Start states for a worst-start scan over n states.
+def _start_rows(n: int, exact_limit: int) -> np.ndarray:
+    """Start states of a scan over n states that may sample.
 
     Every state when n <= exact_limit; otherwise the same SAMPLED_STARTS
     states on every call, drawn without replacement from Philox(SeedSequence(3)).
+    Two scans sample: `product_distance_to_limit`, as every start of AC7's
+    40,000-state products costs over 100 times the 64 sampled, and
+    `system_mixing_time`, whose columns the benchmark's sweep reproduces.
     """
     if n <= exact_limit:
         return np.arange(n)
@@ -217,40 +219,37 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
                         max_steps: int = 1_000_000) -> int:
     """Smallest k with max-over-starts TV distance to stationarity <= epsilon.
 
-    A start's distance is its row of P^k against pi. Starts come from
-    `_start_rows`: every state up to 2000 states, otherwise the fixed 64 that
-    `system_mixing_time` also samples. The rows are the columns of the
-    block (P')^k. A sampled block is not square and only takes sparse steps.
+    Every start is tracked, and above EXACT_START_LIMIT states this raises
+    TooLarge before any solve. A `kron.kron(L, R)` product is measured on its
+    factors (`_product_mixing_time`), never stepped: L (x) R as the factors
+    give it, before `kron` rescales a row, as in `product_distance_to_limit`.
 
-    A product that `kron.kron(L, R)` returned, of up to 2000 states, is
-    measured on its factors (`_product_mixing_time`), never stepped; like
-    `product_distance_to_limit`, that measures L (x) R as the factors give
-    it, before `kron` rescales a row.
-
-    With every start tracked, the worst distance never increases in k
-    (Levin, Peres & Wilmer, ch. 4), so the first step within epsilon is
-    bracketed by squaring. The block takes sparse steps while k nnz < n^2 / 16,
-    where the steps taken cost about one dense product. It is then squared
-    while its distance stays above epsilon, keeping the previous power: at
-    the first (P')^(2k) within epsilon, one descent level tries
-    (P')^k (P')^(k/2) once k/4 sparse steps cost at least that product.
-    `_first_within` steps the rest of the interval sparsely from the last
-    power above epsilon. At most three n x n blocks are alive. Periodic or
-    reducible chains, and products with such a factor, raise NotErgodic.
+    A start's distance is its row of P^k against pi, a column of the n x n
+    block (P')^k. The worst distance never increases in k (Levin, Peres &
+    Wilmer, ch. 4), so the first step within epsilon is bracketed by
+    squaring. The block takes sparse steps while k nnz < n^2 / 16, where the
+    steps taken cost about one dense product. It is then squared while its
+    distance stays above epsilon, keeping the previous power: at the first
+    (P')^(2k) within epsilon, one descent level tries (P')^k (P')^(k/2) once
+    k/4 sparse steps cost at least that product. `_first_within` steps the
+    rest of the interval sparsely from the last power above epsilon. At most
+    three n x n blocks are alive. Periodic or reducible chains, and products
+    with such a factor, raise NotErgodic.
     """
     _check_scan(epsilon, max_steps)
     n = matrix.n
-    if matrix.factors is not None and n <= EXACT_START_LIMIT:
+    if n > EXACT_START_LIMIT:
+        raise TooLarge(f"t_mix over every start of {n} states; the cap is {EXACT_START_LIMIT}")
+    if matrix.factors is not None:
         return _product_mixing_time(*matrix.factors, epsilon, max_steps)
     target = stationary(matrix)[:, None]
-    rows = _start_rows(n)
     step = matrix.csr.T.tocsr().dot
 
     def gap(cur):
         return _column_gap(cur, target)
 
-    switch = max_steps if rows.size < n else -(-n * n // (16 * matrix.nnz))
-    state, k = _basis(n, rows), 0
+    switch = -(-n * n // (16 * matrix.nnz))
+    state, k = np.eye(n), 0
     while (d := gap(state)) > epsilon and k < min(switch, max_steps):
         state, k = step(state), k + 1
     if d <= epsilon:
@@ -560,17 +559,18 @@ def product_distance_to_limit(left: StochasticMatrix, right: StochasticMatrix, k
     """Worst-start distance at step k of L x R: `measure_mixing_time`'s on kron(L, R).
 
     Built from the factors: by (L x R)^k = L^k x R^k, start (i, u)'s row is
-    (L')^k e_i (x) (R')^k e_u, against the limit pi_L (x) pi_R, over the
-    starts of `_start_rows`, a chunk at a time (`_column_gap`). This is the
-    unrescaled L (x) R, and up to 2000 states `measure_mixing_time` of
-    kron(L, R) is the first k at which it is within epsilon. Factors must be
-    ergodic; ValueError unless k is a non-negative integer.
+    (L')^k e_i (x) (R')^k e_u, against the limit pi_L (x) pi_R, a chunk at a
+    time (`_column_gap`), over every start up to EXACT_START_LIMIT states
+    (read at call time) and the 64 of `_start_rows` above. This is the
+    unrescaled L (x) R, and `measure_mixing_time` of kron(L, R) is the first
+    k at which it is within epsilon. Factors must be ergodic; ValueError
+    unless k is a non-negative integer.
     """
     k = _step_count(k, "k")
     target = np.kron(stationary(left), stationary(right))[:, None]
     lk = np.linalg.matrix_power(left.dense().T, k)
     rk = np.linalg.matrix_power(right.dense().T, k)
-    i, u = np.divmod(_start_rows(left.n * right.n), right.n)
+    i, u = np.divmod(_start_rows(left.n * right.n, EXACT_START_LIMIT), right.n)
     return _column_gap(lk[:, i], target, rk[:, u])
 
 

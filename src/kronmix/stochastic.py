@@ -37,7 +37,7 @@ class StochasticMatrix:
     __slots__ = ("n", "csr", "_scc", "_pi", "_restrictions", "_factors")
 
     def __init__(self, matrix):
-        csr = sp.csr_matrix(matrix, dtype=np.float64)
+        csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got {csr.shape}")
         csr.eliminate_zeros()
@@ -134,7 +134,7 @@ def equal_weight_matrix(graph: DirectedGraph) -> StochasticMatrix:
     if n and row_tot.min() <= 0:
         raise DanglingNode(int(np.argmin(row_tot)))
     return StochasticMatrix(sp.csr_matrix((graph.csr.data / row_tot[src], graph.targets,
-                                           graph._indptr), shape=(n, n), copy=True))
+                                           graph._indptr), shape=(n, n)))
 
 
 def ergodicity_check(matrix: StochasticMatrix) -> None:

@@ -85,6 +85,15 @@ class TestAssemble:
         with pytest.raises(ValueError, match="initial beliefs"):
             assemble(a, c, np.ones(3), x0)
 
+    def test_inputs_are_copied(self):
+        a = StochasticMatrix(np.eye(3))
+        c = StochasticMatrix(np.eye(2))
+        lam, x0 = np.ones(3), np.zeros((3, 2))
+        system = assemble(a, c, lam, x0)
+        lam[0], x0[0, 0] = 7.0, 7.0
+        np.testing.assert_array_equal(system.lam, np.ones(3))
+        np.testing.assert_array_equal(system.x0, np.zeros((3, 2)))
+
 
 class TestStep:
     def test_matches_dense_operator(self):

@@ -14,7 +14,7 @@ from kronmix.generators import TopologySpec, generate, lazify
 from kronmix.graphs import DirectedGraph, scc_decompose
 from kronmix.kron import kron
 from kronmix.limits import limit_matrix
-from kronmix import mixing
+from kronmix import mixing, stochastic
 from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_absorbing_time,
                             measure_mixing_time, product_distance_to_limit,
                             second_eigenvalue, spectral_bounds, system_mixing_time,
@@ -42,6 +42,10 @@ def sparse_ergodic(rng):
         g = lazify(DirectedGraph(size, edges), float(rng.uniform(0.2, 0.6)))
         if scc_decompose(g).count == 1:
             return equal_weight_matrix(g)
+
+
+def no_eigensolve(matvec, n):
+    raise AssertionError(f"eigensolve on {n} states")
 
 
 # exact-start t_mix at epsilon 0.25 of lazy (alpha 0.5) chains; a change to
@@ -89,9 +93,17 @@ class TestMeasureMixingTime:
         prod = kron(lazy_chain("hypercube", 32), lazy_chain("cycle", 33))
         assert measure_mixing_time(prod, 0.25) == 103
 
-    def test_pinned_sampled_value(self):
-        # past 2000 states the scan takes the fixed 64 starts of _start_rows
-        assert measure_mixing_time(lazy_chain("cycle", 2501), 0.97) == 260
+    def test_above_the_cap_is_too_large(self, monkeypatch):
+        # every start or a typed error, before any stationary solve
+        chain = lazy_chain("cycle", 2001)
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", no_eigensolve)
+        with pytest.raises(TooLarge, match="every start of 2001 states; the cap is 2000$"):
+            measure_mixing_time(chain, 0.25)
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(mixing, "EXACT_START_LIMIT", 10)
+        with pytest.raises(TooLarge, match="every start of 12 states; the cap is 10$"):
+            measure_mixing_time(lazy_chain("cycle", 12), 0.25)
 
     def test_mixed_at_start_is_zero(self):
         for m, eps in ((StochasticMatrix(np.eye(1)), 0.25),
@@ -285,7 +297,8 @@ class TestStartRows:
     def test_exact_up_to_the_limit(self):
         np.testing.assert_array_equal(
             mixing._start_rows(256, exact_limit=256), np.arange(256))
-        np.testing.assert_array_equal(mixing._start_rows(2000), np.arange(2000))
+        np.testing.assert_array_equal(mixing._start_rows(2000, exact_limit=2000),
+                                      np.arange(2000))
 
 
 class TestEigenBounds:
@@ -713,7 +726,7 @@ class TestProductBehavior:
         m1, m2 = random_ergodic(rng, 41), random_ergodic(rng, 50)
         k = 2
         got = product_distance_to_limit(m1, m2, k)
-        starts = mixing._start_rows(41 * 50)
+        starts = mixing._start_rows(41 * 50, mixing.EXACT_START_LIMIT)
         assert starts.size == 64
         l1 = np.linalg.matrix_power(m1.dense(), k)
         l2 = np.linalg.matrix_power(m2.dense(), k)
@@ -760,6 +773,27 @@ class TestProductBehavior:
         left, right = lazy_chain(*pair[:2]), lazy_chain(*pair[2:])
         got = [product_distance_to_limit(left, right, k) for k in (0, 1, 7, 50, 400)]
         assert got == PINNED_PRODUCT_DISTANCE[pair]
+
+    def test_every_start_up_to_a_raised_limit(self, monkeypatch):
+        # lazy cycle 45 x lazy path 45: 2025 states, under a limit of 10,000
+        left, right = lazy_chain("cycle", 45), lazy_chain("path", 45)
+        monkeypatch.setattr(mixing, "EXACT_START_LIMIT", 10_000)
+        scanned, real = [], mixing._start_rows
+
+        def counting(n, exact_limit):
+            rows = real(n, exact_limit)
+            scanned.append(rows.size)
+            return rows
+
+        monkeypatch.setattr(mixing, "_start_rows", counting)
+        got = product_distance_to_limit(left, right, 50)
+        assert scanned == [2025]
+        lk = np.linalg.matrix_power(left.dense(), 50)
+        rk = np.linalg.matrix_power(right.dense(), 50)
+        pi = np.kron(stationary(left), stationary(right))
+        want = max(0.5 * np.abs(np.kron(lk[i:i + 1], rk) - pi).sum(axis=1).max()
+                   for i in range(45))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_memory_stays_off_the_product_block(self):
         # lazy cycle 44 x lazy path 45: 1980 states, every start exact; the
@@ -828,11 +862,12 @@ class TestProductRoute:
             measure_mixing_time(kron(a, c), 0.25, max_steps=max_steps)
         assert measure_mixing_time(kron(a, c), 0.25, max_steps=103) == 103
 
-    def test_pinned_sampled_product_value(self):
-        # 2050 states: the product's own rows, at the 64 starts of _start_rows
+    def test_product_above_the_cap_is_too_large(self, monkeypatch):
+        # 2050 states: neither the factors nor the product is solved or stepped
         prod = kron(lazy_chain("cycle", 41), lazy_chain("star", 50))
-        assert prod.n > mixing.EXACT_START_LIMIT
-        assert measure_mixing_time(prod, 0.25) == 160
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", no_eigensolve)
+        with pytest.raises(TooLarge, match="every start of 2050 states; the cap is 2000$"):
+            measure_mixing_time(prod, 0.25)
 
     def test_only_a_kron_product_has_factors(self):
         left, right = REDUCIBLE, lazy_chain("cycle", 5)

@@ -612,6 +612,13 @@ class TestCli:
         assert re.search(r"^coupling L = 6.25 \(exact, error <= [0-9.e-]+, krylov, "
                          r"[0-9]+ iterations\)$", out, re.MULTILINE)
 
+    def test_mixing_command_above_the_t_mix_cap(self, capsys):
+        # every start or a typed error: exit 4 before any solve or stepping
+        assert main(["mixing", "--family", "cycle", "--n", "2100", "--alpha", "0.5"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: TooLarge: t_mix")
+        assert "every start of 2100 states; the cap is 2000\n" in err
+
     def test_limits_command(self, capsys):
         code = main(["limits", "--agent-family", "complete", "--agent-n", "4",
                      "--constraint-family", "complete", "--constraint-n", "3",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kronmix import stochastic
 from kronmix.beliefs import assemble
@@ -223,6 +224,18 @@ class TestKeptChains:
         assert stationary(m) is pi
         with pytest.raises(ValueError):
             pi[0] = 1.0
+
+    def test_a_csr_input_is_copied(self):
+        # a lazy 3-state ring with an explicit zero at (0, 2)
+        given = sp.csr_matrix((np.array([0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5]),
+                               np.array([0, 1, 2, 1, 2, 0, 2]), np.array([0, 3, 5, 7])),
+                              shape=(3, 3))
+        m = StochasticMatrix(given)
+        assert given.nnz == 7 and m.nnz == 6
+        kept, pi = m.dense(), stationary(m).copy()
+        given.data[0] = 5.0
+        np.testing.assert_array_equal(m.dense(), kept)
+        np.testing.assert_array_equal(stationary(m), pi)
 
     def test_restrict_keeps_one_chain_per_set(self):
         m = equal_weight_matrix(generate(TopologySpec("path", 4, directed=True)))

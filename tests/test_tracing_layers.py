@@ -7,10 +7,11 @@ source, never imported or run, so these tests leave the benchmark directory
 untouched. The same AST reading checks that `tests/oracles.py` stays
 independent of the library routines it is compared with, that a
 matrix's strong components and its restrictions to closed classes have one
-owner, `StochasticMatrix`, that only `kron.kron` gives a matrix factors, and
+owner, `StochasticMatrix`, that only `kron.kron` gives a matrix factors,
 that a system's closed classes are listed in one place,
 `beliefs.closed_factor_classes` (`cli` also lists a graph's components for
-`analyze`).
+`analyze`), and that only `product_distance_to_limit` and
+`system_mixing_time` sample starts (`mixing._start_rows`).
 """
 
 import ast
@@ -192,3 +193,18 @@ def test_only_kron_gives_a_matrix_factors():
         visitor.visit(_module(path))
         setting |= visitor.found
     assert setting == {"kron.kron"}, f"functions setting _factors: {sorted(setting)}"
+
+
+def test_only_two_scans_sample_starts():
+    # `measure_mixing_time` tracks every start or raises TooLarge
+    calling = set()
+    for path in sorted(glob.glob(os.path.join(LIBRARY, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for fn in ast.walk(_module(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_start_rows"
+                    for node in ast.walk(fn)):
+                calling.add(f"{module}.{fn.name}")
+    assert calling == {"mixing.product_distance_to_limit", "mixing.system_mixing_time"}, \
+        f"functions calling _start_rows: {sorted(calling)}"
