@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
+from scipy.sparse import csgraph
 
 from .beliefs import BeliefSystem, update
 from .errors import FailedToConverge, StructuralError, TooLarge
@@ -34,12 +35,16 @@ SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its colu
 SAMPLED_STARTS = 64
 # the coupling solve holds about 4 n^2 float64 values: 128 MB at the cap
 COUPLING_STATE_LIMIT = 2000
-_COUPLING_TOL = 1e-10  # largest residual entry at which BiCGSTAB stops
+_COUPLING_TOL = 1e-10  # largest residual entry at which the Krylov solvers stop
 _KRYLOV_ITERATIONS = 10_000
 # nonzeros of P (x) P, about twice the pair chain's, that the fallback may factor
 _DIRECT_NNZ = 1_000_000
 _PAIR_CHUNK = 128  # rows of P per chunk of P V P'
-_TINY = np.finfo(np.float64).eps ** 2  # BiCGSTAB breakdown threshold
+_TINY = np.finfo(np.float64).eps ** 2  # Krylov breakdown threshold
+# detailed balance holds within this relative gap on every edge of a chain
+# that CG solves: far above the rounding of pi along a tree path of up to
+# COUPLING_STATE_LIMIT edges (about 8 n u), far below a perturbed edge
+_BALANCE_TOL = 1e-10
 # columns per chunk of `_column_gap`
 _GAP_CHUNK = 128
 
@@ -57,7 +62,7 @@ class CouplingEstimate:
     trials: int
     capped: int
     start_pair: tuple[int, int]
-    method: str  # "krylov" or "direct"
+    method: str  # "cg", "bicgstab" or "direct"
     iterations: int
 
 
@@ -330,10 +335,12 @@ def second_eigenvalue(matrix: StochasticMatrix) -> float:
 def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float, float]:
     """Spectral mixing-time bounds on `states` states.
 
-    lower = lambda2 / (2 (1 - lambda2)) * ln(1 / (2 epsilon))
+    lower = max(0, lambda2 / (2 (1 - lambda2)) * ln(1 / (2 epsilon)))
     upper = (ln states + ln(1 / epsilon)) / (1 - lambda2)
 
-    A |lambda_2| of 1 or more gives no bound and raises FailedToConverge.
+    Above epsilon 1/2 the logarithm in the lower bound is negative, and the
+    bound is the trivial 0. A |lambda_2| of 1 or more gives no bound and
+    raises FailedToConverge.
     ValueError unless lambda2 >= 0, 0 < epsilon < 1 and states >= 1.
     """
     if not lambda2 >= 0:  # NaN fails this check too
@@ -344,7 +351,7 @@ def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float,
         raise ValueError(f"states must be at least 1, got {states}")
     if lambda2 >= 1.0:
         raise FailedToConverge(f"|lambda_2| estimate {lambda2} >= 1")
-    lower = lambda2 / (2.0 * (1.0 - lambda2)) * math.log(1.0 / (2.0 * epsilon))
+    lower = max(0.0, lambda2 / (2.0 * (1.0 - lambda2)) * math.log(1.0 / (2.0 * epsilon)))
     upper = (math.log(states) + math.log(1.0 / epsilon)) / (1.0 - lambda2)
     return lower, upper
 
@@ -359,39 +366,44 @@ class _PairOperator:
     buffer and P V P' is formed in chunks of n/16 rows (at least 32, at most
     _PAIR_CHUNK), so Z, with up to w^2 n^2 / 2 nonzeros for w the largest
     out-degree, is never built, and a chunk's scratch stays near n^2 bytes.
+    A chunk of rows lo..hi-1 forms only the columns lo.. that hold its
+    pairs: (P_rows V) times P's rows lo.. transposed. Both row blocks of P
+    are CSRs built once that share P's `data` and `indices` (`_row_view`).
+    Each entry sums the same products in the same order as over all
+    columns, so the values do not change.
+    One chunk-high mask `upper` serves every chunk: in rows lo.. and columns
+    lo.., entry (r, c) is a pair iff c > r.
     """
 
     def __init__(self, matrix: StochasticMatrix):
         n = matrix.n
         i = np.arange(n + 1)
         self.offsets = i * n - i * (i + 1) // 2
-        self.p = matrix.csr
+        self.p = p = matrix.csr
         self.full = np.zeros((n, n))
         rows = min(_PAIR_CHUNK, max(n // 16, 32))
         edges = list(range(0, n, rows)) + [n]
-        self.chunks = [(lo, hi, self.p[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-        self.cols = np.arange(n)
-
-    def _upper(self, lo: int, hi: int) -> np.ndarray:
-        """Mask of the entries j > i of rows lo..hi-1, in packed order."""
-        return self.cols[None, :] > np.arange(lo, hi)[:, None]
+        self.chunks = [(lo, hi, _row_view(p, lo, hi), _row_view(p, lo, n))
+                       for lo, hi in zip(edges, edges[1:])]
+        self.upper = np.arange(n)[None, :] > np.arange(min(rows, n))[:, None]
 
     def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        full, off = self.full, self.offsets
-        for lo, hi, _ in self.chunks:
-            upper = self._upper(lo, hi)
-            full[lo:hi][upper] = x[off[lo]:off[hi]]
+        full, off, n = self.full, self.offsets, self.full.shape[0]
+        for lo, hi, _, _ in self.chunks:
+            upper = self.upper[:hi - lo, :n - lo]
+            full[lo:hi, lo:][upper] = x[off[lo]:off[hi]]
             # the lower triangle mirrors the upper one block by block; a masked
             # write into it would run down its columns
             full[hi:, lo:hi] = full[lo:hi, hi:].T
-            block, inner = full[lo:hi, lo:hi], upper[:, lo:hi]
+            block, inner = full[lo:hi, lo:hi], upper[:, :hi - lo]
             block.T[inner] = block[inner]
-        for lo, hi, rows in self.chunks:
-            # rows lo..hi-1 of P V P' are (P (P_rows V)')'
+        for lo, hi, rows, tail in self.chunks:
+            # rows lo..hi-1, columns lo.. of P V P' are (P[lo:] (P_rows V)')'
             near = np.ascontiguousarray((rows @ full).T)
-            far = (self.p @ near).T
+            far = tail @ near
             del near  # before the masked copy of far, to bound the scratch
-            np.subtract(x[off[lo]:off[hi]], far[self._upper(lo, hi)], out=out[off[lo]:off[hi]])
+            np.subtract(x[off[lo]:off[hi]], far.T[self.upper[:hi - lo, :n - lo]],
+                        out=out[off[lo]:off[hi]])
         return out
 
     def chain(self) -> sp.csr_matrix:
@@ -407,18 +419,108 @@ class _PairOperator:
                              shape=(off[-1], off[-1]))
 
 
+def _row_view(csr: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo..hi-1 of `csr` as a CSR that shares its `data` and `indices`."""
+    start, stop = csr.indptr[lo], csr.indptr[hi]
+    rows = sp.csr_matrix((csr.data[start:stop], csr.indices[start:stop],
+                          csr.indptr[lo:hi + 1] - start), shape=(hi - lo, csr.shape[1]))
+    # scipy copies a view of less than half its base; these stay views
+    rows.data, rows.indices = csr.data[start:stop], csr.indices[start:stop]
+    return rows
+
+
 def _inf_norm(v: np.ndarray) -> float:
     """max |v_i| without an |v| temporary."""
     return max(float(v.max()), -float(v.min())) if v.size else 0.0
 
 
+def _entries(csr: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """csr[rows[k], cols[k]] for every k, 0 where no entry is stored."""
+    return np.asarray(csr[rows, cols]).ravel()
+
+
+def _detailed_balance(matrix: StochasticMatrix) -> np.ndarray | None:
+    """pi of an ergodic reversible chain, scaled to a largest entry of 1, or None.
+
+    No eigen-solve: pi_j = pi_i P_ij / P_ji along a breadth-first tree from
+    state 0, where a tree edge with no reverse edge means P is not
+    reversible. pi_i P_ij = pi_j P_ji is then checked on every edge to
+    _BALANCE_TOL relative. A pi so uneven that a pair weight pi_i pi_j
+    would fall below the normal float range also gives None.
+    """
+    p, n = matrix.csr, matrix.n
+    order, pred = csgraph.breadth_first_order(p, 0, return_predecessors=True)
+    child = order[1:]
+    parent = pred[child]
+    back = _entries(p, child, parent)
+    if not back.all():
+        return None
+    values = [1.0] * n
+    for j, i, ratio in zip(child.tolist(), parent.tolist(),
+                           (_entries(p, parent, child) / back).tolist()):
+        values[j] = values[i] * ratio
+    pi = np.array(values)
+    if not (np.isfinite(pi).all() and (pi.min() / pi.max()) ** 2 >= np.finfo(np.float64).tiny):
+        return None
+    rows = np.repeat(np.arange(n), np.diff(p.indptr))
+    flux = pi[rows] * p.data
+    if not (np.abs(flux - pi[p.indices] * _entries(p, p.indices, rows))
+            <= _BALANCE_TOL * flux).all():
+        return None
+    return pi / pi.max()
+
+
+def _cg(op, x: np.ndarray, r: np.ndarray, floor, max_iter: int, pi: np.ndarray) -> int:
+    """Conjugate gradients on (I - Z) x = 1 from x = 0 and r = 1, updating both in place.
+
+    The solver of reversible chains (Hestenes & Stiefel 1952). For a chain
+    reversible with respect to pi, Z is self-adjoint in the inner product
+    sum over pairs of pi_i pi_j a_ij b_ij, and I - Z is positive definite,
+    as Z is substochastic with spectral radius below 1. The inner products
+    take that weight from one vector built here; a pi uniform within
+    _BALANCE_TOL weighs every pair alike and takes plain dots instead. Four
+    vectors are alive beside it, x, r, p and q = (I - Z) p. Stops as
+    `_bicgstab` does: once max |r_i| <= floor(x), on a breakdown (a zero
+    inner product), or after max_iter iterations of one `op` call each;
+    returns the iterations taken.
+    """
+    weights = None
+    if pi.min() < 1.0 - _BALANCE_TOL:
+        off = op.offsets
+        weights = np.empty_like(x)
+        for i in range(pi.size - 1):
+            np.multiply(pi[i], pi[i + 1:], out=weights[off[i]:off[i + 1]])
+
+    def dot(a, b):
+        return float(a @ b) if weights is None else float(np.einsum("i,i,i->", a, weights, b))
+
+    p, q = r.copy(), np.empty_like(x)
+    rr = dot(r, r)
+    for k in range(max_iter):
+        op(p, q)
+        pq = dot(p, q)
+        if abs(pq) < _TINY:
+            return k
+        alpha = rr / pq
+        daxpy(p, x, a=alpha)
+        daxpy(q, r, a=-alpha)
+        if _inf_norm(r) <= floor(x):
+            return k + 1
+        rr, rr_old = dot(r, r), rr
+        # p = r + beta p
+        p *= rr / rr_old
+        daxpy(r, p)
+    return max_iter
+
+
 def _bicgstab(op, x: np.ndarray, r: np.ndarray, floor, max_iter: int) -> int:
     """BiCGSTAB on (I - Z) x = 1 from x = 0 and r = 1, updating both in place.
 
-    The shadow residual is the right-hand side 1, so (1, r) is r.sum() and
+    The solver of chains that are not reversible (van der Vorst 1992). The
+    shadow residual is the right-hand side 1, so (1, r) is r.sum() and
     nothing stores it: five vectors are alive, x, r, p, v and t. Stops once
     max |r_i| <= floor(x), on a breakdown (a zero inner product), or after
-    max_iter iterations; returns the iterations taken.
+    max_iter iterations of two `op` calls each; returns the iterations taken.
     """
     p, v, t = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     rho_old = alpha = omega = 1.0
@@ -457,19 +559,23 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     """Exact worst-pair expected meeting time L of two independent walks.
 
     T(i, j), the expected steps until walks from i and j meet, solves
-    T = 1 + P T P' off the diagonal with T_ii = 0. BiCGSTAB (van der Vorst
-    1992) solves it on the unordered pairs (`_PairOperator`) until every
-    residual entry is at most 1e-10, or four times its rounding if larger.
-    After a breakdown or _KRYLOV_ITERATIONS iterations, the explicit pair
-    chain is factored (`_solve_fundamental`) if P (x) P has at most
-    _DIRECT_NNZ nonzeros; otherwise FailedToConverge.
+    T = 1 + P T P' off the diagonal with T_ii = 0, on the unordered pairs
+    (`_PairOperator`), until every residual entry is at most 1e-10, or four
+    times its rounding if larger. A reversible chain, one that passes the
+    detailed-balance test of `_detailed_balance` (no eigen-solve), is solved
+    by conjugate gradients (`_cg`), one matvec an iteration; any other by
+    BiCGSTAB (`_bicgstab`), two. After a breakdown or _KRYLOV_ITERATIONS
+    iterations, the explicit pair chain is factored (`_solve_fundamental`)
+    if P (x) P has at most _DIRECT_NNZ nonzeros; otherwise FailedToConverge.
 
     `mean` is L and `start_pair` a pair that attains it. `stderr` bounds
     |mean - L|: as (I - Z)^-1 1 = T, a residual r of T~ gives
     ||T~ - T||_inf <= ||r||_inf max T~ / (1 - ||r||_inf), with r the
     explicit residual plus its rounding, (2w + 5) u max T~ for w the largest
     out-degree and u the unit roundoff; it is positive for n > 1. `method`
-    is "krylov" or "direct". One state gives L = 0 with no solve.
+    names the solver that produced L: "cg", "bicgstab" or "direct", and
+    `iterations` counts the Krylov iterations, those before a direct
+    fallback included. One state gives L = 0 with no solve.
 
     `trials` and `rng` change nothing; they are accepted for callers of the
     Monte-Carlo estimator this replaced, and trials < 1 still raises
@@ -498,7 +604,11 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
         return max(_COUPLING_TOL, 4 * rounding(x))
 
     x, r = np.zeros(op.offsets[-1]), np.ones(op.offsets[-1])
-    iterations, method = _bicgstab(op, x, r, floor, _KRYLOV_ITERATIONS), "krylov"
+    pi = _detailed_balance(matrix)
+    if pi is None:
+        iterations, method = _bicgstab(op, x, r, floor, _KRYLOV_ITERATIONS), "bicgstab"
+    else:
+        iterations, method = _cg(op, x, r, floor, _KRYLOV_ITERATIONS, pi), "cg"
     if _inf_norm(r) > floor(x):
         if matrix.nnz ** 2 > _DIRECT_NNZ:
             raise FailedToConverge(

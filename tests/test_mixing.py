@@ -330,6 +330,12 @@ class TestEigenBounds:
         with pytest.raises(ValueError, match=name):
             spectral_bounds(*args)
 
+    def test_lower_bound_is_zero_above_half_epsilon(self):
+        # ln(1 / (2 eps)) < 0 above eps 1/2: the lower bound is the trivial 0
+        lower, upper = spectral_bounds(0.5, 10, 0.9)
+        assert lower == 0.0
+        assert upper == pytest.approx(2 * (math.log(10) + math.log(1 / 0.9)), rel=1e-15)
+
     def test_negative_eigenvalue_modulus(self):
         # odd cycle: dominant non-unit eigenvalue is negative, |.| = cos(pi/n)
         m = equal_weight_matrix(generate(TopologySpec("cycle", 9)))
@@ -423,16 +429,17 @@ class TestCoupling:
         assert est.start_pair == (0, 1)
 
     def test_against_pair_chain_oracle(self):
-        # dense chains, lazy random digraphs (directed, not reversible) and a star
+        # dense chains and lazy random digraphs (directed, not reversible) take
+        # BiCGSTAB; a star, reversible with a non-uniform pi, takes CG
         rng = np.random.default_rng(11)
         chains = [random_ergodic(rng, int(n)) for n in (3, 8, 23, 40)]
         chains += [sparse_ergodic(rng) for _ in range(4)] + [lazy_chain("star", 30)]
-        for m in chains:
+        for m, method in zip(chains, ["bicgstab"] * 8 + ["cg"]):
             exact = pair_chain_expectations(m.dense())
             est = estimate_coupling_time(m)
             assert abs(est.mean - max(exact.values())) <= est.stderr
             assert est.stderr < 1e-8 * est.mean
-            assert est.method == "krylov"
+            assert est.method == method
 
     def test_chosen_pair_matches_oracle(self):
         rng = np.random.default_rng(12)
@@ -484,7 +491,24 @@ FRACTION_CHAINS = [
      [0, Fraction(2, 9), Fraction(1, 3), Fraction(4, 9), 0],
      [Fraction(1, 8), Fraction(1, 8), 0, Fraction(3, 8), Fraction(3, 8)],
      [Fraction(1, 2), 0, 0, Fraction(1, 4), Fraction(1, 4)]],
+    # walks on weighted undirected graphs, P_ij = w_ij / W_i: reversible with
+    # pi proportional to W. A lazy star with leaf weights 1, 2, 3: pi ~ (12, 2, 4, 6)
+    [[Fraction(1, 2), Fraction(1, 12), Fraction(1, 6), Fraction(1, 4)],
+     [Fraction(1, 2), Fraction(1, 2), 0, 0], [Fraction(1, 2), 0, Fraction(1, 2), 0],
+     [Fraction(1, 2), 0, 0, Fraction(1, 2)]],
+    # a path with edge weights 1..4 and self-loops 1, 1, 2, 1, 3: pi ~ (2, 4, 7, 8, 7)
+    [[Fraction(1, 2), Fraction(1, 2), 0, 0, 0],
+     [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), 0, 0],
+     [0, Fraction(2, 7), Fraction(2, 7), Fraction(3, 7), 0],
+     [0, 0, Fraction(3, 8), Fraction(1, 8), Fraction(1, 2)],
+     [0, 0, 0, Fraction(4, 7), Fraction(3, 7)]],
+    # a weighted triangle 0-1-2 with a pendant 3 and no self-loops: detailed
+    # balance on an edge off every breadth-first tree, pi ~ (4, 3, 6, 1)
+    [[0, Fraction(1, 4), Fraction(3, 4), 0], [Fraction(1, 3), 0, Fraction(2, 3), 0],
+     [Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 6)], [0, 0, 1, 0]],
 ]
+# the solver each chain takes: every 2-state chain is reversible
+FRACTION_METHODS = ["cg", "bicgstab", "bicgstab", "bicgstab", "bicgstab", "cg", "cg", "cg"]
 
 
 class TestCouplingExact:
@@ -497,6 +521,7 @@ class TestCouplingExact:
             [[Fraction(float(v)) for v in row] for row in dense])
         assert abs(Fraction(est.mean) - exact) <= Fraction(est.stderr)
         assert est.stderr > 0
+        assert est.method == FRACTION_METHODS[chain]
 
     def test_lazy_10_cube_matches_hamming_chain(self):
         k = 10
@@ -515,10 +540,12 @@ class TestCouplingExact:
         assert abs(est.mean - h.max()) <= est.stderr
         x, y = est.start_pair
         assert abs(h[bin(x ^ y).count("1") - 1] - h.max()) <= 2 * est.stderr
-        assert est.method == "krylov" and est.iterations < 20
+        assert est.method == "cg" and est.iterations < 20
 
-    def test_peak_memory_within_four_n_squared_floats(self):
-        m = lazy_chain("hypercube", 512)
+    # a uniform pi and a non-uniform one, whose CG keeps a pair weight vector
+    @pytest.mark.parametrize("family", ["hypercube", "star"])
+    def test_peak_memory_within_four_n_squared_floats(self, family):
+        m = lazy_chain(family, 512)
         tracemalloc.start()
         try:
             estimate_coupling_time(m)
@@ -545,6 +572,67 @@ class TestCouplingExact:
         est = estimate_coupling_time(lazy_chain("cycle", n, alpha=alpha, directed=True))
         assert est.method == "direct" and est.iterations > 0
         assert abs(est.mean - n * n / (8 * alpha * (1 - alpha))) <= est.stderr
+
+    def test_one_perturbed_edge_takes_bicgstab(self):
+        # a lazy walk on a weighted ring is reversible; moving 0.01 of one row's
+        # mass from its self-loop to one edge breaks detailed balance on that
+        # edge only. On a path it would not: every birth-death chain is reversible
+        adj = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 4.0], 1)
+        adj[0, 6] = 5.0
+        adj += adj.T
+        dense = adj + np.diag(adj.sum(axis=1))
+        dense /= dense.sum(axis=1, keepdims=True)
+        assert estimate_coupling_time(StochasticMatrix(dense)).method == "cg"
+        dense[3, 3] -= 0.01
+        dense[3, 4] += 0.01
+        m = StochasticMatrix(dense)
+        est = estimate_coupling_time(m)
+        assert est.method == "bicgstab"
+        assert abs(est.mean - pair_chain_coupling(m.dense())) <= est.stderr
+
+    def test_pi_beyond_the_float_range_takes_bicgstab(self):
+        # a lazy path that steps right 4999 times as often as left is
+        # reversible, but pi_i / pi_(i+1) = 1 / 4999: over 44 states pair
+        # weights pi_i pi_j span more than the float range
+        n, left = 44, 1e-4
+        dense = 0.5 * np.eye(n) + np.diag(np.full(n - 1, 0.5 - left), 1) \
+            + np.diag(np.full(n - 1, left), -1)
+        dense[0, 0] += left
+        dense[-1, -1] += 0.5 - left
+        est = estimate_coupling_time(StochasticMatrix(dense))
+        assert est.method == "bicgstab"
+        assert abs(est.mean - pair_chain_coupling(dense)) <= est.stderr
+
+    def test_no_eigensolve(self, monkeypatch):
+        # the reversibility test needs no pi from ARPACK, on either route
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", no_eigensolve)
+        monkeypatch.setattr(mixing, "_dominant_eigenpair", no_eigensolve)
+        assert estimate_coupling_time(lazy_chain("lollipop", 20)).method == "cg"
+        cycle = lazy_chain("cycle", 34, alpha=0.1, directed=True)
+        assert estimate_coupling_time(cycle).method == "direct"
+
+    @pytest.mark.parametrize("n", [5, 40, 130])
+    def test_pair_operator_matches_dense_product(self, n):
+        # chunks of 32 rows: one chunk at n = 5, a short last chunk at 40 and
+        # 130; rows of uneven length, so each chunk's rows of P start elsewhere
+        rng = np.random.default_rng(n)
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.2) + 0.1 * np.eye(n)
+        m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+        op = mixing._PairOperator(m)
+        x = rng.random(op.offsets[-1]) + 0.5
+        upper = np.triu_indices(n, 1)
+        v = np.zeros((n, n))
+        v[upper] = x
+        v += v.T
+        p = m.dense()
+        want = x - (p @ v @ p.T)[upper]
+        got = op(x, np.empty_like(x))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # every row block reads P's own arrays: none is a copy
+        for _, _, rows, tail in op.chunks:
+            for block in (rows, tail):
+                assert np.shares_memory(block.data, m.csr.data)
+                assert np.shares_memory(block.indices, m.csr.indices)
 
     def test_no_fallback_above_direct_cap(self, monkeypatch):
         monkeypatch.setattr(mixing, "_KRYLOV_ITERATIONS", 3)

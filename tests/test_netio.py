@@ -609,7 +609,7 @@ class TestCli:
         assert "t_mix" in out
         # two walks on K6 share 4 of their 5 targets: they meet with probability
         # 4/25 each step, so L = 25/4
-        assert re.search(r"^coupling L = 6.25 \(exact, error <= [0-9.e-]+, krylov, "
+        assert re.search(r"^coupling L = 6.25 \(exact, error <= [0-9.e-]+, cg, "
                          r"[0-9]+ iterations\)$", out, re.MULTILINE)
 
     def test_mixing_command_above_the_t_mix_cap(self, capsys):
