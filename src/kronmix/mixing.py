@@ -10,7 +10,14 @@ All bound formulas use the natural logarithm.
 
 A system's scan takes the Kronecker gap only at the steps that a cheaper
 lower bound from the factor marginals, `_marginal_gap`, cannot put above
-epsilon, so its `t_mix` values are those of the gap alone.
+epsilon, and it steps only until a second lower bound, one that never
+increases in k, can be read ahead (`_bound_jump`): the agents'
+pi-weighted L1 distance from their limit, which a stochastic operator never
+raises (Levin, Peres & Wilmer, ch. 4), times the constraint block's mass.
+Once the dense squarings that read it ahead cost no more than the steps
+made, it jumps over every step that this bound, less a rounding allowance
+of about k (n + m) units, puts above epsilon. Its `t_mix` values are those
+of the gap alone.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 from scipy.sparse import csgraph
 
-from .beliefs import BeliefSystem, update
+from .beliefs import BeliefSystem, closed_factor_classes, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .limits import limit_matrix
 from .stochastic import (StochasticMatrix, _basis, _dominant_eigenpair, _solve_fundamental,
@@ -47,6 +54,14 @@ _TINY = np.finfo(np.float64).eps ** 2  # Krylov breakdown threshold
 _BALANCE_TOL = 1e-10
 # columns per chunk of `_column_gap`
 _GAP_CHUNK = 128
+# float64 values that the powers of two of `_bound_jump` may hold: the 128 MB
+# that COUPLING_STATE_LIMIT allows the coupling solve
+_POWER_BUDGET = 4 * COUPLING_STATE_LIMIT ** 2
+# distance m |c_k - gamma|_1 of a system scan's constraint columns from their
+# limit at which `_bound_jump` reads its bound. It costs the bound
+# delta (e + |alpha|_1) / 2, about 5e-7 on the README sweep: less than one
+# step's change of the gap near t there, so the jump lands on t - 1
+_JUMP_DELTA = 2.0 ** -20
 
 
 @dataclass
@@ -199,7 +214,7 @@ def _check_scan(epsilon: float, max_steps: int) -> None:
 
 
 def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0,
-                  screen=None) -> int:
+                  screen=None, jump=None) -> int:
     """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
     The one stepping loop of the mixing times: `state` is iterate `start` of
@@ -207,17 +222,29 @@ def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int =
     factor block), and `gap` reads it as the largest distance of a tracked
     start from its limit. An optional `screen` is a cheaper lower bound on
     that gap as computed: an iterate it puts above epsilon is stepped past
-    without taking the gap, except at max_steps. A gap still above epsilon
-    at max_steps raises FailedToConverge with that gap; steps count from
-    iterate 0. Callers check their arguments with `_check_scan`.
+    without taking the gap, except at max_steps. An optional `jump(k, state)`
+    is called at each iterate k found above epsilon before max_steps; it
+    returns an iterate (k', state') with k <= k' <= max_steps, every iterate
+    k..k'-1 above epsilon, and the scan goes on from there (k' = k steps as
+    usual). A gap still above epsilon at max_steps raises FailedToConverge
+    with that gap; steps count from iterate 0. Callers check their arguments
+    with `_check_scan`; ValueError if start > max_steps.
     """
-    for k in range(start, int(max_steps) + 1):
+    if start > max_steps:
+        raise ValueError(f"scan starts at step {start}, past max_steps {max_steps}")
+    k = start
+    while True:
         screened = k < max_steps and screen is not None and screen(state) > epsilon
         if not screened and (d := gap(state)) <= epsilon:
             return k
-        if k < max_steps:
-            state = step(state)
-    raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
+        if k == max_steps:
+            raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
+        if jump is not None:
+            ahead, state = jump(k, state)
+            if ahead > k:
+                k = ahead
+                continue
+        state, k = step(state), k + 1
 
 
 def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
@@ -704,6 +731,23 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     the top rows, like their limits, and are dropped; only stubborn agents'
     anchor columns step through `update`. So a sampled lambda = 1 system
     tracks fewer than 64 columns: 27-30 at the sampled README-sweep points.
+
+    A scan with no anchor column jumps ahead (`_bound_jump`). A tracked
+    column (i, u) whose limit folds to alpha gamma' has agent distance
+    e(k) = mu' |(Lambda A)^k e_i - alpha|, with mu = pi on the oblivious
+    agents' closed classes scaled to a largest entry of 1; e(k) never
+    increases, as mu' Lambda A <= mu'. Once C^k e_u is within delta of
+    gamma (m |C^k e_u - gamma|_1 <= delta), the gap stays at least
+    1/2 [(1'gamma - delta) e(k) - delta |alpha|_1], which never increases
+    either. Powers of two of Lambda A find the last step that this bound,
+    less a rounding allowance of about 2 k (n + m) units (each squaring
+    about doubles a nonnegative power's relative error), puts above
+    epsilon, and the scan resumes one step later. The jump waits until its
+    dense squarings cost no more than the sparse steps made and proved, and
+    is not taken where _POWER_BUDGET cannot hold the powers that pay for
+    themselves (about n > 1000). So t is the one the stepped scan gives,
+    and the README sweep takes at most 60 sparse steps a point where it
+    took t (12,992 for its ten points).
     ValueError unless 0 < epsilon < 1 and max_steps >= 0, checked first.
     """
     _check_scan(epsilon, max_steps)
@@ -717,7 +761,8 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     marginals = _marginals(top_target, n, m)
     anchors = _basis(nm, anchor - nm)
     i, u = np.divmod(top, m)
-    both = sp.block_diag((sp.diags(system.lam) @ system.a.csr, system.c.csr), format="csr")
+    lam_a = (sp.diags(system.lam) @ system.a.csr).tocsr()
+    both = sp.block_diag((lam_a, system.c.csr), format="csr")
 
     def step(state):
         block, z = state
@@ -731,7 +776,122 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
         return max(_column_gap(block[:n], top_target, block[n:]), _column_gap(z, anchor_target))
 
     start = (np.vstack([_basis(n, i), _basis(m, u)]), np.zeros((nm, anchor.size)))
-    return _first_within(step, start, gap, epsilon, max_steps, screen=screen)
+    jump = None
+    if top.size and not anchor.size:
+        jump = _bound_jump(system, lam_a, u, top_target, step, epsilon, max_steps)
+    return _first_within(step, start, gap, epsilon, max_steps, screen=screen, jump=jump)
+
+
+def _bound_jump(system: BeliefSystem, lam_a: sp.csr_matrix, u: np.ndarray,
+                top_target: np.ndarray, step, epsilon: float, max_steps: int):
+    """The `jump` of `system_mixing_time`'s scan of top columns (i, u), or None.
+
+    The limits: for u in a closed class K of C, gamma_j[u] is pi_K[u], so
+    gamma_j is the target fold's column sums scaled to that entry, and
+    alpha_j its row sums over g_j = 1'gamma_j. A column whose limit is 0
+    gives no bound, and None means no column does. The bound: with
+    e_j(k) = mu' |a_k - alpha_j| and delta_j = m |c_K - gamma_j|_1 at the
+    jump point K, no column of a power of C sums above m, so
+    |1'c_k - g_j| <= delta_j for k >= K, and summing the topics out of the
+    gap gives gap_j(k) >= 1/2 [(g_j - delta_j) e_j(k) - delta_j |alpha_j|_1].
+    The computed limits need not be exact fixed points, so their residuals
+    mu' |Lambda A alpha_j - alpha_j| and m |C gamma_j - gamma_j|_1 are
+    charged once a step: the bound read at K + s holds from K to K + s.
+
+    The cost: one level of the jump squares Lambda A and C and applies a
+    power to the block twice, n^3 + m^3 + 2 (n^2 + m^2) w flops, w the
+    columns; a scan step costs (nnz(Lambda A) + nnz(C)) w. Counting a dense
+    flop as a sixteenth of a sparse one, as `measure_mixing_time` does (one
+    core measured 45-100 at n = 51-2000), a level costs `cost` steps. The
+    scan tries the jump at the first step K with
+    s cost <= K + 2^(s-1) for every s, and every bounding column has
+    delta_j <= _JUMP_DELTA: level s is squared only after the bound has
+    proved 2^(s-1) steps, so the jump's dense work never exceeds the sparse
+    work stepped and proved. The constraint's distance is re-read each time
+    k grows by an eighth, so a constraint that stays far costs the scan
+    about 8 log2(t) block reads. The powers held must fit _POWER_BUDGET
+    values; if it cannot hold the L + 1 powers of the fewest levels L with
+    2^L >= L cost, which pay for themselves, the scan takes no jump.
+
+    From K it squares while the bound puts step K + 2^j above epsilon and
+    the budget holds the next power, then descends through the powers held
+    (binary lifting) to the last step k* <= max_steps it puts above
+    epsilon, and resumes at k* + 1, or at max_steps when k* is max_steps.
+    The bound must clear epsilon by r_j = (2k + nm) (n + m) u
+    (|a_k|_1 + |alpha_j|_1) (g_j + 1), u the machine epsilon: the powers'
+    relative error about doubles a squaring, so it reaches about 2 k n u,
+    and the stepped block and the gap's sums add about k (n + m) and nm
+    units.
+    """
+    n, m, w = system.n, system.m, u.size
+    cost = (n ** 3 + m ** 3 + 2 * (n * n + m * m) * w) / (16 * (lam_a.nnz + system.c.nnz) * w)
+    levels = 1
+    while 2 ** levels < levels * cost:
+        levels += 1
+    if (levels + 1) * (n * n + m * m) > _POWER_BUDGET:
+        return None
+    check = math.ceil(max(s * cost - 2 ** (s - 1) for s in range(1, levels + 2)))
+    agents, topics = closed_factor_classes(system)
+    mu, pi_c = np.zeros(n), np.zeros(m)
+    for members, _ in agents:
+        pi = stationary(system.a.restrict(members))
+        mu[members] = pi / pi.max()
+    if not mu.any():
+        return None
+    for members, _ in topics:
+        pi_c[members] = stationary(system.c.restrict(members))
+    folded = top_target.reshape(n, m, w)
+    col_sums = folded.sum(axis=0)
+    at_u = col_sums[u, np.arange(w)]
+    live = (pi_c[u] > 0) & (at_u > 0)
+    if not live.any():
+        return None
+    gamma = col_sums[:, live] * (pi_c[u[live]] / at_u[live])
+    g = gamma.sum(axis=0)
+    alpha = folded.sum(axis=1)[:, live] / g
+    mass = np.abs(alpha).sum(axis=0)
+    drift_a = mu @ np.abs(lam_a @ alpha - alpha)
+    drift_c = m * np.abs(system.c.csr @ gamma - gamma).sum(axis=0)
+    unit = np.finfo(np.float64).eps
+
+    def jump(k, state):
+        nonlocal check
+        block, z = state
+        if k < check:
+            return k, state
+        delta = m * np.abs(block[n:, live] - gamma).sum(axis=0)
+        if delta.max() > _JUMP_DELTA:
+            check = k + k // 8 + 1
+            return k, state
+        check = math.inf
+
+        def above(a, at):
+            # some b_j, read at step `at` from a = a_at and charged its drift
+            # since k, less r_j, is above epsilon: so is every step k..at
+            e = np.maximum(mu @ np.abs(a[:, live] - alpha) - (at - k) * drift_a, 0.0)
+            spread = delta + (at - k) * drift_c
+            r = (2 * at + n * m) * (n + m) * unit * (a[:, live].sum(axis=0) + mass) * (g + 1)
+            return bool((0.5 * (np.maximum(g - spread, 0.0) * e - spread * mass) - r
+                         > epsilon).any())
+
+        # square while the bound holds 2^j steps past k, then descend from k
+        # through the powers held (binary lifting)
+        powers = [(lam_a.toarray(), system.c.dense())]
+        while (k + 2 ** (len(powers) - 1) <= max_steps
+               and (len(powers) + 1) * (n * n + m * m) <= _POWER_BUDGET
+               and above(powers[-1][0] @ block[:n], k + 2 ** (len(powers) - 1))):
+            p, q = powers[-1]
+            powers.append((p @ p, q @ q))
+        a, c, pos = block[:n], block[n:], k
+        for j in reversed(range(len(powers))):
+            if pos + 2 ** j <= max_steps and above(ahead := powers[j][0] @ a, pos + 2 ** j):
+                a, c, pos = ahead, powers[j][1] @ c, pos + 2 ** j
+        if pos == k:
+            return k, state
+        state = np.vstack([a, c]), z
+        return (pos, state) if pos == max_steps else (pos + 1, step(state))
+
+    return jump
 
 
 def analyze_mixing(matrix: StochasticMatrix, epsilon: float = 0.25,

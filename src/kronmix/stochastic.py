@@ -19,6 +19,9 @@ from .errors import DanglingNode, FailedToConverge, NotErgodic, NotStochastic, S
 from .graphs import DirectedGraph, SccDecomposition, scc_decompose
 
 ROW_SUM_TOL = 1e-9
+# states up to which `stationary` solves densely when ARPACK fails: at most
+# three n x n float64 arrays at once, 96 MB at the cap
+DENSE_STATIONARY_LIMIT = 2000
 
 
 class StochasticMatrix:
@@ -176,13 +179,23 @@ def stationary(matrix: StochasticMatrix) -> np.ndarray:
     The first call on a matrix makes one ARPACK call to machine precision
     (`_dominant_eigenpair`); the matrix keeps the result, and every call
     returns that one read-only array. The error is about machine epsilon
-    over the spectral gap, so slow chains lose digits. Periodic or reducible
-    chains raise NotErgodic, and an ARPACK run that hits its iteration cap
-    raises FailedToConverge; neither is kept.
+    over the spectral gap, so slow chains lose digits. When ARPACK hits its
+    iteration cap, as on lazy directed cycles from 80 states, a chain of up
+    to DENSE_STATIONARY_LIMIT states solves (I - M') pi = 0 densely, with one row
+    replaced by sum(pi) = 1; a larger one raises FailedToConverge (a sparse
+    LU of that system fills in on social graphs). Periodic or reducible
+    chains raise NotErgodic; neither error is kept.
     """
     if matrix._pi is None:
         ergodicity_check(matrix)
-        _, vec = _dominant_eigenpair(matrix.csr.T.dot, matrix.n)
+        try:
+            _, vec = _dominant_eigenpair(matrix.csr.T.dot, matrix.n)
+        except FailedToConverge:
+            if matrix.n > DENSE_STATIONARY_LIMIT:
+                raise
+            system = np.eye(matrix.n) - matrix.csr.T.toarray()
+            system[-1] = 1.0  # an irreducible chain's balance rows have rank n - 1
+            vec = np.linalg.solve(system, np.r_[np.zeros(matrix.n - 1), 1.0])
         pi = np.abs(vec)
         pi /= pi.sum()
         pi.flags.writeable = False

@@ -20,6 +20,7 @@ from oracles import (dense_system_operator, distance_to_limit_curve,
                      system_graph_closed_classes, system_graph_limit)
 from test_acceptance import philox, random_belief_system
 from test_beliefs import cycle_path_system, random_system
+from test_mixing import lazy_chain
 
 
 class TestAbsorbingProbabilities:
@@ -523,3 +524,143 @@ class TestSystemMixingTime:
         assert cols.size == 64 and {0.5, 1.0} <= set(anchor_lam)
         for eps in (0.25, 0.1, 0.01):
             assert system_mixing_time(system, eps) == _stepped_mixing_time(system, eps)
+
+
+def recorded_jumps(monkeypatch):
+    """Every jump the system scan takes, as (from k, to k); None once per scan without one."""
+    jumps, real = [], mixing._bound_jump
+
+    def recording(*args):
+        jump = real(*args)
+        if jump is None:
+            jumps.append(None)
+            return None
+
+        def recorded(k, state):
+            ahead, state = jump(k, state)
+            if ahead != k:
+                jumps.append((k, ahead))
+            return ahead, state
+
+        return recorded
+
+    monkeypatch.setattr(mixing, "_bound_jump", recording)
+    return jumps
+
+
+class TestBoundJump:
+    """The system scan's jump over steps that a non-increasing lower bound puts above epsilon."""
+
+    @pytest.mark.parametrize("agents, constraint, directed, fires", [
+        # uniform pi on the agents: the bound is the agents' L1 distance
+        (("cycle", 30), ("path", 10), True, True),
+        # non-uniform pi: mu = pi / max pi weighs the lollipop's path lightly
+        (("lollipop", 40), ("path", 10), True, True),
+        # a slow constraint: C is not within _JUMP_DELTA of its limit before t
+        (("cycle", 25), ("cycle", 30), False, False),
+    ])
+    def test_matches_stepped_scan(self, agents, constraint, directed, fires, monkeypatch):
+        a, c = lazy_chain(*agents), lazy_chain(*constraint, directed=directed)
+        system = assemble(a, c, np.ones(a.n), philox(1206).random((a.n, c.n)))
+        assert system.dim > 256  # sampled columns, as kronbench reproduces
+        jumps = recorded_jumps(monkeypatch)
+        for eps in (0.25, 0.1, 0.01):
+            jumps.clear()
+            t = system_mixing_time(system, eps)
+            assert t == _stepped_mixing_time(system, eps)
+            assert bool(jumps) == fires and all(ahead <= t for _, ahead in jumps)
+            if agents[0] == "lollipop" and eps == 0.25:
+                # t 1979, and the bound proves every step up to k* = 929 above eps
+                assert (t, jumps[0][1]) == (1979, 930)
+
+    def test_stubborn_anchor_columns_take_no_jump(self, monkeypatch):
+        # lazy 15-cycle x directed path, every third agent at lambda 0.5: the
+        # sampled columns include stubborn agents' anchor columns
+        a, c = lazy_chain("cycle", 15), lazy_chain("path", 10, directed=True)
+        lam = np.where(np.arange(15) % 3 == 0, 0.5, 1.0)
+        system = assemble(a, c, lam, philox(1205).random((15, 10)))
+        calls = []
+        monkeypatch.setattr(mixing, "_bound_jump", lambda *args: calls.append(args))
+        assert system_mixing_time(system, 0.25) == _stepped_mixing_time(system, 0.25)
+        assert calls == []
+
+    def test_power_budget_shortens_the_jump(self, monkeypatch):
+        # three powers of two (1, 2, 4 steps) cover at most 7 steps past the
+        # jump point, so the scan resumes at most 8 steps on; t does not move
+        a, c = lazy_chain("cycle", 30), lazy_chain("path", 10, directed=True)
+        system = assemble(a, c, np.ones(30), np.full((30, 10), 0.5))
+        monkeypatch.setattr(mixing, "_POWER_BUDGET", 3 * (30 * 30 + 10 * 10))
+        jumps = recorded_jumps(monkeypatch)
+        assert system_mixing_time(system, 0.25) == 295
+        (k, ahead), = jumps
+        assert k < ahead <= k + 8
+
+    @pytest.mark.parametrize("ready", [0.5, 4.0])
+    def test_early_jump_is_shorter_not_wrong(self, ready, monkeypatch):
+        # with C still far from its limit, the bound pays for that distance
+        # (delta) and proves fewer steps: t does not move
+        a, c = lazy_chain("cycle", 30), lazy_chain("path", 10, directed=True)
+        system = assemble(a, c, np.ones(30), np.full((30, 10), 0.5))
+        monkeypatch.setattr(mixing, "_JUMP_DELTA", ready)
+        jumps = recorded_jumps(monkeypatch)
+        for eps in (0.25, 0.1, 0.01):
+            jumps.clear()
+            assert system_mixing_time(system, eps) == _stepped_mixing_time(system, eps)
+            assert len(jumps) == 1
+
+    def test_no_jump_when_the_budget_cannot_hold_paying_powers(self, monkeypatch):
+        # lazy 30-cycle x directed path, 29 columns: one level of the jump
+        # costs under 2 sparse steps, so the 2 powers of one level pay for
+        # themselves; a budget of one power takes no jump, one of two does, and
+        # t does not move
+        a, c = lazy_chain("cycle", 30), lazy_chain("path", 10, directed=True)
+        system = assemble(a, c, np.ones(30), np.full((30, 10), 0.5))
+        jumps = recorded_jumps(monkeypatch)
+        monkeypatch.setattr(mixing, "_POWER_BUDGET", 30 * 30 + 10 * 10)
+        assert system_mixing_time(system, 0.25) == 295
+        assert jumps == [None]
+        monkeypatch.setattr(mixing, "_POWER_BUDGET", 2 * (30 * 30 + 10 * 10))
+        assert system_mixing_time(system, 0.25) == 295
+        (k, ahead), = jumps[1:]
+        assert k < ahead <= k + 4  # powers of 1 and 2 steps cover 3
+
+    def test_jump_waits_until_its_squarings_are_paid(self, monkeypatch):
+        # lazy 200-cycle x directed path: a level of the jump (two squarings
+        # and two applications, a dense flop counted as 1/16 of a sparse one)
+        # costs `cost` sparse steps, and the scan has stepped enough that
+        # s levels cost no more than what it stepped and what s - 1 levels
+        # prove, for every s. The path is within 2^-20 of its limit from
+        # step 54, long before that
+        a, c = lazy_chain("cycle", 200), lazy_chain("path", 10, directed=True)
+        system = assemble(a, c, np.ones(200), np.full((200, 10), 0.5))
+        cols = mixing._start_rows(system.dim, mixing.SYSTEM_EXACT_START_LIMIT)
+        w = int((cols < 2000).sum())
+        cost = (200 ** 3 + 10 ** 3 + 2 * (200 ** 2 + 10 ** 2) * w) / (16 * (a.nnz + c.nnz) * w)
+        jumps = recorded_jumps(monkeypatch)
+        assert system_mixing_time(system, 0.25) == 13120  # the parent's stepped scan
+        (k, ahead), = jumps
+        assert ahead == 13120 and 100 < k
+        assert all(s * cost <= k + 2 ** (s - 1) for s in range(1, 40))
+        assert any(s * cost > k - 1 - (k - 1) // 8 + 2 ** (s - 1) for s in range(1, 40))
+
+    def test_step_cap_inside_the_jump(self, monkeypatch):
+        # lazy 30-cycle x directed path, lambda 1, eps 0.01: t 588, and the jump
+        # from about step 54 would pass max_steps 300. It stops there, and the
+        # error gives the exact gap at max_steps
+        a, c = lazy_chain("cycle", 30), lazy_chain("path", 10, directed=True)
+        system = assemble(a, c, np.ones(30), np.full((30, 10), 0.5))
+        jumps = recorded_jumps(monkeypatch)
+        with pytest.raises(FailedToConverge) as info:
+            system_mixing_time(system, 0.01, max_steps=300)
+        (k, ahead), = jumps
+        assert 54 <= k < 64 and ahead == 300
+        reported = float(re.fullmatch(r"distance to limit still (\S+) after 300 steps",
+                                      str(info.value)).group(1))
+        gaps = _stepped_gaps(system)
+        exact = [next(gaps) for _ in range(301)][300]
+        assert exact > 0.01 and reported == float(f"{exact:.3g}")
+        assert system_mixing_time(system, 0.01, max_steps=588) == 588
+
+    def test_scan_cannot_start_past_its_cap(self):
+        with pytest.raises(ValueError, match="past max_steps"):
+            mixing._first_within(lambda state: state, None, lambda state: 1.0, 0.25, 3, start=4)

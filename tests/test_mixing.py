@@ -573,6 +573,26 @@ class TestCouplingExact:
         assert est.method == "direct" and est.iterations > 0
         assert abs(est.mean - n * n / (8 * alpha * (1 - alpha))) <= est.stderr
 
+    @pytest.mark.parametrize("n", [80, 100])
+    def test_lazy_directed_ring_where_arpack_fails(self, n):
+        # ARPACK finds no Perron vector of a lazy directed n-cycle from n = 80;
+        # the dense fallback gives the uniform pi of a doubly stochastic chain
+        ring = lazy_chain("cycle", n, directed=True)
+        with pytest.raises(FailedToConverge):
+            stochastic._dominant_eigenpair(ring.csr.T.dot, n)
+        assert np.abs(stationary(ring) - 1.0 / n).max() <= 1e-13
+        curve = distance_to_limit_curve(ring.dense().T, np.full((n, 1), 1.0 / n), 2000)
+        t = measure_mixing_time(ring, 0.25)
+        assert t == 1 + int(np.argmax(curve <= 0.25)) and curve[t - 2] > 0.25
+        assert n < 100 or t == 1898
+        est = estimate_coupling_time(ring)
+        assert abs(est.mean - n * n / 2) <= est.stderr  # n^2 / (8 a (1 - a)) at a = 1/2
+
+    def test_dense_stationary_fallback_capped(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "DENSE_STATIONARY_LIMIT", 79)
+        with pytest.raises(FailedToConverge, match="ARPACK"):
+            stationary(lazy_chain("cycle", 80, directed=True))
+
     def test_one_perturbed_edge_takes_bicgstab(self):
         # a lazy walk on a weighted ring is reversible; moving 0.01 of one row's
         # mass from its self-loop to one edge breaks detailed balance on that

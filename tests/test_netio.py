@@ -255,6 +255,42 @@ def test_readme_sweep_screens_the_kronecker_gap(monkeypatch):
         before = calls[0]
         netio.system_mixing_time(system, 0.25)
         assert 1 <= calls[0] - before <= 2
+
+
+def test_readme_sweep_jumps_past_most_steps(monkeypatch):
+    # on these small chains the jump's squarings pay for themselves before
+    # the constraint block is within 2^-20 of its limit, so the scan jumps
+    # at the first re-read of that distance (each time k grows by an eighth)
+    # from the step it gets there, and lands on t - 1 or later: at most that
+    # step, an eighth more and 2 sparse steps a point, where it used to take
+    # t (12,992 for the ten points)
+    steps, real = [], mixing.sp.block_diag
+
+    class Counted:
+        def __init__(self, op):
+            self.op = op
+
+        def __matmul__(self, block):
+            steps[-1] += 1
+            return self.op @ block
+
+    monkeypatch.setattr(mixing.sp, "block_diag", lambda *args, **kw: Counted(real(*args, **kw)))
+    path = equal_weight_matrix(
+        netio.resolve_graph(TopologySpec("path", 10, directed=True), 0.5))
+    # the tracked columns that bound the gap start at the path's sink, whose
+    # column of C^k tends to all ones
+    column, ready = np.eye(10)[:, -1], 0
+    while 10 * np.abs(column - 1.0).sum() > mixing._JUMP_DELTA:
+        column, ready = path.dense() @ column, ready + 1
+    for n, t in zip(range(11, 102, 10), README_SWEEP_T_MIX):
+        cycle = equal_weight_matrix(netio.resolve_graph(TopologySpec("cycle", n), 0.5))
+        system = netio.build_system(cycle, path, "oblivious", None, x0_constant=0.5)
+        steps.append(0)
+        assert netio.system_mixing_time(system, 0.25) == t
+        assert steps[-1] <= min(t, ready + ready // 8 + 2)
+    assert sum(steps) < 600
+
+
 def lazy_cycle_worst_meeting_time(n):
     """Worst-pair meeting time of two lazy (alpha 1/2) walks on the n-cycle.
 
