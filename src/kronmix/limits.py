@@ -1,10 +1,11 @@
 """Where the belief system converges.
 
-Structural limits from the factors: each closed class (a closed class of A
-with every lambda = 1 times one of C) settles on (pi_A (x) pi_C)' x0, and the
-transient pairs mix those values and their anchors by one sparse solve; the
-2nm system operator is never built. Also absorbing probabilities, the
-fixed-point iteration for stubborn systems, and social power.
+Structural limits from the factors. The agents that hear no stubborn one
+(the oblivious set O) take A_O^inf (x) C^inf, each factor's limit kept on
+its chain (`stochastic.power_limit`); the other agents' pairs take one
+sparse solve over their own |N| m pairs; the 2nm system operator is never
+built. Also absorbing probabilities, the fixed-point iteration for stubborn
+systems, and social power.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .beliefs import BeliefSystem, _anchored_iteration, closed_factor_classes
+from .beliefs import BeliefSystem, _anchored_iteration, oblivious_set
 from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
 from .kron import MATERIALIZE_CAP
-from .stochastic import StochasticMatrix, _basis, _solve_fundamental, stationary
+from .stochastic import StochasticMatrix, _basis, _solve_fundamental, power_limit, stationary
 
 LIMIT_MATRIX_CAP = 4000
 
@@ -78,7 +79,9 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
     of C; each class's chain comes from its factor's `restrict`, which keeps
     it and its stationary vector for the next call. The value is
     (pi_A (x) pi_C)' applied to the class's initial beliefs, pairs in
-    agent-major order; a periodic factor class raises NotErgodic.
+    agent-major order; a periodic factor class raises NotErgodic. The
+    library's limits no longer call it (`_apply_limit` reads the factors'
+    `power_limit`); only tests and the benchmark's tracer do.
     """
     agents = np.asarray(agents, dtype=np.int64)
     topics = np.asarray(topics, dtype=np.int64)
@@ -88,41 +91,53 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
 
 
 def _apply_limit(system: BeliefSystem, x: np.ndarray) -> np.ndarray:
-    """W^inf x for a 2nm x k block x, W the system operator.
+    """W^inf x for a 2nm x w block x, W the system operator.
 
-    Anchors keep their rows. Each closed class K (a product of closed factor
-    classes) gets pi' x[K], with pi from `closed_limit`, where periodic factor
-    classes raise NotErgodic. The transient pairs T solve
-    (I - Z) y = R y_closed + (1 - lambda) x_anchor[T], with Z and R the rows T
-    of (Lambda A) x C.
+    Anchors keep their rows. The oblivious agents O (`oblivious_set`) hear
+    no stubborn agent and no edge leaves them, so their pairs' block of W^k
+    is (A_O (x) C)^k = A_O^k (x) C^k, whose limit is A_O^inf (x) C^inf:
+    their beliefs are A_O^inf X_O C^inf' from the two factors' kept
+    `power_limit`s, A_O = `a.restrict(O)`, with no pair-sized solve. A
+    periodic closed class of either raises NotErgodic. Every other agent
+    (N) reaches a stubborn one inside N, so (Lambda A)[N, N] (x) C has
+    spectral radius below 1, and the one pair solve left is over N's |N| m
+    pairs: (I - (Lambda A)[N, N] (x) C) y_N = (Lambda A)[N, O] Y_O
+    + (1 - lambda_N) x_anchor[N], where Y_O C' = Y_O as C C^inf = C^inf.
+    MATERIALIZE_CAP guards those rows only; with every agent oblivious
+    there is no pair solve.
     """
-    nm = system.n * system.m
-    top, anchors = x[:nm], x[nm:]
-    y = np.zeros_like(top)
-    closed = np.zeros(nm, dtype=bool)
-    agent_classes, topic_classes = closed_factor_classes(system)
-    for agents, _ in agent_classes:
-        for topics, _ in topic_classes:
-            pairs = (agents[:, None] * system.m + topics).ravel()
-            y[pairs] = closed_limit(system, agents, topics).stationary @ top[pairs]
-            closed[pairs] = True
-    transient = np.flatnonzero(~closed)
-    if transient.size:
-        if system.a.nnz * system.c.nnz > MATERIALIZE_CAP:
-            raise TooLarge(f"transient rows need ~{system.a.nnz * system.c.nnz} nonzeros")
-        lam_a = sp.diags(system.lam) @ system.a.csr
-        rows = sp.kron(lam_a, system.c.csr, format="csr")[transient]
-        anchor_weight = (1.0 - system.lam)[transient // system.m]
-        rhs = rows @ y + anchor_weight[:, None] * anchors[transient]
-        y[transient] = _solve_fundamental(rows[:, transient], rhs)
-    return np.concatenate([y, anchors])
+    n, m, w = system.n, system.m, x.shape[1]
+    nm = n * m
+    top, anchors = x[:nm].reshape(n, m, w), x[nm:]
+    y = np.zeros((n, m * w))
+    oblivious = np.zeros(n, dtype=bool)
+    oblivious[list(oblivious_set(system))] = True
+    agents, rest = np.flatnonzero(oblivious), np.flatnonzero(~oblivious)
+    if agents.size:
+        by_topic = top[agents].transpose(1, 0, 2).reshape(m, agents.size * w)
+        by_agent = power_limit(system.c).apply(by_topic).reshape(m, agents.size, w)
+        by_agent = by_agent.transpose(1, 0, 2).reshape(agents.size, m * w)
+        y[agents] = power_limit(system.a.restrict(agents)).apply(by_agent)
+    if rest.size:
+        inner = system.a.minor(rest)
+        if inner.nnz * system.c.nnz > MATERIALIZE_CAP:
+            raise TooLarge(f"transient rows need ~{inner.nnz * system.c.nnz} nonzeros")
+        lam = sp.diags(system.lam[rest])
+        rows = sp.kron(lam @ inner, system.c.csr, format="csr")
+        rhs = (1.0 - system.lam[rest])[:, None] * anchors.reshape(n, m * w)[rest]
+        if agents.size:
+            rhs += lam @ system.a.minor(rest, agents) @ y[agents]
+        y[rest] = _solve_fundamental(rows, rhs.reshape(rest.size * m, w)).reshape(rest.size, -1)
+    return np.concatenate([y.reshape(nm, w), anchors])
 
 
 def structural_limit(system: BeliefSystem) -> LimitReport:
     """Full-system limit from the factor structure (no iteration).
 
-    Closed classes get their stationary-weighted consensus; transient pairs
-    get absorption-weighted combinations, solved in one pass.
+    `_apply_limit` on the stacked (x0, x0). The oblivious agents O get
+    A_O^inf X0_O C^inf' from the factors' limits, so each closed class
+    settles on its stationary-weighted consensus; the pair solve remains
+    only for the agents that hear a stubborn one, over their |N| m pairs.
     """
     stacked = np.concatenate([system.x0.ravel(), system.x0.ravel()])
     beliefs = _apply_limit(system, stacked[:, None])[: system.n * system.m, 0]
@@ -168,6 +183,9 @@ def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
 
     `columns` picks which columns to build (all by default); the result is
     dim x len(columns), so a sampled caller never holds the dim x dim matrix.
+    The columns come from `_apply_limit`: the oblivious agents' rows from
+    A_O^inf (x) C^inf, the other agents' from one pair solve over their
+    |N| m pairs with len(columns) right-hand sides.
     """
     if system.dim > LIMIT_MATRIX_CAP:
         raise TooLarge(f"limit matrix of a {system.dim}-state system; "

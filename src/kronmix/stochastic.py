@@ -4,12 +4,15 @@ Distributions are plain 1-D numpy arrays. The walk convention matches the
 graph module: a chain at state i steps to j with probability M[i, j]. A
 `StochasticMatrix` is immutable and owns what is derived from its chain: the
 strong components of its nonzero pattern (`scc`), its stationary vector (read
-through `stationary`) and its restrictions to the node sets that no edge
-leaves (`restrict`), each built on first use and kept, and, for a Kronecker
-product, the two factors that `kron.kron` built it from (`factors`).
+through `stationary`), the limit of its powers (read through `power_limit`)
+and its restrictions to the node sets that no edge leaves (`restrict`), each
+built on first use and kept, and, for a Kronecker product, the two factors
+that `kron.kron` built it from (`factors`).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +40,7 @@ class StochasticMatrix:
     a restriction of a product or one built from its CSR included, has none.
     """
 
-    __slots__ = ("n", "csr", "_scc", "_pi", "_restrictions", "_factors")
+    __slots__ = ("n", "csr", "_scc", "_pi", "_limit", "_restrictions", "_factors")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
@@ -49,6 +52,7 @@ class StochasticMatrix:
         self.csr = csr
         self._scc = None
         self._pi = None
+        self._limit = None
         self._restrictions = {}
         self._factors = None
 
@@ -201,6 +205,62 @@ def stationary(matrix: StochasticMatrix) -> np.ndarray:
         pi.flags.writeable = False
         matrix._pi = pi
     return matrix._pi
+
+
+@dataclass(frozen=True)
+class PowerLimit:
+    """lim P^k = H Pi of a chain whose closed classes are all aperiodic.
+
+    Pi has one row per closed class: the class's stationary vector on its
+    states (`weights`, k x n). H sends a recurrent state to its own class
+    (`label`, -1 on transient states) and the states of `transient` to every
+    class by their absorption probabilities (`absorb`, |T| x k), so no
+    n x k array is held.
+    """
+
+    weights: sp.csr_matrix
+    label: np.ndarray
+    transient: np.ndarray
+    absorb: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P^inf x for an n x w block x."""
+        z = self.weights @ x
+        out = np.empty((self.label.size, z.shape[1]))
+        recurrent = self.label >= 0
+        out[recurrent] = z[self.label[recurrent]]
+        out[self.transient] = self.absorb @ z
+        return out
+
+
+def power_limit(matrix: StochasticMatrix) -> PowerLimit:
+    """lim P^k as H Pi (Kemeny & Snell, Finite Markov Chains, ch. 3).
+
+    Each closed class of `matrix.scc` gives the stationary vector of its
+    `restrict` (a periodic class raises NotErgodic, which is not kept). One
+    solve on the transient block, with one right-hand side per class (the
+    block's one-step mass into that class), gives the absorption
+    probabilities. The first call builds the limit; the matrix keeps it.
+    """
+    if matrix._limit is None:
+        dec = matrix.scc
+        classes = [dec.components[cid] for cid in np.flatnonzero(dec.closed)]
+        label = np.full(matrix.n, -1, dtype=np.int64)
+        for j, members in enumerate(classes):
+            label[members] = j
+        pis = [stationary(matrix.restrict(members)) for members in classes]
+        recurrent = np.concatenate(classes)
+        shape = (len(classes), matrix.n)
+        weights = sp.csr_matrix((np.concatenate(pis), (label[recurrent], recurrent)), shape=shape)
+        transient = np.flatnonzero(label < 0)
+        absorb = np.zeros((transient.size, len(classes)))
+        if transient.size:
+            into = sp.csr_matrix((np.ones(recurrent.size), (recurrent, label[recurrent])),
+                                 shape=shape[::-1])
+            rhs = (matrix.csr[transient] @ into).toarray()
+            absorb = _solve_fundamental(matrix.minor(transient), rhs)
+        matrix._limit = PowerLimit(weights, label, transient, absorb)
+    return matrix._limit
 
 
 def _basis(n: int, cols: np.ndarray) -> np.ndarray:

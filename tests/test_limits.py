@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from kronmix import beliefs, graphs, limits, mixing
-from kronmix.beliefs import (assemble, closed_factor_classes, converges, simulate,
-                             system_matrix, update)
+from kronmix import beliefs, graphs, limits, mixing, stochastic
+from kronmix.beliefs import (assemble, closed_factor_classes, converges, oblivious_set,
+                             simulate, system_matrix, update)
 from kronmix.errors import (FailedToConverge, NotErgodic, NoUniqueFixedPoint, StructuralError,
                             TooLarge)
 from kronmix.generators import TopologySpec, generate, lazify
@@ -378,10 +379,12 @@ class TestFactorSpaceLimit:
                         monkeypatch.setattr(module, attr, refuse)
                     elif value is real_scc:
                         monkeypatch.setattr(module, attr, recording_scc)
-        system = cycle_path_system(7, lam=np.r_[0.5, np.ones(6)])
-        structural_limit(system)
-        limit_matrix(system, [0, 5, 40])
-        system_mixing_time(system)
+        # every agent hears the stubborn one in the first system, so only the
+        # lambda = 1 one decomposes its factors
+        for system in (cycle_path_system(7, lam=np.r_[0.5, np.ones(6)]), cycle_path_system(7)):
+            structural_limit(system)
+            limit_matrix(system, [0, 5, 40])
+            system_mixing_time(system)
         assert sizes and max(sizes) <= max(system.n, system.m)
 
     def test_each_factor_decomposed_once(self, monkeypatch):
@@ -465,6 +468,128 @@ class TestFactorSpaceLimit:
         assert peak < 50e6
         fixed = stubborn_limit(system, tol=1e-13)
         assert float(np.abs(report.beliefs - fixed).max()) <= 1e-8
+
+
+def count_limit_work(monkeypatch):
+    """Counts of `sp.kron` builds and `(I - Z)` solves made inside `limits._apply_limit`.
+
+    The solves are recorded by their unknown counts, from the limits' own
+    binding (the pair solve) and from the factors' (`power_limit`).
+    """
+    inside, counts = [0], {"kron": 0, "pair": [], "factor": []}
+    real_apply, real_kron = limits._apply_limit, sp.kron
+
+    def apply(*args):
+        inside[0] += 1
+        try:
+            return real_apply(*args)
+        finally:
+            inside[0] -= 1
+
+    def kron(*args, **kwargs):
+        counts["kron"] += bool(inside[0])
+        return real_kron(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "_apply_limit", apply)
+    monkeypatch.setattr(sp, "kron", kron)
+    for module, key in ((limits, "pair"), (stochastic, "factor")):
+        def solve(z, rhs, key=key, real=module._solve_fundamental):
+            if inside[0]:
+                counts[key].append(z.shape[0])
+            return real(z, rhs)
+
+        monkeypatch.setattr(module, "_solve_fundamental", solve)
+    return counts
+
+
+def oblivious_and_stubborn_system(c: StochasticMatrix) -> beliefs.BeliefSystem:
+    """Six agents on `c`: 0-3 hear no stubborn agent, 4 is stubborn, 5 hears it.
+
+    Among the oblivious agents {0, 1} and {3} are closed classes and 2 is
+    transient; agent 4 also hears agent 2, and agent 5 hears agent 1.
+    """
+    a = StochasticMatrix(np.array([[0.5, 0.5, 0, 0, 0, 0],
+                                   [0.3, 0.7, 0, 0, 0, 0],
+                                   [0.5, 0, 0.25, 0.25, 0, 0],
+                                   [0, 0, 0, 1.0, 0, 0],
+                                   [0, 0, 0.5, 0, 0.5, 0],
+                                   [0, 0.5, 0, 0, 0.5, 0]]))
+    lam = np.array([1.0, 1.0, 1.0, 1.0, 0.6, 1.0])
+    return assemble(a, c, lam, np.random.default_rng(27).random((6, c.n)))
+
+
+def two_class_constraints() -> StochasticMatrix:
+    """Five topics: {0, 1} and {2} closed, 3 and 4 transient (4 leads to 3)."""
+    return StochasticMatrix(np.array([[0.5, 0.5, 0, 0, 0],
+                                      [0.2, 0.8, 0, 0, 0],
+                                      [0, 0, 1.0, 0, 0],
+                                      [0.25, 0, 0.25, 0.5, 0],
+                                      [0, 0.3, 0, 0.3, 0.4]]))
+
+
+class TestLimitsFromTheFactors:
+    """Oblivious agents from A_O^inf (x) C^inf, the rest from one pair solve."""
+
+    def assert_matches_oracle(self, system, columns):
+        block = np.zeros((system.dim, 1 + columns.size))
+        block[:, 0] = np.tile(system.x0.ravel(), 2)
+        block[columns, 1 + np.arange(columns.size)] = 1.0
+        want = system_graph_limit(system, block)
+        nm = system.n * system.m
+        assert np.abs(structural_limit(system).beliefs.ravel() - want[:nm, 0]).max() <= 1e-12
+        assert np.abs(limit_matrix(system, columns) - want[:, 1:]).max() <= 1e-12
+        assert np.abs(limit_matrix(system) - system_graph_limit(system, np.eye(system.dim))
+                      ).max() <= 1e-12
+
+    def test_oblivious_subset_with_transient_agents(self):
+        system = oblivious_and_stubborn_system(
+            equal_weight_matrix(lazify(generate(TopologySpec("path", 3, directed=True)), 0.5)))
+        assert oblivious_set(system) == frozenset({0, 1, 2, 3})
+        nm = system.n * system.m
+        # top columns of each kind of agent, and the stubborn agent's anchors
+        columns = np.r_[0, 2 * system.m + 1, 3 * system.m, 5 * system.m + 2,
+                        nm + 4 * system.m + np.arange(system.m), nm + 1]
+        self.assert_matches_oracle(system, columns)
+
+    def test_constraints_with_two_closed_classes_and_transient_topics(self):
+        cycle = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 4)), 0.5))
+        for system in (oblivious_and_stubborn_system(two_class_constraints()),
+                       assemble(cycle, two_class_constraints(), np.ones(4),
+                                np.random.default_rng(28).random((4, 5)))):
+            nm = system.n * system.m
+            columns = np.r_[np.arange(0, nm, 3), nm + np.arange(0, nm, 4)]
+            self.assert_matches_oracle(system, columns)
+
+    def test_no_oblivious_agent_with_periodic_constraints(self):
+        # a directed 3-cycle of topics: the anchors pull every pair, so the
+        # limit exists although C^k does not converge
+        ring = equal_weight_matrix(generate(TopologySpec("cycle", 3, directed=True)))
+        system = assemble(equal_weight_matrix(generate(TopologySpec("cycle", 4))), ring,
+                          np.full(4, 0.5), np.random.default_rng(29).random((4, 3)))
+        assert not oblivious_set(system)
+        nm = system.n * system.m
+        self.assert_matches_oracle(system, np.r_[0, 5, nm, nm + 7])
+
+    def test_pair_solve_only_for_agents_hearing_a_stubborn_one(self, monkeypatch):
+        counts = count_limit_work(monkeypatch)
+        system = oblivious_and_stubborn_system(
+            equal_weight_matrix(lazify(generate(TopologySpec("cycle", 3)), 0.5)))
+        structural_limit(system)
+        # the pair rows and solve of agents 4 and 5; agent 2's absorption
+        # into {0, 1} and {3}, the only transient factor state
+        assert counts == {"kron": 1, "pair": [2 * system.m], "factor": [1]}
+
+    def test_cap_guards_only_the_pair_rows(self, monkeypatch):
+        oblivious = cycle_path_system(7)
+        monkeypatch.setattr(limits, "MATERIALIZE_CAP", oblivious.a.nnz * oblivious.c.nnz - 1)
+        block = np.tile(oblivious.x0.ravel(), 2)[:, None]
+        np.testing.assert_allclose(structural_limit(oblivious).beliefs.ravel(),
+                                   system_graph_limit(oblivious, block)[:oblivious.n * oblivious.m, 0],
+                                   rtol=0, atol=1e-12)
+        stubborn = cycle_path_system(7, lam=np.full(7, 0.5))
+        nnz = stubborn.a.nnz * stubborn.c.nnz
+        with pytest.raises(TooLarge, match=rf"^transient rows need ~{nnz} nonzeros$"):
+            structural_limit(stubborn)
 
 
 def _stepped_gaps(system):

@@ -18,6 +18,7 @@ from kronmix.netio import (CSV_HEADER, ExperimentConfig, config_from_mapping,
                            verify_checksum, write_csv)
 from kronmix.stochastic import equal_weight_matrix
 from oracles import edge_dict
+from test_limits import count_limit_work
 
 DATA_DIR = os.environ.get("KRONMIX_DATA", "data")
 
@@ -338,6 +339,19 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
                                     sweep="n", sweep_start=11, sweep_stop=31, sweep_stride=10,
                                     seed=1, alpha=0.5, outdir=str(tmp_path / "out")))
     assert calls == {"scc_decompose": 5, "_dominant_eigenpair": 4}
+
+
+def test_readme_sweep_limits_come_from_the_factors(tmp_path, monkeypatch):
+    # every README-sweep agent is oblivious, so each point's limit is
+    # A^inf (x) C^inf: no pair rows are built, and the shared path's
+    # absorption into its sink is solved once, for all ten points
+    counts = count_limit_work(monkeypatch)
+    rows = run_experiment(ExperimentConfig(
+        agent=TopologySpec("cycle", 11), constraint=TopologySpec("path", 10, directed=True),
+        sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10, epsilon=0.25, seed=1,
+        alpha=0.5, outdir=str(tmp_path / "out")))
+    assert [int(row["t_mix"]) for row in rows] == README_SWEEP_T_MIX
+    assert counts == {"kron": 0, "pair": [], "factor": [9]}
 
 
 class TestRunExperiment:

@@ -247,6 +247,43 @@ class TestKeptChains:
             m.restrict([2, 1])  # node 2 steps to 3, outside the set
 
 
+class TestPowerLimit:
+    """lim P^k from each closed class's pi and one absorption solve, kept on the chain."""
+
+    def test_matches_matrix_power(self):
+        rng = np.random.default_rng(27)
+        classes, transient = set(), 0
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            # every weight is at least 0.1 before the rows are scaled, so 4096
+            # steps reach the limit
+            raw = (rng.random((n, n)) + 0.1) * (rng.random((n, n)) < 0.3)
+            raw[np.arange(n), np.arange(n)] += 0.3  # aperiodic, and no state dangles
+            m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
+            limit = stochastic.power_limit(m)
+            classes.add(limit.weights.shape[0])
+            transient += limit.transient.size > 0
+            np.testing.assert_allclose(limit.apply(np.eye(n)),
+                                       np.linalg.matrix_power(m.dense(), 4096),
+                                       rtol=0, atol=1e-12)
+        assert max(classes) >= 3 and transient >= 10
+
+    def test_identity_has_one_class_per_state(self):
+        limit = stochastic.power_limit(StochasticMatrix(np.eye(4)))
+        assert limit.weights.shape == (4, 4) and limit.absorb.shape == (0, 4)
+        x = np.random.default_rng(28).random((4, 3))
+        np.testing.assert_array_equal(limit.apply(x), x)
+
+    def test_kept_but_a_periodic_class_raises_each_time(self):
+        path = equal_weight_matrix(generate(TopologySpec("path", 4, directed=True)))
+        assert stochastic.power_limit(path) is stochastic.power_limit(path)
+        np.testing.assert_allclose(stochastic.power_limit(path).absorb, np.ones((3, 1)))
+        ring = equal_weight_matrix(generate(TopologySpec("cycle", 3, directed=True)))
+        for _ in range(2):
+            with pytest.raises(NotErgodic):
+                stochastic.power_limit(ring)
+
+
 def total_variation(p, q):
     """The library's distance on two distributions, as one-column blocks."""
     return _column_gap(np.asarray(p, dtype=np.float64)[:, None],
