@@ -28,30 +28,30 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh
 from scipy.linalg.blas import daxpy
-from scipy.sparse import csgraph
 
 from .beliefs import BeliefSystem, closed_factor_classes, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .limits import limit_matrix
-from .stochastic import (StochasticMatrix, _basis, _dominant_eigenpair, _solve_fundamental,
-                         ergodicity_check, stationary)
+from .stochastic import (_BALANCE_TOL, StochasticMatrix, _basis, _detailed_balance,
+                         _dominant_eigenpair, _solve_fundamental, ergodicity_check, stationary)
 
 EXACT_START_LIMIT = 2000
 SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its columns
 SAMPLED_STARTS = 64
+# reversible chains up to this many states get |lambda_2| from one dense
+# symmetric eigensolve; at 512 states that costs more than ARPACK on the
+# lazy hypercube (18 ms against 1.3 ms on one BLAS thread)
+DENSE_EIGEN_LIMIT = 256
 # the coupling solve holds about 4 n^2 float64 values: 128 MB at the cap
 COUPLING_STATE_LIMIT = 2000
 _COUPLING_TOL = 1e-10  # largest residual entry at which the Krylov solvers stop
 _KRYLOV_ITERATIONS = 10_000
 # nonzeros of P (x) P, about twice the pair chain's, that the fallback may factor
 _DIRECT_NNZ = 1_000_000
-_PAIR_CHUNK = 128  # rows of P per chunk of P V P'
+_PAIR_CHUNK = 128  # rows of P per chunk of P V P'; a chain this small takes one
 _TINY = np.finfo(np.float64).eps ** 2  # Krylov breakdown threshold
-# detailed balance holds within this relative gap on every edge of a chain
-# that CG solves: far above the rounding of pi along a tree path of up to
-# COUPLING_STATE_LIMIT edges (about 8 n u), far below a perturbed edge
-_BALANCE_TOL = 1e-10
 # columns per chunk of `_column_gap`
 _GAP_CHUNK = 128
 # float64 values that the powers of two of `_bound_jump` may hold: the 128 MB
@@ -81,7 +81,7 @@ class CouplingEstimate:
     iterations: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AbsorbingTimes:
     """Expected steps to enter the union of closed components."""
 
@@ -343,17 +343,29 @@ def _product_mixing_time(left: StochasticMatrix, right: StochasticMatrix, epsilo
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
-    """|lambda_2|: the dominant eigenvalue modulus of M' deflated by (pi, 1).
+    """|lambda_2|: the largest modulus among the eigenvalues of M but the unit one.
 
-    The deflated operator v -> M'v - pi sum(v) keeps every eigenvalue of M
-    but the unit one, which it sends to 0. One ARPACK call to machine
-    precision (`stochastic._dominant_eigenpair`) finds its dominant
-    eigenvalue, whether real, negative or one of a complex pair; a rank-one
-    chain has a null deflated operator and gives 0. Periodic or reducible
-    chains raise NotErgodic, and an ARPACK run that hits its iteration cap
-    raises FailedToConverge.
+    A reversible chain (`stochastic._detailed_balance`) of at most
+    DENSE_EIGEN_LIMIT states takes one dense symmetric eigensolve, with no
+    ARPACK call: S = Pi^(1/2) M Pi^(-1/2) is similar to M and symmetric
+    (Levin, Peres & Wilmer, ch. 12), so with the eigenvalues of (S + S')/2
+    ascending, w_0 <= ... <= w_(n-1) = 1, it returns max(|w_0|, |w_(n-2)|).
+    Any other chain deflates M' by (pi, 1): v -> M'v - pi sum(v) keeps every
+    eigenvalue of M but the unit one, which it sends to 0. One ARPACK call
+    to machine precision (`stochastic._dominant_eigenpair`) finds its
+    dominant eigenvalue, whether real, negative or one of a complex pair; a
+    rank-one chain has a null deflated operator and gives 0. One state gives
+    0. Periodic or reducible chains raise NotErgodic, and an ARPACK run that
+    hits its iteration cap raises FailedToConverge.
     """
     pi = stationary(matrix)
+    if matrix.n == 1:
+        return 0.0
+    if matrix.n <= DENSE_EIGEN_LIMIT and _detailed_balance(matrix) is not None:
+        root = np.sqrt(pi)
+        s = root[:, None] * matrix.dense() / root
+        w = eigvalsh(0.5 * (s + s.T))
+        return float(max(abs(w[0]), abs(w[-2])))
     pt = matrix.csr.T
     value, _ = _dominant_eigenpair(lambda v: pt @ v - pi * v.sum(), matrix.n)
     return float(abs(value))
@@ -390,9 +402,10 @@ class _PairOperator:
     offsets[i], and there are n(n-1)/2 values. Z x is the strict upper
     triangle of P V P', V the symmetric matrix of x with a zero diagonal:
     walks that meet leave the chain. V is unpacked into one reused n x n
-    buffer and P V P' is formed in chunks of n/16 rows (at least 32, at most
-    _PAIR_CHUNK), so Z, with up to w^2 n^2 / 2 nonzeros for w the largest
-    out-degree, is never built, and a chunk's scratch stays near n^2 bytes.
+    buffer and P V P' is formed in one chunk up to _PAIR_CHUNK states, and
+    above that in chunks of n/16 rows (at least 32, at most _PAIR_CHUNK), so
+    Z, with up to w^2 n^2 / 2 nonzeros for w the largest out-degree, is
+    never built, and a chunk's scratch stays near n^2 bytes.
     A chunk of rows lo..hi-1 forms only the columns lo.. that hold its
     pairs: (P_rows V) times P's rows lo.. transposed. Both row blocks of P
     are CSRs built once that share P's `data` and `indices` (`_row_view`).
@@ -408,7 +421,7 @@ class _PairOperator:
         self.offsets = i * n - i * (i + 1) // 2
         self.p = p = matrix.csr
         self.full = np.zeros((n, n))
-        rows = min(_PAIR_CHUNK, max(n // 16, 32))
+        rows = n if n <= _PAIR_CHUNK else min(_PAIR_CHUNK, max(n // 16, 32))
         edges = list(range(0, n, rows)) + [n]
         self.chunks = [(lo, hi, _row_view(p, lo, hi), _row_view(p, lo, n))
                        for lo, hi in zip(edges, edges[1:])]
@@ -459,42 +472,6 @@ def _row_view(csr: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
 def _inf_norm(v: np.ndarray) -> float:
     """max |v_i| without an |v| temporary."""
     return max(float(v.max()), -float(v.min())) if v.size else 0.0
-
-
-def _entries(csr: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """csr[rows[k], cols[k]] for every k, 0 where no entry is stored."""
-    return np.asarray(csr[rows, cols]).ravel()
-
-
-def _detailed_balance(matrix: StochasticMatrix) -> np.ndarray | None:
-    """pi of an ergodic reversible chain, scaled to a largest entry of 1, or None.
-
-    No eigen-solve: pi_j = pi_i P_ij / P_ji along a breadth-first tree from
-    state 0, where a tree edge with no reverse edge means P is not
-    reversible. pi_i P_ij = pi_j P_ji is then checked on every edge to
-    _BALANCE_TOL relative. A pi so uneven that a pair weight pi_i pi_j
-    would fall below the normal float range also gives None.
-    """
-    p, n = matrix.csr, matrix.n
-    order, pred = csgraph.breadth_first_order(p, 0, return_predecessors=True)
-    child = order[1:]
-    parent = pred[child]
-    back = _entries(p, child, parent)
-    if not back.all():
-        return None
-    values = [1.0] * n
-    for j, i, ratio in zip(child.tolist(), parent.tolist(),
-                           (_entries(p, parent, child) / back).tolist()):
-        values[j] = values[i] * ratio
-    pi = np.array(values)
-    if not (np.isfinite(pi).all() and (pi.min() / pi.max()) ** 2 >= np.finfo(np.float64).tiny):
-        return None
-    rows = np.repeat(np.arange(n), np.diff(p.indptr))
-    flux = pi[rows] * p.data
-    if not (np.abs(flux - pi[p.indices] * _entries(p, p.indices, rows))
-            <= _BALANCE_TOL * flux).all():
-        return None
-    return pi / pi.max()
 
 
 def _cg(op, x: np.ndarray, r: np.ndarray, floor, max_iter: int, pi: np.ndarray) -> int:
@@ -589,7 +566,8 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     T = 1 + P T P' off the diagonal with T_ii = 0, on the unordered pairs
     (`_PairOperator`), until every residual entry is at most 1e-10, or four
     times its rounding if larger. A reversible chain, one that passes the
-    detailed-balance test of `_detailed_balance` (no eigen-solve), is solved
+    detailed-balance test of `stochastic._detailed_balance` (no eigen-solve,
+    and kept on the matrix), is solved
     by conjugate gradients (`_cg`), one matvec an iteration; any other by
     BiCGSTAB (`_bicgstab`), two. After a breakdown or _KRYLOV_ITERATIONS
     iterations, the explicit pair chain is factored (`_solve_fundamental`)
@@ -656,16 +634,22 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
 def expected_absorbing_time(matrix: StochasticMatrix) -> AbsorbingTimes:
     """Exact expected times to enter the union of closed components.
 
-    Solves (I - Z) h = 1 on the transient block of `matrix.scc`.
+    Solves (I - Z) h = 1 on the transient block of `matrix.scc`. The first
+    call builds the times; the matrix keeps them, with a read-only
+    `node_expectation`, and every call returns that one object. A chain
+    with no closed component raises StructuralError, which is not kept.
     """
-    if not any(matrix.scc.closed):
-        raise StructuralError("graph has no closed component")
-    node_h = np.zeros(matrix.n)
-    transient = matrix.scc.transient_nodes()
-    if transient.size:
-        z = matrix.minor(transient, transient)
-        node_h[transient] = _solve_fundamental(z, np.ones(transient.size))
-    return AbsorbingTimes(node_h, float(node_h.max()))
+    if matrix._absorbing is None:
+        if not any(matrix.scc.closed):
+            raise StructuralError("graph has no closed component")
+        node_h = np.zeros(matrix.n)
+        transient = matrix.scc.transient_nodes()
+        if transient.size:
+            z = matrix.minor(transient, transient)
+            node_h[transient] = _solve_fundamental(z, np.ones(transient.size))
+        node_h.flags.writeable = False
+        matrix._absorbing = AbsorbingTimes(node_h, float(node_h.max()))
+    return matrix._absorbing
 
 
 def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,

@@ -48,6 +48,40 @@ def no_eigensolve(matvec, n):
     raise AssertionError(f"eigensolve on {n} states")
 
 
+def rational_pi(chain):
+    """The correctly rounded pi of a lazy walk: degree over total degree, as floats."""
+    degree = np.diff(chain.csr.indptr) - (chain.csr.diagonal() > 0)
+    return [float(Fraction(int(d), int(degree.sum()))) for d in degree]
+
+
+def weighted_ring(moved=0.0):
+    """A lazy walk on a weighted 7-ring, with `moved` of row 3's mass shifted to (3, 4).
+
+    Reversible when nothing is moved; a moved mass breaks detailed balance on
+    that edge only. On a path it would not: every birth-death chain is
+    reversible.
+    """
+    adj = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 4.0], 1)
+    adj[0, 6] = 5.0
+    adj += adj.T
+    dense = adj + np.diag(adj.sum(axis=1))
+    dense /= dense.sum(axis=1, keepdims=True)
+    dense[3, 3] -= moved
+    dense[3, 4] += moved
+    return StochasticMatrix(dense)
+
+
+def chord_ring(n):
+    """A lazy directed n-cycle whose state 0 sends a quarter of its mass to n // 2.
+
+    Neither reversible nor doubly stochastic. pi is 1 on state 0 and on
+    n // 2 .. n - 1, and 1/2 on 1 .. n // 2 - 1, over its total.
+    """
+    dense = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+    dense[0, 1] = dense[0, n // 2] = 0.25
+    return StochasticMatrix(dense)
+
+
 # exact-start t_mix at epsilon 0.25 of lazy (alpha 0.5) chains; a change to
 # the scan's arithmetic, stopping rule or start set shows up here
 PINNED_T_MIX = {("cycle", 101): 968, ("path", 51): 949, ("star", 51): 2,
@@ -376,12 +410,41 @@ class TestEigenBounds:
         assert got == pytest.approx(exact, abs=1e-12)
 
     def test_arpack_cap_is_failed_to_converge(self, monkeypatch):
+        # a lazy directed cycle is not reversible, so |lambda_2| takes ARPACK
+        # (its uniform pi takes none)
         def capped(*args, **kwargs):
             raise spla.ArpackNoConvergence("cap", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(spla, "eigs", capped)
         with pytest.raises(FailedToConverge):
-            second_eigenvalue(lazy_chain("cycle", 11))
+            second_eigenvalue(lazy_chain("cycle", 11, directed=True))
+
+    @pytest.mark.parametrize("family, n, want", [
+        ("cycle", 101, 0.5 + 0.5 * math.cos(2 * math.pi / 101)),
+        ("hypercube", 128, 1 - 1 / 7),
+        ("path", 200, 0.5 + 0.5 * math.cos(math.pi / 199))])
+    def test_dense_route_closed_forms(self, family, n, want, monkeypatch):
+        # reversible chains up to DENSE_EIGEN_LIMIT states take one symmetric
+        # eigensolve and no ARPACK call. The walk on the d-cube has
+        # eigenvalues 1 - 2k/d, on the n-path cos(pi k / (n - 1)); lazy, half
+        # of one plus those
+        for module in (stochastic, mixing):
+            monkeypatch.setattr(module, "_dominant_eigenpair", no_eigensolve)
+        assert second_eigenvalue(lazy_chain(family, n)) == pytest.approx(want, abs=1e-12)
+
+    def test_dense_route_ends_at_its_limit(self, monkeypatch):
+        # a reversible chain above DENSE_EIGEN_LIMIT states takes ARPACK
+        calls, real = [], mixing._dominant_eigenpair
+
+        def counting(matvec, n):
+            calls.append(n)
+            return real(matvec, n)
+
+        monkeypatch.setattr(mixing, "_dominant_eigenpair", counting)
+        monkeypatch.setattr(mixing, "DENSE_EIGEN_LIMIT", 100)
+        got = second_eigenvalue(lazy_chain("cycle", 101))
+        assert calls == [101]
+        assert got == pytest.approx(0.5 + 0.5 * math.cos(2 * math.pi / 101), abs=1e-12)
 
     def test_bit_identical_in_thread_pool(self):
         rng = np.random.default_rng(21)
@@ -576,7 +639,7 @@ class TestCouplingExact:
     @pytest.mark.parametrize("n", [80, 100])
     def test_lazy_directed_ring_where_arpack_fails(self, n):
         # ARPACK finds no Perron vector of a lazy directed n-cycle from n = 80;
-        # the dense fallback gives the uniform pi of a doubly stochastic chain
+        # a doubly stochastic chain takes the uniform pi without it
         ring = lazy_chain("cycle", n, directed=True)
         with pytest.raises(FailedToConverge):
             stochastic._dominant_eigenpair(ring.csr.T.dot, n)
@@ -588,24 +651,56 @@ class TestCouplingExact:
         est = estimate_coupling_time(ring)
         assert abs(est.mean - n * n / 2) <= est.stderr  # n^2 / (8 a (1 - a)) at a = 1/2
 
+    @pytest.mark.parametrize("family, n, kwargs", [
+        ("cycle", 100, {}), ("cycle", 600, {}), ("cycle", 1000, {}),
+        ("eulerian-ring", 300, {"k": 3})])
+    def test_doubly_stochastic_chain_takes_uniform_pi(self, family, n, kwargs, monkeypatch):
+        # no ARPACK call, which fails on all four (after 0.35-4.7 s on the cycles)
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", no_eigensolve)
+        ring = lazy_chain(family, n, directed=True, **kwargs)
+        assert np.abs(stationary(ring) - 1.0 / n).max() <= 1e-15
+
+    def test_dense_stationary_fallback(self):
+        # the chord ring is neither reversible nor doubly stochastic, and
+        # ARPACK fails on it: the dense solve gives its closed-form pi
+        ring = chord_ring(200)
+        with pytest.raises(FailedToConverge):
+            stochastic._dominant_eigenpair(ring.csr.T.dot, 200)
+        want = np.r_[1.0, np.full(99, 0.5), np.ones(100)] / 150.5
+        assert np.abs(stationary(ring) - want).max() <= 1e-15
+
     def test_dense_stationary_fallback_capped(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "DENSE_STATIONARY_LIMIT", 79)
+        monkeypatch.setattr(stochastic, "DENSE_STATIONARY_LIMIT", 199)
         with pytest.raises(FailedToConverge, match="ARPACK"):
-            stationary(lazy_chain("cycle", 80, directed=True))
+            stationary(chord_ring(200))
+
+    def test_chain_off_balance_takes_arpack(self, monkeypatch):
+        # 1e-11 of one row moved keeps every edge balanced within
+        # _BALANCE_TOL (8e-11 relative), but leaves the balance pi a residual
+        # of 2e-12, far above its rounding bound of 1.8e-14: pi and
+        # |lambda_2| come from ARPACK, and coupling from BiCGSTAB
+        calls, real = [], stochastic._dominant_eigenpair
+
+        def counting(matvec, n):
+            calls.append(n)
+            return real(matvec, n)
+
+        for module in (stochastic, mixing):
+            monkeypatch.setattr(module, "_dominant_eigenpair", counting)
+        m = weighted_ring(1e-11)
+        assert stochastic._detailed_balance(weighted_ring()) is not None
+        assert stochastic._detailed_balance(m) is None
+        pi = stationary(m)
+        second_eigenvalue(m)
+        assert calls == [7, 7]
+        assert np.abs(m.csr.T @ pi - pi).sum() <= 1e-15
+        assert estimate_coupling_time(m).method == "bicgstab"
 
     def test_one_perturbed_edge_takes_bicgstab(self):
-        # a lazy walk on a weighted ring is reversible; moving 0.01 of one row's
-        # mass from its self-loop to one edge breaks detailed balance on that
-        # edge only. On a path it would not: every birth-death chain is reversible
-        adj = np.diag([1.0, 2.0, 3.0, 1.0, 2.0, 4.0], 1)
-        adj[0, 6] = 5.0
-        adj += adj.T
-        dense = adj + np.diag(adj.sum(axis=1))
-        dense /= dense.sum(axis=1, keepdims=True)
-        assert estimate_coupling_time(StochasticMatrix(dense)).method == "cg"
-        dense[3, 3] -= 0.01
-        dense[3, 4] += 0.01
-        m = StochasticMatrix(dense)
+        # moving 0.01 of one row's mass from its self-loop to one edge breaks
+        # detailed balance on that edge only
+        assert estimate_coupling_time(weighted_ring()).method == "cg"
+        m = weighted_ring(0.01)
         est = estimate_coupling_time(m)
         assert est.method == "bicgstab"
         assert abs(est.mean - pair_chain_coupling(m.dense())) <= est.stderr
@@ -631,14 +726,16 @@ class TestCouplingExact:
         cycle = lazy_chain("cycle", 34, alpha=0.1, directed=True)
         assert estimate_coupling_time(cycle).method == "direct"
 
-    @pytest.mark.parametrize("n", [5, 40, 130])
+    @pytest.mark.parametrize("n", [5, 40, 130, 200])
     def test_pair_operator_matches_dense_product(self, n):
-        # chunks of 32 rows: one chunk at n = 5, a short last chunk at 40 and
-        # 130; rows of uneven length, so each chunk's rows of P start elsewhere
+        # one chunk up to _PAIR_CHUNK (128) states (n = 5, 40), chunks of 32
+        # rows above, with a short last chunk (130, 200); rows of uneven
+        # length, so each chunk's rows of P start elsewhere
         rng = np.random.default_rng(n)
         raw = rng.random((n, n)) * (rng.random((n, n)) < 0.2) + 0.1 * np.eye(n)
         m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
         op = mixing._PairOperator(m)
+        assert len(op.chunks) == (1 if n <= 128 else -(-n // 32))
         x = rng.random(op.offsets[-1]) + 0.5
         upper = np.triu_indices(n, 1)
         v = np.zeros((n, n))
@@ -682,6 +779,23 @@ def test_analyze_mixing_rng_changes_nothing():
 
 
 class TestAbsorbing:
+    def test_kept_on_the_matrix(self, monkeypatch):
+        # one solve; every call returns the one object, its times read-only
+        solves, real = [], mixing._solve_fundamental
+
+        def counting(z, rhs):
+            solves.append(z.shape[0])
+            return real(z, rhs)
+
+        monkeypatch.setattr(mixing, "_solve_fundamental", counting)
+        m = lazy_chain("path", 6, directed=True)
+        times = expected_absorbing_time(m)
+        assert expected_absorbing_time(m) is times and solves == [5]
+        with pytest.raises(ValueError):
+            times.node_expectation[0] = 0.0
+        with pytest.raises(AttributeError):
+            times.max_expectation = 0.0
+
     def test_no_transient(self):
         m = equal_weight_matrix(generate(TopologySpec("complete", 5)))
         times = expected_absorbing_time(m)
@@ -796,11 +910,11 @@ class TestBounds:
 
 # product_distance_to_limit of lazy factors at k = 0, 1, 7, 50, 400
 PINNED_PRODUCT_DISTANCE = {
-    ("cycle", 44, "path", 45): [0.9997417355371969, 0.9976756198347181, 0.9670798482973858,
-                                0.8298742818262513, 0.39322080775842594],
-    ("hypercube", 32, "cycle", 33): [0.9990530303030445, 0.9829545454545596,
-                                     0.7366574850852359, 0.4127127567007767,
-                                     0.016875472179136815],
+    ("cycle", 44, "path", 45): [0.9997417355372824, 0.9976756198347982, 0.9670798482974485,
+                                0.8298742818262248, 0.39322080775834806],
+    ("hypercube", 32, "cycle", 33): [0.9990530303030445, 0.9829545454545597,
+                                     0.7366574850852355, 0.4127127567007753,
+                                     0.016875472179134886],
 }
 
 
@@ -876,9 +990,15 @@ class TestProductBehavior:
 
     @pytest.mark.parametrize("pair", sorted(PINNED_PRODUCT_DISTANCE))
     def test_pinned_values(self, pair):
-        # recorded when the nm x starts block was formed whole; the chunked
-        # Kronecker columns sum every entry in the same order
+        # recorded with the nm x starts block formed whole,
+        # 0.5 |kron(L'^k, R'^k) - pi_L (x) pi_R|.sum(axis=0).max(); the chunked
+        # Kronecker columns sum every entry in the same order. The factors'
+        # pi is the rational one on the cycles and the path; some hypercube
+        # rows sum to 1 only after rounding, which moves its pi by one unit
         left, right = lazy_chain(*pair[:2]), lazy_chain(*pair[2:])
+        for family, chain in ((pair[0], left), (pair[2], right)):
+            np.testing.assert_array_max_ulp(stationary(chain), rational_pi(chain),
+                                            maxulp=int(family == "hypercube"))
         got = [product_distance_to_limit(left, right, k) for k in (0, 1, 7, 50, 400)]
         assert got == PINNED_PRODUCT_DISTANCE[pair]
 

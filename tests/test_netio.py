@@ -323,9 +323,10 @@ def test_readme_sweep_coupling_within_its_written_bound(tmp_path):
 
 def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
     # the fixed path's chain is built once and shared by every point, so the
-    # three cycles, the path and its sink are each decomposed once, and the
-    # cycles and the sink each get one Perron solve
-    calls = {"scc_decompose": 0, "_dominant_eigenpair": 0}
+    # three cycles, the path and its sink are each decomposed once, the
+    # cycles and the sink each get one Perron solve, by any route, and the
+    # path's absorbing times (its 9 transient states) are solved once
+    calls = {"scc_decompose": 0, "_perron_vector": 0}
     for name in calls:
         real = getattr(stochastic, name)
 
@@ -334,11 +335,19 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(stochastic, name, counting)
+    absorbing, real_solve = [], mixing._solve_fundamental
+
+    def solve(z, rhs):
+        absorbing.append(z.shape[0])
+        return real_solve(z, rhs)
+
+    monkeypatch.setattr(mixing, "_solve_fundamental", solve)
     run_experiment(ExperimentConfig(agent=TopologySpec("cycle", 11),
                                     constraint=TopologySpec("path", 10, directed=True),
                                     sweep="n", sweep_start=11, sweep_stop=31, sweep_stride=10,
                                     seed=1, alpha=0.5, outdir=str(tmp_path / "out")))
-    assert calls == {"scc_decompose": 5, "_dominant_eigenpair": 4}
+    assert calls == {"scc_decompose": 5, "_perron_vector": 4}
+    assert absorbing == [9]
 
 
 def test_readme_sweep_limits_come_from_the_factors(tmp_path, monkeypatch):

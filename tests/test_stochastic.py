@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kronmix import stochastic
+from kronmix import mixing, stochastic
 from kronmix.beliefs import assemble
 from kronmix.errors import DanglingNode, NotErgodic, NotStochastic
 from kronmix.generators import TopologySpec, generate, lazify
@@ -13,6 +15,10 @@ from kronmix.mixing import _column_gap, analyze_mixing
 from kronmix.netio import ExperimentConfig, run_experiment
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary, validate_stochastic
 from oracles import dense_evolve, evolve, two_state_stationary
+
+
+def no_eigensolve(matvec, n):
+    raise AssertionError(f"eigensolve on {n} states")
 
 
 def random_stochastic(rng, n):
@@ -165,11 +171,11 @@ class TestStationary:
             want = np.kron(stationary(m1), stationary(m2))
             assert np.abs(pi - want).sum() <= 1e-10
 
-    # A lazy walk on an undirected graph has pi proportional to degree. ARPACK
-    # stops on a residual near machine epsilon, so pi is good to about
-    # eps / spectral gap: the tolerances sit one to two orders above the
-    # errors measured over a dozen start vectors, and below the errors of
-    # the power iteration this replaced (3.9e-9 and 4.0e-7).
+    # A lazy walk on an undirected graph has pi proportional to degree. These
+    # tolerances sit one to two orders above the errors of an ARPACK pi (about
+    # eps / spectral gap), measured over a dozen start vectors; these chains
+    # are reversible and now take detailed balance, held to its own errors
+    # below.
     @pytest.mark.parametrize("family, n, tol", [("lollipop", 100, 1e-10),
                                                 ("path", 2000, 1e-8)])
     def test_lazy_walk_proportional_to_degree(self, family, n, tol):
@@ -178,26 +184,49 @@ class TestStationary:
         pi = stationary(equal_weight_matrix(lazify(graph, 0.5)))
         assert np.abs(pi - degree / degree.sum()).sum() <= tol
 
+    # Detailed balance gives these pi with no eigen-solve. On a path every
+    # ratio P_ij / P_ji is 2, 1 or 1/2, so pi is the correctly rounded
+    # rational one; the lollipop's ratios round, and its L1 error measured
+    # 1.5e-16.
+    @pytest.mark.parametrize("family, n, tol", [("lollipop", 100, 1e-15),
+                                                ("path", 45, 0.0), ("path", 2000, 0.0)])
+    def test_balance_pi_is_the_rational_one(self, family, n, tol, monkeypatch):
+        monkeypatch.setattr(stochastic, "_dominant_eigenpair", no_eigensolve)
+        graph = generate(TopologySpec(family, n))
+        degree = np.diff(graph._indptr)
+        exact = np.array([float(Fraction(int(d), int(degree.sum()))) for d in degree])
+        pi = stationary(equal_weight_matrix(lazify(graph, 0.5)))
+        assert np.abs(pi - exact).sum() <= tol
+
 
 class TestKeptChains:
     """A chain solves its Perron vector once and builds each restriction once."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        count, real = [0], stochastic._dominant_eigenpair
+        """[Perron solves by any route, ARPACK calls by any caller]."""
+        count = [0, 0]
+        perron, arpack = stochastic._perron_vector, stochastic._dominant_eigenpair
 
-        def counting(matvec, n):
+        def counting_perron(matrix):
             count[0] += 1
-            return real(matvec, n)
+            return perron(matrix)
 
-        # `stationary` reads this module binding; `second_eigenvalue` has its own
-        monkeypatch.setattr(stochastic, "_dominant_eigenpair", counting)
+        def counting_arpack(matvec, n):
+            count[1] += 1
+            return arpack(matvec, n)
+
+        monkeypatch.setattr(stochastic, "_perron_vector", counting_perron)
+        # `stationary` reads the stochastic binding; `second_eigenvalue` has its own
+        for module in (stochastic, mixing):
+            monkeypatch.setattr(module, "_dominant_eigenpair", counting_arpack)
         return count
 
     def test_analyze_mixing_solves_once(self, solves):
+        # a lazy cycle is reversible: pi by detailed balance, |lambda_2| dense
         m = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 9)), 0.5))
         analyze_mixing(m)
-        assert solves[0] == 1
+        assert solves == [1, 0]
 
     def test_limit_and_social_power_share_the_factors_vectors(self, solves):
         a = equal_weight_matrix(lazify(generate(TopologySpec("cycle", 5)), 0.5))
@@ -205,7 +234,7 @@ class TestKeptChains:
         system = assemble(a, c, np.ones(5), np.random.default_rng(2).random((5, 4)))
         structural_limit(system)
         social_power(system.a)
-        assert solves[0] == 2
+        assert solves == [2, 0]
 
     def test_readme_sweep_point_solves_each_class_once(self, solves, tmp_path):
         # the lazy 21-cycle and the directed path's sink, each read by the
@@ -216,7 +245,8 @@ class TestKeptChains:
                                epsilon=0.25, seed=1, alpha=0.5, outdir=str(tmp_path / "out"))
         [row] = run_experiment(cfg)
         assert row["error"] == "" and row["t_mix"] == 145
-        assert solves[0] == 2
+        # and every chain of the point is reversible, so none calls ARPACK
+        assert solves == [2, 0]
 
     def test_stationary_read_only(self):
         m = equal_weight_matrix(generate(TopologySpec("complete", 4)))
