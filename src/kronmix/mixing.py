@@ -34,8 +34,9 @@ from scipy.linalg.blas import daxpy
 from .beliefs import BeliefSystem, closed_factor_classes, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .limits import limit_matrix
-from .stochastic import (_BALANCE_TOL, StochasticMatrix, _basis, _detailed_balance,
-                         _dominant_eigenpair, _solve_fundamental, ergodicity_check, stationary)
+from .stochastic import (_BALANCE_TOL, StochasticMatrix, _absorption, _basis,
+                         _detailed_balance, _dominant_eigenpair, _solve_fundamental,
+                         ergodicity_check, stationary)
 
 EXACT_START_LIMIT = 2000
 SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its columns
@@ -54,6 +55,10 @@ _PAIR_CHUNK = 128  # rows of P per chunk of P V P'; a chain this small takes one
 _TINY = np.finfo(np.float64).eps ** 2  # Krylov breakdown threshold
 # columns per chunk of `_column_gap`
 _GAP_CHUNK = 128
+# sparse flops that one sparse step and gap read of a single column cost
+# beyond their nnz + n: the call overhead, about 10 us a step against about
+# 0.6 ns a sparse flop of a block step (one core, lazy chains of 100-2000 states)
+_COLUMN_CALL = 16_000
 # float64 values that the powers of two of `_bound_jump` may hold: the 128 MB
 # that COUPLING_STATE_LIMIT allows the coupling solve
 _POWER_BUDGET = 4 * COUPLING_STATE_LIMIT ** 2
@@ -129,12 +134,18 @@ def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None =
     a block at least two columns wide in row order, but a lone column
     pairwise, so no chunk is one column unless the block is.
     """
+    return _worst_column(left, target, right)[0]
+
+
+def _worst_column(left: np.ndarray, target: np.ndarray,
+                  right: np.ndarray | None = None) -> tuple[float, int]:
+    """`_column_gap` and a column that attains it (0 if there are no columns)."""
     (n, w), m = left.shape, 1 if right is None else right.shape[0]
     edges = list(range(0, w, _GAP_CHUNK)) + [w]
     if len(edges) > 2 and w - edges[-2] == 1:
         del edges[-2]
     buf = np.empty(n * m * min(w, _GAP_CHUNK + 1))
-    peak = 0.0
+    peak, worst = 0.0, 0
     for lo, hi in zip(edges, edges[1:]):
         part = buf[:n * m * (hi - lo)].reshape(n * m, hi - lo)
         goal = target if target.shape[1] == 1 else target[:, lo:hi]
@@ -144,8 +155,12 @@ def _column_gap(left: np.ndarray, target: np.ndarray, right: np.ndarray | None =
             np.multiply(left[:, None, lo:hi], right[None, :, lo:hi], out=part.reshape(n, m, -1))
             np.subtract(part, goal, out=part)
         np.abs(part, out=part)
-        peak = np.maximum(peak, part.sum(axis=0).max())  # max() would drop a NaN
-    return 0.5 * float(peak)
+        sums = part.sum(axis=0)
+        j = int(np.argmax(sums))  # the first NaN, if there is one
+        if not sums[j] <= peak:
+            worst = lo + j
+        peak = np.maximum(peak, sums[j])  # keeps a NaN, unlike max()
+    return 0.5 * float(peak), worst
 
 
 def _marginals(target: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,9 +232,9 @@ def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int =
                   screen=None, jump=None) -> int:
     """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
-    The one stepping loop of the mixing times: `state` is iterate `start` of
-    whatever `step` advances (a chain's column block, or a system's stacked
-    factor block), and `gap` reads it as the largest distance of a tracked
+    The stepping loop of the system scan: `state` is iterate `start` of
+    whatever `step` advances (a system's stacked factor block and its
+    anchor columns), and `gap` reads it as the largest distance of a tracked
     start from its limit. An optional `screen` is a cheaper lower bound on
     that gap as computed: an iterate it puts above epsilon is stepped past
     without taking the gap, except at max_steps. An optional `jump(k, state)`
@@ -257,16 +272,18 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     give it, before `kron` rescales a row, as in `product_distance_to_limit`.
 
     A start's distance is its row of P^k against pi, a column of the n x n
-    block (P')^k. The worst distance never increases in k (Levin, Peres &
-    Wilmer, ch. 4), so the first step within epsilon is bracketed by
-    squaring. The block takes sparse steps while k nnz < n^2 / 16, where the
-    steps taken cost about one dense product. It is then squared while its
-    distance stays above epsilon, keeping the previous power: at the first
-    (P')^(2k) within epsilon, one descent level tries (P')^k (P')^(k/2) once
-    k/4 sparse steps cost at least that product. `_first_within` steps the
-    rest of the interval sparsely from the last power above epsilon. At most
-    three n x n blocks are alive. Periodic or reducible chains, and products
-    with such a factor, raise NotErgodic.
+    block (P')^k, and it never increases in k (Levin, Peres & Wilmer,
+    ch. 4). So one tracked start r above epsilon at k proves d(k) > epsilon
+    at the price of one column, and the block is needed only to check a
+    candidate. The search (`_WorstStartSearch`) starts from the state of
+    least pi, pursues its column to t_r, its first step within epsilon,
+    builds (P')^(t_r) once and reads every column there. If all are within
+    epsilon, t is t_r: column r was above epsilon at t_r - 1. Otherwise the
+    worst column becomes r and the pursuit resumes at t_r + 1. At max_steps
+    the block is read whatever the tracked column says, and a distance still
+    above epsilon raises FailedToConverge. At most three n x n blocks are
+    alive. Periodic or reducible chains, and products with such a factor,
+    raise NotErgodic.
     """
     _check_scan(epsilon, max_steps)
     n = matrix.n
@@ -274,36 +291,150 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
         raise TooLarge(f"t_mix over every start of {n} states; the cap is {EXACT_START_LIMIT}")
     if matrix.factors is not None:
         return _product_mixing_time(*matrix.factors, epsilon, max_steps)
-    target = stationary(matrix)[:, None]
-    step = matrix.csr.T.tocsr().dot
+    search = _WorstStartSearch(matrix, epsilon, max_steps)
+    k, v = 0, np.zeros(n)
+    v[np.argmin(search.pi)] = 1.0
+    while True:
+        k, v = search.pursue(k, v)
+        d, v = search.read(k)
+        if d <= epsilon:
+            return k
+        if k == max_steps:
+            raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
+        k, v = k + 1, search.pt @ v  # the new worst start is above epsilon at k
 
-    def gap(cur):
-        return _column_gap(cur, target)
 
-    switch = -(-n * n // (16 * matrix.nnz))
-    state, k = np.eye(n), 0
-    while (d := gap(state)) > epsilon and k < min(switch, max_steps):
-        state, k = step(state), k + 1
-    if d <= epsilon:
-        return k
-    # state is (P')^k above epsilon; half is (P')^(k/2) once a square was
-    half, spare = None, np.empty_like(state)
-    while 0 < 2 * k <= max_steps:
-        np.matmul(state, state, out=spare)
-        if gap(spare) <= epsilon:
-            # the descent saves about k/4 sparse steps for one dense product,
-            # which costs about `switch` of them
-            if half is not None and k >= 4 * switch:
-                np.matmul(state, half, out=spare)
-                if gap(spare) > epsilon:
-                    k, state = k + k // 2, spare
-            break
-        half, state, spare = state, spare, np.empty_like(state) if half is None else half
-        k *= 2
-    # hand the block over: a reference kept in this frame would keep it alive
-    # next to the two blocks of every sparse step
-    blocks, state, half, spare = [state], None, None, None
-    return _first_within(step, blocks.pop(), gap, epsilon, max_steps, start=k)
+def _power_plan(t: int, price: float) -> tuple[float, int]:
+    """The cheapest way from P' to (P')^t: (its price, its squarings s).
+
+    With s squarings, P' takes (t >> s) - 1 sparse steps of the block, and
+    each squaring is followed by one more step where t has a bit set, from
+    bit s - 1 down to bit 0. A squaring costs `price` steps. t = 0 (the
+    identity) costs nothing; ties go to fewer squarings.
+    """
+    if t == 0:
+        return 0.0, 0
+    return min(((t >> s) - 1 + bin(t & ((1 << s) - 1)).count("1") + s * price, s)
+               for s in range(t.bit_length()))
+
+
+class _WorstStartSearch:
+    """The tracked column and the powers of P' of one `measure_mixing_time` call.
+
+    Work is priced in sparse steps of the n x n block, nnz n flops each.
+    A dense product costs `price` = n^2 / (16 nnz) of them, counting a dense
+    flop as a sixteenth of a sparse one (one core ran a dense product's
+    flops 12-33 times as fast as a block step's on lazy chains of 200-2000
+    states). A sparse step of one column and its gap read cost
+    (nnz + n + _COLUMN_CALL) / (nnz n).
+
+    `pursue` steps the tracked column one sparse step at a time. After
+    `patience` steps in a row it gallops instead (`gallop`): `patience` is
+    the fewest steps g whose price reaches (price + 1) per bit of g, about
+    what building (P')^g and squaring it costs. `read` builds (P')^k with
+    `power` and reads every column there, keeping the block: the next
+    `power` may step it on rather than build anew.
+    """
+
+    def __init__(self, matrix: StochasticMatrix, epsilon: float, max_steps: int):
+        n, nnz = matrix.n, matrix.nnz
+        self.pi = stationary(matrix)
+        self.pt = matrix.csr.T.tocsr()
+        self.epsilon, self.max_steps = epsilon, max_steps
+        self.price = n * n / (16 * nnz)
+        column = (nnz + n + _COLUMN_CALL) / (nnz * n)
+        # the least fixed point of g = ceil((price + 1) bits(g) / column)
+        g = 1
+        while g * column < (self.price + 1) * g.bit_length():
+            g = math.ceil((self.price + 1) * g.bit_length() / column)
+        self.patience = g
+        self.held = None  # (k, (P')^k) of the last read
+
+    def gap(self, v: np.ndarray) -> float:
+        """Total variation distance of one column from pi."""
+        return 0.5 * float(np.abs(v - self.pi).sum())
+
+    def pursue(self, k: int, v: np.ndarray) -> tuple[int, np.ndarray]:
+        """(k', column at k'): the tracked column v, given at k, at its crossing.
+
+        k' is the first step from k at which the column is within epsilon,
+        or max_steps if it is not by then.
+        """
+        start = k
+        while self.gap(v) > self.epsilon and k < self.max_steps:
+            if k - start < self.patience:
+                v, k = self.pt @ v, k + 1
+            else:
+                k, v = self.gallop(k, v)
+                start = k
+        return k, v
+
+    def gallop(self, lo: int, v: np.ndarray) -> tuple[int, np.ndarray]:
+        """A later step lo' at which column v, above epsilon at lo, still is.
+
+        With g = `patience`, it tests lo + g, then lo + 3g, lo + 7g, ...: a
+        column above epsilon moves lo forward, and (P')^g is squared for the
+        next, longer test. Once a test is within epsilon or would pass
+        max_steps, lo moves on through the smaller powers held, largest
+        first, while the column stays above epsilon (binary lifting). Three
+        powers are held at most, so the crossing, or max_steps, is left
+        within the smallest of them of lo': g, or a quarter of the last
+        test. Each test is one product of a power with the column, and a
+        power is squared only if its square can be tested.
+        """
+        self.held = None  # stepping it this far costs more than a new build
+        rungs = [(self.patience, self.power(self.patience))]
+
+        def advance(size, rung):
+            nonlocal lo, v
+            if lo + size > self.max_steps:
+                return False
+            ahead = rung @ v
+            if self.gap(ahead) <= self.epsilon:
+                return False
+            lo, v = lo + size, ahead
+            return True
+
+        while advance(*rungs[-1]):
+            size, top = rungs[-1]
+            if lo + 2 * size <= self.max_steps:
+                spare = rungs.pop(0)[1] if len(rungs) == 3 else np.empty_like(top)
+                rungs.append((2 * size, np.matmul(top, top, out=spare)))
+        for rung in reversed(rungs[:-1]):
+            advance(*rung)
+        return lo, v
+
+    def power(self, t: int) -> np.ndarray:
+        """(P')^t, from the held block by sparse steps or from P' by `_power_plan`.
+
+        Whichever costs less; the held block is let go either way. At most
+        three blocks are alive: a squaring's two and a step's new one.
+        """
+        at, block = self.held or (0, None)
+        self.held = None
+        cost, squarings = _power_plan(t, self.price)
+        if block is not None and 0 <= t - at <= cost:
+            for _ in range(t - at):
+                block = self.pt @ block
+            return block
+        if t == 0:
+            return np.eye(self.pi.size)
+        block = self.pt.toarray()
+        for _ in range((t >> squarings) - 1):
+            block = self.pt @ block
+        spare = np.empty_like(block) if squarings else None
+        for bit in reversed(range(squarings)):
+            block, spare = np.matmul(block, block, out=spare), block
+            if t >> bit & 1:
+                block = self.pt @ block
+        return block
+
+    def read(self, k: int) -> tuple[float, np.ndarray]:
+        """d(k) from the block (P')^k, and the column of a start that attains it."""
+        block = self.power(k)
+        d, worst = _worst_column(block, self.pi[:, None])
+        self.held = k, block
+        return d, block[:, worst].copy()
 
 
 def _product_mixing_time(left: StochasticMatrix, right: StochasticMatrix, epsilon: float,
@@ -634,19 +765,19 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
 def expected_absorbing_time(matrix: StochasticMatrix) -> AbsorbingTimes:
     """Exact expected times to enter the union of closed components.
 
-    Solves (I - Z) h = 1 on the transient block of `matrix.scc`. The first
-    call builds the times; the matrix keeps them, with a read-only
-    `node_expectation`, and every call returns that one object. A chain
-    with no closed component raises StructuralError, which is not kept.
+    They solve (I - Z) h = 1 on the transient block of `matrix.scc`, in the
+    one solve that the matrix shares with `power_limit`
+    (`stochastic._absorption`). The first call builds the times; the matrix
+    keeps them, with a read-only `node_expectation`, and every call returns
+    that one object. A chain with no closed component raises
+    StructuralError, which is not kept.
     """
     if matrix._absorbing is None:
         if not any(matrix.scc.closed):
             raise StructuralError("graph has no closed component")
+        absorption = _absorption(matrix)
         node_h = np.zeros(matrix.n)
-        transient = matrix.scc.transient_nodes()
-        if transient.size:
-            z = matrix.minor(transient, transient)
-            node_h[transient] = _solve_fundamental(z, np.ones(transient.size))
+        node_h[absorption.transient] = absorption.steps
         node_h.flags.writeable = False
         matrix._absorbing = AbsorbingTimes(node_h, float(node_h.max()))
     return matrix._absorbing
@@ -785,7 +916,8 @@ def _bound_jump(system: BeliefSystem, lam_a: sp.csr_matrix, u: np.ndarray,
     The cost: one level of the jump squares Lambda A and C and applies a
     power to the block twice, n^3 + m^3 + 2 (n^2 + m^2) w flops, w the
     columns; a scan step costs (nnz(Lambda A) + nnz(C)) w. Counting a dense
-    flop as a sixteenth of a sparse one, as `measure_mixing_time` does (one
+    flop as a sixteenth of a sparse one, the price that `measure_mixing_time`
+    puts on its dense products (`_WorstStartSearch`; on these blocks one
     core measured 45-100 at n = 51-2000), a level costs `cost` steps. The
     scan tries the jump at the first step K with
     s cost <= K + 2^(s-1) for every s, and every bounding column has

@@ -6,7 +6,8 @@ graph module: a chain at state i steps to j with probability M[i, j]. A
 strong components of its nonzero pattern (`scc`), its detailed-balance
 vector (read through `_detailed_balance`), its stationary vector (read
 through `stationary`), the limit of its powers (read through `power_limit`),
-its expected absorbing times (read through `mixing.expected_absorbing_time`)
+its expected absorbing times (read through `mixing.expected_absorbing_time`),
+the one transient-block solve that those two share (`_absorption`)
 and its restrictions to the node sets that no edge leaves (`restrict`), each
 built on first use and kept, and, for a Kronecker product, the two factors
 that `kron.kron` built it from (`factors`).
@@ -40,20 +41,21 @@ class StochasticMatrix:
 
     Entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL;
     rows are never rescaled, so a caller whose rows can drift further (a
-    Kronecker product) rescales its own. It keeps seven things. Six are
+    Kronecker product) rescales its own. It keeps eight things. Seven are
     computed once, on first use: `scc`, the strong-component decomposition
     of the nonzero pattern; the detailed-balance vector of
     `_detailed_balance`, or the mark that the chain is not reversible; the
     stationary vector that `stationary` returns; the limit that
     `power_limit` returns; the absorbing times that
-    `mixing.expected_absorbing_time` returns; and each chain that `restrict`
-    returns. The seventh, `factors`, is set only by `kron.kron` on the
-    product it returns; every other matrix, a restriction of a product or
+    `mixing.expected_absorbing_time` returns; the solve on the transient
+    block that those two share (`_absorption`); and each chain that
+    `restrict` returns. The eighth, `factors`, is set only by `kron.kron` on
+    the product it returns; every other matrix, a restriction of a product or
     one built from its CSR included, has none.
     """
 
-    __slots__ = ("n", "csr", "_scc", "_balance", "_pi", "_limit", "_absorbing",
-                 "_restrictions", "_factors")
+    __slots__ = ("n", "csr", "_scc", "_balance", "_pi", "_limit", "_absorption",
+                 "_absorbing", "_restrictions", "_factors")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
@@ -67,6 +69,7 @@ class StochasticMatrix:
         self._balance = None
         self._pi = None
         self._limit = None
+        self._absorption = None
         self._absorbing = None
         self._restrictions = {}
         self._factors = None
@@ -345,30 +348,66 @@ def power_limit(matrix: StochasticMatrix) -> PowerLimit:
     """lim P^k as H Pi (Kemeny & Snell, Finite Markov Chains, ch. 3).
 
     Each closed class of `matrix.scc` gives the stationary vector of its
-    `restrict` (a periodic class raises NotErgodic, which is not kept). One
-    solve on the transient block, with one right-hand side per class (the
-    block's one-step mass into that class), gives the absorption
-    probabilities. The first call builds the limit; the matrix keeps it.
+    `restrict` (a periodic class raises NotErgodic, which is not kept). The
+    absorption probabilities come from the matrix's one solve on its
+    transient block (`_absorption`). The first call builds the limit; the
+    matrix keeps it.
     """
     if matrix._limit is None:
         dec = matrix.scc
         classes = [dec.components[cid] for cid in np.flatnonzero(dec.closed)]
-        label = np.full(matrix.n, -1, dtype=np.int64)
-        for j, members in enumerate(classes):
-            label[members] = j
         pis = [stationary(matrix.restrict(members)) for members in classes]
+        absorption = _absorption(matrix)
         recurrent = np.concatenate(classes)
-        shape = (len(classes), matrix.n)
-        weights = sp.csr_matrix((np.concatenate(pis), (label[recurrent], recurrent)), shape=shape)
-        transient = np.flatnonzero(label < 0)
-        absorb = np.zeros((transient.size, len(classes)))
-        if transient.size:
-            into = sp.csr_matrix((np.ones(recurrent.size), (recurrent, label[recurrent])),
-                                 shape=shape[::-1])
-            rhs = (matrix.csr[transient] @ into).toarray()
-            absorb = _solve_fundamental(matrix.minor(transient), rhs)
-        matrix._limit = PowerLimit(weights, label, transient, absorb)
+        weights = sp.csr_matrix((np.concatenate(pis), (absorption.label[recurrent], recurrent)),
+                                shape=(len(classes), matrix.n))
+        matrix._limit = PowerLimit(weights, absorption.label, absorption.transient,
+                                   absorption.probabilities)
     return matrix._limit
+
+
+@dataclass(frozen=True)
+class _Absorption:
+    """What one solve on a chain's transient block gives (Kemeny & Snell, ch. 3).
+
+    `label` holds each state's closed class, in the order of `scc`'s closed
+    components, and -1 on transient states; `transient` lists those states
+    in ascending order. Row i of `probabilities` (|T| x k) is the chance
+    that a walk from transient[i] ends in each class, and `steps[i]` its
+    expected steps until it enters one.
+    """
+
+    label: np.ndarray
+    transient: np.ndarray
+    probabilities: np.ndarray
+    steps: np.ndarray
+
+
+def _absorption(matrix: StochasticMatrix) -> _Absorption:
+    """The absorption of `matrix`, from one solve that the matrix keeps.
+
+    (I - Z) X = [R 1] on the transient block Z, R its one-step mass into
+    each closed class: the first k columns of X are the absorption
+    probabilities and the last the expected absorbing times, so `power_limit`
+    and `mixing.expected_absorbing_time` share one factorisation.
+    """
+    if matrix._absorption is None:
+        dec = matrix.scc
+        closed = np.flatnonzero(dec.closed)
+        label = np.full(matrix.n, -1, dtype=np.int64)
+        for j, cid in enumerate(closed):
+            label[dec.components[cid]] = j
+        transient = np.flatnonzero(label < 0)
+        solved = np.zeros((transient.size, closed.size + 1))
+        if transient.size:
+            recurrent = np.flatnonzero(label >= 0)
+            into = sp.csr_matrix((np.ones(recurrent.size), (recurrent, label[recurrent])),
+                                 shape=(matrix.n, closed.size))
+            rhs = np.ones_like(solved)
+            rhs[:, :-1] = (matrix.csr[transient] @ into).toarray()
+            solved = _solve_fundamental(matrix.minor(transient), rhs)
+        matrix._absorption = _Absorption(label, transient, solved[:, :-1], solved[:, -1])
+    return matrix._absorption
 
 
 def _basis(n: int, cols: np.ndarray) -> np.ndarray:

@@ -166,7 +166,7 @@ def sparse_random_chain(rng, n, extra):
 
 
 def sparse_switch(m):
-    """The step at which the exact-start scan stops stepping sparsely and squares."""
+    """n^2 / (16 nnz) rounded up: the sparse block steps that one dense product costs."""
     return -(-m.n * m.n // (16 * m.nnz))
 
 
@@ -180,9 +180,30 @@ def oracle_crossing(m, epsilon, steps):
     return t, min(epsilon - curve[t - 1], above)
 
 
+def record_search(monkeypatch):
+    """The full n x n reads of `measure_mixing_time` (their distances) and the
+    sizes of the dense products it forms (`np.matmul`), as they happen."""
+    reads, products = [], []
+    worst, matmul = mixing._worst_column, np.matmul
+
+    def read(block, target):
+        found = worst(block, target)
+        reads.append(found[0])
+        return found
+
+    def product(a, b, **kwargs):
+        products.append(a.shape[0])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(mixing, "_worst_column", read)
+    monkeypatch.setattr(np, "matmul", product)
+    return reads, products
+
+
 class TestSquaringScan:
     def test_matches_oracle_on_both_sides_of_the_switch(self):
-        # large sparse chains mix before the switch, small ones after it
+        # large sparse chains mix in fewer steps than one dense product costs,
+        # small ones in more
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(15)))
         sides, skipped = [0, 0], 0
         for i in range(8):
@@ -201,9 +222,9 @@ class TestSquaringScan:
 
     @pytest.mark.parametrize("family, n", [("cycle", 40), ("cycle", 144)])
     def test_crossings_at_power_boundaries(self, family, n):
-        # epsilon halfway between d(t - 1) and d(t) puts t_mix at t; with the
-        # switch at s the squares are s 2^j, so t = s 2^j, s 2^j + 1 and
-        # 3 s 2^(j-1) fall on a square, just past one and on the descent
+        # epsilon halfway between d(t - 1) and d(t) puts t_mix at t; t = s 2^j,
+        # s 2^j + 1 and 3 s 2^(j-1), s the price of a dense product, put the
+        # crossing on, just past and between squarings of s-step blocks
         m = lazy_chain(family, n)
         s = sparse_switch(m)
         curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 3 * s * 64 + 1)
@@ -216,10 +237,76 @@ class TestSquaringScan:
                 with pytest.raises(FailedToConverge, match=f"after {t - 1} steps"):
                     measure_mixing_time(m, eps, max_steps=t - 1)
 
+    @pytest.mark.parametrize("family, n, kwargs, t", [("hypercube", 1024, {}, 16),
+                                                      ("erdos-renyi", 2000, {"p": 0.01}, 8)])
+    def test_candidate_block_built_once(self, monkeypatch, family, n, kwargs, t):
+        # the tracked column alone proves d(t - 1) > eps, so the one n x n block
+        # is the one read at t, made with the squarings `_power_plan` prices:
+        # one after 8 sparse steps on the hypercube, none on the random graph,
+        # where a square would cost more than the 4 steps it saves
+        m = lazy_chain(family, n, **kwargs)
+        stationary(m)
+        reads, products = record_search(monkeypatch)
+        assert measure_mixing_time(m, 0.25) == t
+        price = n * n / (16 * m.nnz)
+        assert len(reads) == 1 and reads[0] <= 0.25
+        assert products == [n] * mixing._power_plan(t, price)[1]
+
+    def test_read_finds_a_worse_start(self, monkeypatch):
+        # the state of least pi is not the worst start of these chains: the
+        # read at its crossing finds another start still above epsilon, and
+        # the search pursues that one from there
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(29)))
+        reads, _ = record_search(monkeypatch)
+        resumed, skipped = 0, 0
+        for _ in range(6):
+            m = sparse_random_chain(rng, int(rng.integers(30, 120)), int(rng.integers(1, 3)))
+            for eps in (0.5, 0.25, 1 / 16, 0.01):
+                reads.clear()
+                t = measure_mixing_time(m, eps)
+                want, margin = oracle_crossing(m, eps, t + 1)
+                if margin <= 1e-12:
+                    skipped += 1
+                    continue
+                assert t == want and reads[-1] <= eps < min(reads[:-1], default=1.0)
+                assert len(reads) <= 3, reads
+                resumed += len(reads) > 1
+        assert skipped == 0, f"{skipped} cases within 1e-12 of epsilon"
+        assert resumed >= 12, resumed
+
+    def test_crossings_at_gallop_boundaries(self):
+        # after `patience` sparse steps the tracked column gallops: it tests
+        # p 2^j, lifts through halves and quarters, and a step cap stops it
+        # anywhere on the way
+        m = lazy_chain("cycle", 144)
+        p = mixing._WorstStartSearch(m, 0.25, 0).patience
+        assert 1 < p < 200
+        curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 24 * p + 1)
+        for j in range(1, 5):
+            for t in (p * 2 ** j - 1, p * 2 ** j, p * 2 ** j + 1, 3 * p * 2 ** (j - 1)):
+                eps = 0.5 * (curve[t - 2] + curve[t - 1])
+                assert min(curve[t - 2] - eps, eps - curve[t - 1]) > 1e-12
+                assert measure_mixing_time(m, eps) == t
+                assert measure_mixing_time(m, eps, max_steps=t) == t
+                with pytest.raises(FailedToConverge, match=f"after {t - 1} steps"):
+                    measure_mixing_time(m, eps, max_steps=t - 1)
+
+    def test_power_plan_is_the_cheapest(self):
+        # against every mix of sparse steps and squarings from P', by dynamic
+        # programming: cost[k] = min(cost[k - 1] + 1, cost[k / 2] + price)
+        for price in (0.24, 1.0, 5.8, 21.3):
+            cost = [0.0, 0.0]
+            for k in range(2, 600):
+                cost.append(min(cost[k - 1] + 1, cost[k // 2] + price if k % 2 == 0 else math.inf))
+            for t in range(1, 600):
+                assert mixing._power_plan(t, price)[0] == pytest.approx(cost[t], abs=1e-9)
+        assert mixing._power_plan(0, 5.0) == (0.0, 0)
+
     def test_peak_memory_three_blocks(self):
-        # a lazy 600-cycle steps to 13, squares up to 13 2^8 and descends; the
-        # peak does not depend on epsilon, and at 0.75 the sparse remainder
-        # is short
+        # a lazy 600-cycle at eps 0.75 steps its tracked column to 1884 and
+        # builds the block there once: (P')^14 by sparse steps, then 7
+        # squarings with 4 more steps between them. A squaring's two blocks
+        # and a step's new one are alive at most
         m = lazy_chain("cycle", 600)
         tracemalloc.start()
         try:
@@ -780,17 +867,19 @@ def test_analyze_mixing_rng_changes_nothing():
 
 class TestAbsorbing:
     def test_kept_on_the_matrix(self, monkeypatch):
-        # one solve; every call returns the one object, its times read-only
-        solves, real = [], mixing._solve_fundamental
+        # one solve, which the power limit shares; every call returns the one
+        # object, its times read-only
+        solves, real = [], stochastic._solve_fundamental
 
         def counting(z, rhs):
             solves.append(z.shape[0])
             return real(z, rhs)
 
-        monkeypatch.setattr(mixing, "_solve_fundamental", counting)
+        monkeypatch.setattr(stochastic, "_solve_fundamental", counting)
         m = lazy_chain("path", 6, directed=True)
         times = expected_absorbing_time(m)
         assert expected_absorbing_time(m) is times and solves == [5]
+        assert stochastic.power_limit(m).absorb.tolist() == [[1.0]] * 5 and solves == [5]
         with pytest.raises(ValueError):
             times.node_expectation[0] = 0.0
         with pytest.raises(AttributeError):

@@ -325,7 +325,8 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
     # the fixed path's chain is built once and shared by every point, so the
     # three cycles, the path and its sink are each decomposed once, the
     # cycles and the sink each get one Perron solve, by any route, and the
-    # path's absorbing times (its 9 transient states) are solved once
+    # path's transient block (its 9 states) is solved once, for its
+    # absorbing times and its absorption into the sink together
     calls = {"scc_decompose": 0, "_perron_vector": 0}
     for name in calls:
         real = getattr(stochastic, name)
@@ -335,13 +336,13 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(stochastic, name, counting)
-    absorbing, real_solve = [], mixing._solve_fundamental
+    absorbing, real_solve = [], stochastic._solve_fundamental
 
     def solve(z, rhs):
         absorbing.append(z.shape[0])
         return real_solve(z, rhs)
 
-    monkeypatch.setattr(mixing, "_solve_fundamental", solve)
+    monkeypatch.setattr(stochastic, "_solve_fundamental", solve)
     run_experiment(ExperimentConfig(agent=TopologySpec("cycle", 11),
                                     constraint=TopologySpec("path", 10, directed=True),
                                     sweep="n", sweep_start=11, sweep_stop=31, sweep_stride=10,
@@ -353,14 +354,23 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
 def test_readme_sweep_limits_come_from_the_factors(tmp_path, monkeypatch):
     # every README-sweep agent is oblivious, so each point's limit is
     # A^inf (x) C^inf: no pair rows are built, and the shared path's
-    # absorption into its sink is solved once, for all ten points
+    # absorption into its sink is solved once, for all ten points, in the
+    # solve that gives its absorbing times, before any limit is taken
     counts = count_limit_work(monkeypatch)
+    solves, counted = [], stochastic._solve_fundamental
+
+    def solve(z, rhs):
+        solves.append(z.shape[0])
+        return counted(z, rhs)
+
+    monkeypatch.setattr(stochastic, "_solve_fundamental", solve)
     rows = run_experiment(ExperimentConfig(
         agent=TopologySpec("cycle", 11), constraint=TopologySpec("path", 10, directed=True),
         sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10, epsilon=0.25, seed=1,
         alpha=0.5, outdir=str(tmp_path / "out")))
     assert [int(row["t_mix"]) for row in rows] == README_SWEEP_T_MIX
-    assert counts == {"kron": 0, "pair": [], "factor": [9]}
+    assert counts == {"kron": 0, "pair": [], "factor": []}
+    assert solves == [9]
 
 
 class TestRunExperiment:
