@@ -1,12 +1,13 @@
 """Convergence-time measurement and bounds.
 
 Covers empirical mixing times (worst-start total variation) of chains,
-product chains and belief systems, measured by `_column_gap` (a Kronecker
-product's on its factors, `_product_mixing_time`); spectral bounds; exact
-coupling times (the worst-pair expected meeting time of two independent
-walks, solved on the pair chain with an error bound); exact absorbing
-times on the transient block; and the composite convergence-time bound.
-All bound formulas use the natural logarithm.
+product chains and belief systems, measured by `_column_gap`: a chain and a
+Kronecker product by one worst-start search (`_WorstStartSearch`, a product
+on its factors), a system by a column scan; spectral bounds; exact coupling
+times (the worst-pair expected meeting time of two independent walks,
+solved on the pair chain with an error bound); exact absorbing times on the
+transient block; and the composite convergence-time bound. All bound
+formulas use the natural logarithm.
 
 A system's scan takes the Kronecker gap only at the steps that a cheaper
 lower bound from the factor marginals, `_marginal_gap`, cannot put above
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,26 +230,23 @@ def _check_scan(epsilon: float, max_steps: int) -> None:
     _step_count(max_steps, "max_steps")
 
 
-def _first_within(step, state, gap, epsilon: float, max_steps: int, start: int = 0,
+def _first_within(step, state, gap, epsilon: float, max_steps: int,
                   screen=None, jump=None) -> int:
-    """First k in start..max_steps with gap(k-th iterate of `step`) <= epsilon.
+    """First k in 0..max_steps with gap(k-th iterate of `step`) <= epsilon.
 
-    The stepping loop of the system scan: `state` is iterate `start` of
-    whatever `step` advances (a system's stacked factor block and its
-    anchor columns), and `gap` reads it as the largest distance of a tracked
-    start from its limit. An optional `screen` is a cheaper lower bound on
+    The stepping loop of the system scan: `state` is iterate 0 of whatever
+    `step` advances (a system's stacked factor block and its anchor
+    columns), and `gap` reads it as the largest distance of a tracked start
+    from its limit. An optional `screen` is a cheaper lower bound on
     that gap as computed: an iterate it puts above epsilon is stepped past
     without taking the gap, except at max_steps. An optional `jump(k, state)`
     is called at each iterate k found above epsilon before max_steps; it
     returns an iterate (k', state') with k <= k' <= max_steps, every iterate
     k..k'-1 above epsilon, and the scan goes on from there (k' = k steps as
     usual). A gap still above epsilon at max_steps raises FailedToConverge
-    with that gap; steps count from iterate 0. Callers check their arguments
-    with `_check_scan`; ValueError if start > max_steps.
+    with that gap. Callers check their arguments with `_check_scan`.
     """
-    if start > max_steps:
-        raise ValueError(f"scan starts at step {start}, past max_steps {max_steps}")
-    k = start
+    k = 0
     while True:
         screened = k < max_steps and screen is not None and screen(state) > epsilon
         if not screened and (d := gap(state)) <= epsilon:
@@ -268,8 +267,8 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
 
     Every start is tracked, and above EXACT_START_LIMIT states this raises
     TooLarge before any solve. A `kron.kron(L, R)` product is measured on its
-    factors (`_product_mixing_time`), never stepped: L (x) R as the factors
-    give it, before `kron` rescales a row, as in `product_distance_to_limit`.
+    factors, never stepped: L (x) R as the factors give it, before `kron`
+    rescales a row, as in `product_distance_to_limit`.
 
     A start's distance is its row of P^k against pi, a column of the n x n
     block (P')^k, and it never increases in k (Levin, Peres & Wilmer,
@@ -282,18 +281,18 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
     worst column becomes r and the pursuit resumes at t_r + 1. At max_steps
     the block is read whatever the tracked column says, and a distance still
     above epsilon raises FailedToConverge. At most three n x n blocks are
-    alive. Periodic or reducible chains, and products with such a factor,
-    raise NotErgodic.
+    alive. A product's start (i, u) has column (L')^k e_i (x) (R')^k e_u, so
+    the search keeps a column and a power as one entry per factor, with at
+    most three blocks of each factor alive, and forms no N x N block for the
+    N states of the product. Periodic or reducible chains, and products with
+    such a factor, raise NotErgodic.
     """
     _check_scan(epsilon, max_steps)
     n = matrix.n
     if n > EXACT_START_LIMIT:
         raise TooLarge(f"t_mix over every start of {n} states; the cap is {EXACT_START_LIMIT}")
-    if matrix.factors is not None:
-        return _product_mixing_time(*matrix.factors, epsilon, max_steps)
-    search = _WorstStartSearch(matrix, epsilon, max_steps)
-    k, v = 0, np.zeros(n)
-    v[np.argmin(search.pi)] = 1.0
+    search = _WorstStartSearch(matrix.factors or (matrix,), epsilon, max_steps)
+    k, v = 0, search.start()
     while True:
         k, v = search.pursue(k, v)
         d, v = search.read(k)
@@ -301,7 +300,7 @@ def measure_mixing_time(matrix: StochasticMatrix, epsilon: float = 0.25,
             return k
         if k == max_steps:
             raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
-        k, v = k + 1, search.pt @ v  # the new worst start is above epsilon at k
+        k, v = k + 1, search.step(v)  # the new worst start is above epsilon at k
 
 
 def _power_plan(t: int, price: float) -> tuple[float, int]:
@@ -310,7 +309,8 @@ def _power_plan(t: int, price: float) -> tuple[float, int]:
     With s squarings, P' takes (t >> s) - 1 sparse steps of the block, and
     each squaring is followed by one more step where t has a bit set, from
     bit s - 1 down to bit 0. A squaring costs `price` steps. t = 0 (the
-    identity) costs nothing; ties go to fewer squarings.
+    identity) costs nothing; ties go to fewer squarings. A product's factor
+    blocks all take the one plan, priced on their sums.
     """
     if t == 0:
         return 0.0, 0
@@ -318,31 +318,45 @@ def _power_plan(t: int, price: float) -> tuple[float, int]:
                for s in range(t.bit_length()))
 
 
+def _squares(blocks: tuple, out: tuple) -> tuple:
+    """Each block squared into the matching block of `out`."""
+    return tuple(np.matmul(b, b, out=o) for b, o in zip(blocks, out))
+
+
 class _WorstStartSearch:
     """The tracked column and the powers of P' of one `measure_mixing_time` call.
 
-    Work is priced in sparse steps of the n x n block, nnz n flops each.
-    A dense product costs `price` = n^2 / (16 nnz) of them, counting a dense
-    flop as a sixteenth of a sparse one (one core ran a dense product's
-    flops 12-33 times as fast as a block step's on lazy chains of 200-2000
-    states). A sparse step of one column and its gap read cost
+    P is the product of `factors`: one chain, or the two factors of a `kron`
+    product. A column and a power are tuples with one entry per factor, and
+    every step, product and squaring is one per factor. Start s's column is
+    the Kronecker product of its entries, against the limit `pi`, the
+    Kronecker product of the factors' stationary vectors.
+
+    Work is priced in sparse steps of the blocks, sum(nnz_f n_f) flops each.
+    A dense product costs `price` = sum(n_f^3) / (16 sum(nnz_f n_f)) of them,
+    counting a dense flop as a sixteenth of a sparse one (one core ran a
+    dense product's flops 12-33 times as fast as a block step's on lazy
+    chains of 200-2000 states). A sparse step of one column and its gap read
+    over the N states of P cost (sum(nnz_f) + N + _COLUMN_CALL) /
+    sum(nnz_f n_f). On one chain these are n^2 / (16 nnz) and
     (nnz + n + _COLUMN_CALL) / (nnz n).
 
     `pursue` steps the tracked column one sparse step at a time. After
     `patience` steps in a row it gallops instead (`gallop`): `patience` is
     the fewest steps g whose price reaches (price + 1) per bit of g, about
     what building (P')^g and squaring it costs. `read` builds (P')^k with
-    `power` and reads every column there, keeping the block: the next
-    `power` may step it on rather than build anew.
+    `power` and reads every column there, keeping the blocks: the next
+    `power` may step them on rather than build anew.
     """
 
-    def __init__(self, matrix: StochasticMatrix, epsilon: float, max_steps: int):
-        n, nnz = matrix.n, matrix.nnz
-        self.pi = stationary(matrix)
-        self.pt = matrix.csr.T.tocsr()
+    def __init__(self, factors: tuple[StochasticMatrix, ...], epsilon: float, max_steps: int):
+        self.sizes = tuple(f.n for f in factors)
+        self.pi = reduce(np.kron, [stationary(f) for f in factors])
+        self.pts = tuple(f.csr.T.tocsr() for f in factors)
         self.epsilon, self.max_steps = epsilon, max_steps
-        self.price = n * n / (16 * nnz)
-        column = (nnz + n + _COLUMN_CALL) / (nnz * n)
+        work = sum(f.nnz * f.n for f in factors)
+        self.price = sum(f.n ** 3 for f in factors) / (16 * work)
+        column = (sum(f.nnz for f in factors) + self.pi.size + _COLUMN_CALL) / work
         # the least fixed point of g = ceil((price + 1) bits(g) / column)
         g = 1
         while g * column < (self.price + 1) * g.bit_length():
@@ -350,11 +364,21 @@ class _WorstStartSearch:
         self.patience = g
         self.held = None  # (k, (P')^k) of the last read
 
-    def gap(self, v: np.ndarray) -> float:
-        """Total variation distance of one column from pi."""
-        return 0.5 * float(np.abs(v - self.pi).sum())
+    def gap(self, v: tuple) -> float:
+        """Total variation distance from pi of one column, the Kronecker product of v."""
+        # the outer product raveled holds np.kron's values, without its call overhead
+        return 0.5 * float(np.abs(reduce(np.multiply.outer, v).ravel() - self.pi).sum())
 
-    def pursue(self, k: int, v: np.ndarray) -> tuple[int, np.ndarray]:
+    def step(self, v: tuple) -> tuple:
+        """One sparse step of a column or of blocks."""
+        return tuple(pt @ x for pt, x in zip(self.pts, v))
+
+    def start(self) -> tuple:
+        """The column at step 0 of the state of least pi: a unit vector per factor."""
+        at = np.unravel_index(np.argmin(self.pi), self.sizes)
+        return tuple(np.eye(1, n, i)[0] for n, i in zip(self.sizes, at))
+
+    def pursue(self, k: int, v: tuple) -> tuple[int, tuple]:
         """(k', column at k'): the tracked column v, given at k, at its crossing.
 
         k' is the first step from k at which the column is within epsilon,
@@ -363,13 +387,13 @@ class _WorstStartSearch:
         start = k
         while self.gap(v) > self.epsilon and k < self.max_steps:
             if k - start < self.patience:
-                v, k = self.pt @ v, k + 1
+                v, k = self.step(v), k + 1
             else:
                 k, v = self.gallop(k, v)
                 start = k
         return k, v
 
-    def gallop(self, lo: int, v: np.ndarray) -> tuple[int, np.ndarray]:
+    def gallop(self, lo: int, v: tuple) -> tuple[int, tuple]:
         """A later step lo' at which column v, above epsilon at lo, still is.
 
         With g = `patience`, it tests lo + g, then lo + 3g, lo + 7g, ...: a
@@ -389,7 +413,7 @@ class _WorstStartSearch:
             nonlocal lo, v
             if lo + size > self.max_steps:
                 return False
-            ahead = rung @ v
+            ahead = tuple(r @ x for r, x in zip(rung, v))
             if self.gap(ahead) <= self.epsilon:
                 return False
             lo, v = lo + size, ahead
@@ -398,79 +422,50 @@ class _WorstStartSearch:
         while advance(*rungs[-1]):
             size, top = rungs[-1]
             if lo + 2 * size <= self.max_steps:
-                spare = rungs.pop(0)[1] if len(rungs) == 3 else np.empty_like(top)
-                rungs.append((2 * size, np.matmul(top, top, out=spare)))
+                spare = rungs.pop(0)[1] if len(rungs) == 3 else tuple(map(np.empty_like, top))
+                rungs.append((2 * size, _squares(top, spare)))
         for rung in reversed(rungs[:-1]):
             advance(*rung)
         return lo, v
 
-    def power(self, t: int) -> np.ndarray:
-        """(P')^t, from the held block by sparse steps or from P' by `_power_plan`.
+    def power(self, t: int) -> tuple:
+        """(P')^t, from the held blocks by sparse steps or from P' by `_power_plan`.
 
-        Whichever costs less; the held block is let go either way. At most
-        three blocks are alive: a squaring's two and a step's new one.
+        Whichever costs less; the held blocks are let go either way. At most
+        three blocks of a factor are alive: a squaring's two and a step's new
+        one.
         """
-        at, block = self.held or (0, None)
+        at, blocks = self.held or (0, None)
         self.held = None
         cost, squarings = _power_plan(t, self.price)
-        if block is not None and 0 <= t - at <= cost:
+        if blocks is not None and 0 <= t - at <= cost:
             for _ in range(t - at):
-                block = self.pt @ block
-            return block
+                blocks = self.step(blocks)
+            return blocks
         if t == 0:
-            return np.eye(self.pi.size)
-        block = self.pt.toarray()
+            return tuple(np.eye(n) for n in self.sizes)
+        blocks = tuple(pt.toarray() for pt in self.pts)
         for _ in range((t >> squarings) - 1):
-            block = self.pt @ block
-        spare = np.empty_like(block) if squarings else None
+            blocks = self.step(blocks)
+        spare = tuple(map(np.empty_like, blocks)) if squarings else None
         for bit in reversed(range(squarings)):
-            block, spare = np.matmul(block, block, out=spare), block
+            blocks, spare = _squares(blocks, spare), blocks
             if t >> bit & 1:
-                block = self.pt @ block
-        return block
+                blocks = self.step(blocks)
+        return blocks
 
-    def read(self, k: int) -> tuple[float, np.ndarray]:
-        """d(k) from the block (P')^k, and the column of a start that attains it."""
-        block = self.power(k)
-        d, worst = _worst_column(block, self.pi[:, None])
-        self.held = k, block
-        return d, block[:, worst].copy()
-
-
-def _product_mixing_time(left: StochasticMatrix, right: StochasticMatrix, epsilon: float,
-                         max_steps: int) -> int:
-    """`measure_mixing_time` of L (x) R over every start, from the factors alone.
-
-    A start (i, u) of the product has row L^k[i] (x) R^k[u], whose marginals
-    are the factor rows L^k[i] and R^k[u]. Summing out one factor never
-    raises an L1 norm, so the product row is at least as far from
-    pi_L (x) pi_R as either factor row is from its pi. The product's distance
-    d(k) is therefore at least the worst of the factors', and
-    t >= max(t_L, t_R): the bracket opens there. From max(that, 1) the step
-    doubles until `product_distance_to_limit` is within epsilon, then
-    bisects between the last step above epsilon and that one. With every
-    start tracked, d(k) never increases (Levin, Peres & Wilmer, ch. 4), so
-    bisection finds the first step within epsilon. A step cap below t raises
-    FailedToConverge with d(max_steps), and a periodic or reducible factor
-    raises NotErgodic from the factor's own scan.
-    """
-    try:
-        lo = max(measure_mixing_time(left, epsilon, max_steps),
-                 measure_mixing_time(right, epsilon, max_steps))
-    except FailedToConverge:
-        lo = max_steps
-    k = min(max(lo, 1), max_steps)
-    while (d := product_distance_to_limit(left, right, k)) > epsilon:
-        if k == max_steps:
-            raise FailedToConverge(f"distance to limit still {d:.3g} after {max_steps} steps")
-        lo, k = k + 1, min(2 * k, max_steps)
-    while lo < k:
-        mid = (lo + k) // 2
-        if product_distance_to_limit(left, right, mid) <= epsilon:
-            k = mid
+    def read(self, k: int) -> tuple[float, tuple]:
+        """d(k) from the blocks (P')^k, and the column of a start that attains it."""
+        blocks = self.power(k)
+        if len(blocks) == 1:  # read in place: indexing the block would copy it
+            d, worst = _worst_column(blocks[0], self.pi[:, None])
         else:
-            lo = mid + 1
-    return k
+            left, right = blocks
+            i, u = np.divmod(np.arange(self.pi.size), right.shape[0])
+            d, worst = _worst_column(left[:, i], self.pi[:, None], right[:, u])
+        self.held = k, blocks
+        at = np.unravel_index(worst, self.sizes)
+        return d, tuple(b[:, i].copy() for b, i in zip(blocks, at))
 
 
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
@@ -766,21 +761,18 @@ def expected_absorbing_time(matrix: StochasticMatrix) -> AbsorbingTimes:
     """Exact expected times to enter the union of closed components.
 
     They solve (I - Z) h = 1 on the transient block of `matrix.scc`, in the
-    one solve that the matrix shares with `power_limit`
-    (`stochastic._absorption`). The first call builds the times; the matrix
-    keeps them, with a read-only `node_expectation`, and every call returns
-    that one object. A chain with no closed component raises
-    StructuralError, which is not kept.
+    one solve that the matrix keeps and shares with `power_limit`
+    (`stochastic._absorption`). Each call spreads that solve over the n
+    states, in O(n), into new times with a read-only `node_expectation`. A
+    chain with no closed component raises StructuralError.
     """
-    if matrix._absorbing is None:
-        if not any(matrix.scc.closed):
-            raise StructuralError("graph has no closed component")
-        absorption = _absorption(matrix)
-        node_h = np.zeros(matrix.n)
-        node_h[absorption.transient] = absorption.steps
-        node_h.flags.writeable = False
-        matrix._absorbing = AbsorbingTimes(node_h, float(node_h.max()))
-    return matrix._absorbing
+    if not any(matrix.scc.closed):
+        raise StructuralError("graph has no closed component")
+    absorption = _absorption(matrix)
+    node_h = np.zeros(matrix.n)
+    node_h[absorption.transient] = absorption.steps
+    node_h.flags.writeable = False
+    return AbsorbingTimes(node_h, float(node_h.max()))
 
 
 def theorem_bound(l_g: float, l_t: float, h_g: float, h_t: float,

@@ -6,11 +6,12 @@ graph module: a chain at state i steps to j with probability M[i, j]. A
 strong components of its nonzero pattern (`scc`), its detailed-balance
 vector (read through `_detailed_balance`), its stationary vector (read
 through `stationary`), the limit of its powers (read through `power_limit`),
-its expected absorbing times (read through `mixing.expected_absorbing_time`),
-the one transient-block solve that those two share (`_absorption`)
-and its restrictions to the node sets that no edge leaves (`restrict`), each
-built on first use and kept, and, for a Kronecker product, the two factors
-that `kron.kron` built it from (`factors`).
+the one transient-block solve that gives both that limit and its expected
+absorbing times (`_absorption`, also read through
+`mixing.expected_absorbing_time`) and its restrictions to the node sets
+that no edge leaves (`restrict`), each built on first use and kept, and, for
+a Kronecker product, the two factors that `kron.kron` built it from
+(`factors`).
 """
 
 from __future__ import annotations
@@ -41,21 +42,21 @@ class StochasticMatrix:
 
     Entries are finite and >= 0 and each row sums to 1 within ROW_SUM_TOL;
     rows are never rescaled, so a caller whose rows can drift further (a
-    Kronecker product) rescales its own. It keeps eight things. Seven are
+    Kronecker product) rescales its own. It keeps seven things. Six are
     computed once, on first use: `scc`, the strong-component decomposition
     of the nonzero pattern; the detailed-balance vector of
     `_detailed_balance`, or the mark that the chain is not reversible; the
     stationary vector that `stationary` returns; the limit that
-    `power_limit` returns; the absorbing times that
-    `mixing.expected_absorbing_time` returns; the solve on the transient
-    block that those two share (`_absorption`); and each chain that
-    `restrict` returns. The eighth, `factors`, is set only by `kron.kron` on
-    the product it returns; every other matrix, a restriction of a product or
-    one built from its CSR included, has none.
+    `power_limit` returns; the solve on the transient block that gives both
+    that limit and the absorbing times of `mixing.expected_absorbing_time`
+    (`_absorption`); and each chain that `restrict` returns. The seventh,
+    `factors`, is set only by `kron.kron` on the product it returns; every
+    other matrix, a restriction of a product or one built from its CSR
+    included, has none.
     """
 
     __slots__ = ("n", "csr", "_scc", "_balance", "_pi", "_limit", "_absorption",
-                 "_absorbing", "_restrictions", "_factors")
+                 "_restrictions", "_factors")
 
     def __init__(self, matrix):
         csr = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
@@ -70,7 +71,6 @@ class StochasticMatrix:
         self._pi = None
         self._limit = None
         self._absorption = None
-        self._absorbing = None
         self._restrictions = {}
         self._factors = None
 

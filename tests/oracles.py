@@ -8,7 +8,7 @@ components of the materialised 2nm system graph instead of its factors,
 with SVD null vectors and dense solves in numpy for their limits, explicit
 operator powers instead of the library's worst-start scan, the rows of a
 dense Kronecker product stepped one step at a time instead of a product's
-mixing time bisected on its factors, edge dicts merged pair by pair instead
+worst start searched on its factors, edge dicts merged pair by pair instead
 of a sparse COO -> CSR conversion.
 """
 

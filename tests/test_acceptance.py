@@ -282,10 +282,9 @@ def test_ac6_product_max_behavior():
 def test_ac6_product_route_matches_oracle():
     """t_mix of AC6's products equals the rows of the dense product stepped.
 
-    `measure_mixing_time` bisects a `kron` product on its factors, so AC6's
-    bracket holds by construction; `oracles.product_mixing_time` steps the
-    product itself. A case within 1e-12 of epsilon would be decided by
-    rounding, and there is none.
+    `measure_mixing_time` searches a `kron` product on its factors;
+    `oracles.product_mixing_time` steps the product itself. A case within
+    1e-12 of epsilon would be decided by rounding, and there is none.
     """
     mismatches, ties = [], 0
     for trial, (m1, m2) in enumerate(ac6_factor_pairs()):

@@ -785,7 +785,3 @@ class TestBoundJump:
         exact = [next(gaps) for _ in range(301)][300]
         assert exact > 0.01 and reported == float(f"{exact:.3g}")
         assert system_mixing_time(system, 0.01, max_steps=588) == 588
-
-    def test_scan_cannot_start_past_its_cap(self):
-        with pytest.raises(ValueError, match="past max_steps"):
-            mixing._first_within(lambda state: state, None, lambda state: 1.0, 0.25, 3, start=4)

@@ -186,8 +186,8 @@ def record_search(monkeypatch):
     reads, products = [], []
     worst, matmul = mixing._worst_column, np.matmul
 
-    def read(block, target):
-        found = worst(block, target)
+    def read(*columns):
+        found = worst(*columns)
         reads.append(found[0])
         return found
 
@@ -253,43 +253,49 @@ class TestSquaringScan:
         assert products == [n] * mixing._power_plan(t, price)[1]
 
     def test_read_finds_a_worse_start(self, monkeypatch):
-        # the state of least pi is not the worst start of these chains: the
-        # read at its crossing finds another start still above epsilon, and
-        # the search pursues that one from there
+        # the state of least pi is not the worst start of these chains, nor of
+        # products of such chains: the read at its crossing finds another
+        # start still above epsilon, and the search pursues that one from there
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(29)))
         reads, _ = record_search(monkeypatch)
-        resumed, skipped = 0, 0
-        for _ in range(6):
-            m = sparse_random_chain(rng, int(rng.integers(30, 120)), int(rng.integers(1, 3)))
+        resumed, skipped = [0, 0], 0
+        for i in range(12):
+            if i < 6:
+                m = sparse_random_chain(rng, int(rng.integers(30, 120)), int(rng.integers(1, 3)))
+            else:
+                m = kron(*(sparse_random_chain(rng, int(rng.integers(4, 16)), 1) for _ in "LR"))
             for eps in (0.5, 0.25, 1 / 16, 0.01):
                 reads.clear()
                 t = measure_mixing_time(m, eps)
-                want, margin = oracle_crossing(m, eps, t + 1)
+                if m.factors is None:
+                    want, margin = oracle_crossing(m, eps, t + 1)
+                else:
+                    want, margin = product_mixing_time(*m.factors, eps)
                 if margin <= 1e-12:
                     skipped += 1
                     continue
                 assert t == want and reads[-1] <= eps < min(reads[:-1], default=1.0)
                 assert len(reads) <= 3, reads
-                resumed += len(reads) > 1
+                resumed[m.factors is not None] += len(reads) > 1
         assert skipped == 0, f"{skipped} cases within 1e-12 of epsilon"
-        assert resumed >= 12, resumed
+        assert min(resumed) >= 12, resumed
 
     def test_crossings_at_gallop_boundaries(self):
         # after `patience` sparse steps the tracked column gallops: it tests
         # p 2^j, lifts through halves and quarters, and a step cap stops it
-        # anywhere on the way
-        m = lazy_chain("cycle", 144)
-        p = mixing._WorstStartSearch(m, 0.25, 0).patience
-        assert 1 < p < 200
-        curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 24 * p + 1)
-        for j in range(1, 5):
-            for t in (p * 2 ** j - 1, p * 2 ** j, p * 2 ** j + 1, 3 * p * 2 ** (j - 1)):
-                eps = 0.5 * (curve[t - 2] + curve[t - 1])
-                assert min(curve[t - 2] - eps, eps - curve[t - 1]) > 1e-12
-                assert measure_mixing_time(m, eps) == t
-                assert measure_mixing_time(m, eps, max_steps=t) == t
-                with pytest.raises(FailedToConverge, match=f"after {t - 1} steps"):
-                    measure_mixing_time(m, eps, max_steps=t - 1)
+        # anywhere on the way; a product gallops on its factors' powers
+        for m in (lazy_chain("cycle", 144), kron(lazy_chain("path", 8), lazy_chain("cycle", 64))):
+            p = mixing._WorstStartSearch(m.factors or (m,), 0.25, 0).patience
+            assert 1 < p < 200
+            curve = distance_to_limit_curve(m.csr.T, stationary(m)[:, None], 24 * p + 1)
+            for j in range(1, 5):
+                for t in (p * 2 ** j - 1, p * 2 ** j, p * 2 ** j + 1, 3 * p * 2 ** (j - 1)):
+                    eps = 0.5 * (curve[t - 2] + curve[t - 1])
+                    assert min(curve[t - 2] - eps, eps - curve[t - 1]) > 1e-12
+                    assert measure_mixing_time(m, eps) == t
+                    assert measure_mixing_time(m, eps, max_steps=t) == t
+                    with pytest.raises(FailedToConverge, match=f"after {t - 1} steps"):
+                        measure_mixing_time(m, eps, max_steps=t - 1)
 
     def test_power_plan_is_the_cheapest(self):
         # against every mix of sparse steps and squarings from P', by dynamic
@@ -867,8 +873,8 @@ def test_analyze_mixing_rng_changes_nothing():
 
 class TestAbsorbing:
     def test_kept_on_the_matrix(self, monkeypatch):
-        # one solve, which the power limit shares; every call returns the one
-        # object, its times read-only
+        # one solve, which the power limit shares; a second call makes no
+        # solve and returns equal times, read-only
         solves, real = [], stochastic._solve_fundamental
 
         def counting(z, rhs):
@@ -878,7 +884,9 @@ class TestAbsorbing:
         monkeypatch.setattr(stochastic, "_solve_fundamental", counting)
         m = lazy_chain("path", 6, directed=True)
         times = expected_absorbing_time(m)
-        assert expected_absorbing_time(m) is times and solves == [5]
+        again = expected_absorbing_time(m)
+        assert again.node_expectation.tolist() == times.node_expectation.tolist()
+        assert again.max_expectation == times.max_expectation and solves == [5]
         assert stochastic.power_limit(m).absorb.tolist() == [[1.0]] * 5 and solves == [5]
         with pytest.raises(ValueError):
             times.node_expectation[0] = 0.0
@@ -1130,7 +1138,7 @@ REDUCIBLE = StochasticMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
 class TestProductRoute:
-    """`measure_mixing_time` of a `kron` product, bisected on its factors."""
+    """`measure_mixing_time` of a `kron` product: the worst-start search on its factors."""
 
     def test_mixing_report_product_matches_oracle(self):
         a, c = lazy_chain("hypercube", 32), lazy_chain("cycle", 33)
@@ -1141,14 +1149,43 @@ class TestProductRoute:
     @pytest.mark.parametrize("pair, at_lower_end", [(("hypercube", 16, "star", 40), True),
                                                      (("cycle", 20, "cycle", 21), False)])
     def test_either_end_of_the_bracket_matches_oracle(self, pair, at_lower_end):
-        # t is max(t_L, t_R) when the product is within epsilon there, and is
-        # bisected above it otherwise
+        # t is at least max(t_L, t_R), as a product start is no closer to its
+        # limit than either marginal; the search finds it at that lower end or
+        # above it, without taking the factors' t
         left, right = lazy_chain(*pair[:2]), lazy_chain(*pair[2:])
         lower = max(measure_mixing_time(left, 0.25), measure_mixing_time(right, 0.25))
         want, margin = product_mixing_time(left, right, 0.25)
         assert margin > 1e-12
         assert measure_mixing_time(kron(left, right), 0.25) == want
         assert (want == lower) == at_lower_end
+
+    def test_searched_on_the_factors_alone(self, monkeypatch):
+        # lazy path 40 x lazy cycle 45 at eps 1/4 (t 581, above both factors'
+        # t): no factor's t, no product distance, one Perron solve per factor
+        # and at most two full reads
+        left, right = lazy_chain("path", 40), lazy_chain("cycle", 45)
+        prod = kron(left, right)
+        calls, perron = [], []
+        measure, solve = mixing.measure_mixing_time, stochastic._perron_vector
+
+        def measuring(matrix, *args, **kwargs):
+            calls.append(matrix)
+            return measure(matrix, *args, **kwargs)
+
+        def solving(matrix):
+            perron.append(matrix)
+            return solve(matrix)
+
+        def no_product_distance(*args):
+            raise AssertionError("product_distance_to_limit called")
+
+        monkeypatch.setattr(mixing, "measure_mixing_time", measuring)
+        monkeypatch.setattr(stochastic, "_perron_vector", solving)
+        monkeypatch.setattr(mixing, "product_distance_to_limit", no_product_distance)
+        reads, _ = record_search(monkeypatch)
+        assert mixing.measure_mixing_time(prod, 0.25) == 581
+        assert calls == [prod] and perron == [left, right]
+        assert 1 <= len(reads) <= 2 and reads[-1] <= 0.25, reads
 
     def test_peak_memory_stays_off_the_product(self):
         # the 1056 x 1056 blocks of the squaring scan peak at 28 MB
