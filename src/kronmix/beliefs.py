@@ -8,6 +8,7 @@ the factors (`update`); `system_matrix` builds it only for reference checks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,12 +166,27 @@ def converges(system: BeliefSystem) -> ConvergenceVerdict:
     return ConvergenceVerdict(not witnesses, witnesses, oblivious)
 
 
-def _check_iteration(tol: float, max_iter: int) -> None:
-    """ValueError unless max_iter >= 0 and tol >= 0 (NaN fails)."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
+def _step_count(value, name: str) -> int:
+    """`value` as a non-negative int; ValueError naming `name` if it is not one.
+
+    Any integer type passes (`operator.index`), a numpy integer included; a
+    float does not, even an integral one.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
+
+
+def _check_iteration(tol: float, max_iter: int) -> int:
+    """max_iter as an int (`_step_count`); ValueError unless tol >= 0 (NaN fails)."""
+    max_iter = _step_count(max_iter, "max_iter")
     if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
+    return max_iter
 
 
 def _anchored_iteration(system: BeliefSystem, tol: float,
@@ -180,14 +196,14 @@ def _anchored_iteration(system: BeliefSystem, tol: float,
     Returns (X, iterations, last sup-norm step change, status): "converged"
     once a step changes X by at most tol, "stalled" when the smallest step
     change of a 100-step window falls by less than a 1e-9 fraction below the
-    previous window's, "capped" at max_iter. A negative max_iter, or a tol
-    that is negative or NaN, raises ValueError.
+    previous window's, "capped" at max_iter. ValueError unless max_iter is a
+    non-negative integer and tol >= 0 (NaN fails).
     """
-    _check_iteration(tol, max_iter)
+    max_iter = _check_iteration(tol, max_iter)
     x = system.x0
     delta = np.inf
     floor_prev = floor_cur = np.inf
-    for it in range(1, int(max_iter) + 1):
+    for it in range(1, max_iter + 1):
         xn = update(system, x, system.x0)
         delta = float(np.abs(xn - x).max())
         x = xn
@@ -198,7 +214,7 @@ def _anchored_iteration(system: BeliefSystem, tol: float,
             if floor_cur >= floor_prev * (1 - 1e-9):
                 return x, it, delta, "stalled"
             floor_prev, floor_cur = floor_cur, np.inf
-    return x, int(max_iter), delta, "capped"
+    return x, max_iter, delta, "capped"
 
 
 @dataclass
@@ -220,9 +236,9 @@ def simulate(system: BeliefSystem, stop_delta: float = 1e-10,
     check_convergence=False to override), and as soon as the iteration
     stalls: the smallest step change of a 100-step window falls by less than
     a 1e-9 fraction below the previous window's (oscillation). Reaching
-    max_iter without either returns converged=False. A negative max_iter, or
-    a stop_delta that is negative or NaN, raises ValueError before the
-    verdict.
+    max_iter without either returns converged=False. A max_iter that is not
+    a non-negative integer, or a stop_delta that is negative or NaN, raises
+    ValueError before the verdict.
     """
     _check_iteration(stop_delta, max_iter)
     if check_convergence:

@@ -24,7 +24,6 @@ of the gap alone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,7 +32,8 @@ import scipy.sparse as sp
 from scipy.linalg import eigvalsh
 from scipy.linalg.blas import daxpy
 
-from .beliefs import BeliefSystem, closed_factor_classes, update
+from . import stochastic
+from .beliefs import BeliefSystem, _step_count, closed_factor_classes, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .limits import limit_matrix
 from .stochastic import (_BALANCE_TOL, StochasticMatrix, _absorption, _basis,
@@ -43,10 +43,6 @@ from .stochastic import (_BALANCE_TOL, StochasticMatrix, _absorption, _basis,
 EXACT_START_LIMIT = 2000
 SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its columns
 SAMPLED_STARTS = 64
-# reversible chains up to this many states get |lambda_2| from one dense
-# symmetric eigensolve; at 512 states that costs more than ARPACK on the
-# lazy hypercube (18 ms against 1.3 ms on one BLAS thread)
-DENSE_EIGEN_LIMIT = 256
 # the coupling solve holds about 4 n^2 float64 values: 128 MB at the cap
 COUPLING_STATE_LIMIT = 2000
 _COUPLING_TOL = 1e-10  # largest residual entry at which the Krylov solvers stop
@@ -207,21 +203,6 @@ def _marginal_gap(block: np.ndarray, n: int, marginals) -> float:
     unit = (n * m + 2) * np.finfo(np.float64).eps  # 2 (nm + 2) u
     bound -= 2 * unit * (np.abs(sums[0] * sums[1]) + mass)
     return 0.5 * float(bound.max(initial=0.0))  # keeps a NaN, unlike max()
-
-
-def _step_count(value, name: str) -> int:
-    """`value` as a non-negative int; ValueError naming `name` if it is not one.
-
-    Any integer type passes (`operator.index`), a numpy integer included; a
-    float does not, even an integral one.
-    """
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 0:
-        raise ValueError(f"{name} must be non-negative, got {count}")
-    return count
 
 
 def _check_scan(epsilon: float, max_steps: int) -> None:
@@ -471,30 +452,32 @@ class _WorstStartSearch:
 def second_eigenvalue(matrix: StochasticMatrix) -> float:
     """|lambda_2|: the largest modulus among the eigenvalues of M but the unit one.
 
-    A reversible chain (`stochastic._detailed_balance`) of at most
-    DENSE_EIGEN_LIMIT states takes one dense symmetric eigensolve, with no
-    ARPACK call: S = Pi^(1/2) M Pi^(-1/2) is similar to M and symmetric
-    (Levin, Peres & Wilmer, ch. 12), so with the eigenvalues of (S + S')/2
-    ascending, w_0 <= ... <= w_(n-1) = 1, it returns max(|w_0|, |w_(n-2)|).
-    Any other chain deflates M' by (pi, 1): v -> M'v - pi sum(v) keeps every
-    eigenvalue of M but the unit one, which it sends to 0. One ARPACK call
-    to machine precision (`stochastic._dominant_eigenpair`) finds its
-    dominant eigenvalue, whether real, negative or one of a complex pair; a
-    rank-one chain has a null deflated operator and gives 0. One state gives
-    0. Periodic or reducible chains raise NotErgodic, and an ARPACK run that
-    hits its iteration cap raises FailedToConverge.
+    A chain of at most `stochastic.DENSE_EIGEN_LIMIT` states (read at call
+    time) takes one dense eigensolve, no ARPACK call: a reversible one
+    (`stochastic._detailed_balance`) the symmetric S = Pi^(1/2) M Pi^(-1/2),
+    similar to M (Levin, Peres & Wilmer, ch. 12), whose eigenvalues w_0 <=
+    ... <= w_(n-1) = 1 give max(|w_0|, |w_(n-2)|); any other the
+    second-largest modulus of M's eigenvalues. A larger chain deflates M' by
+    (pi, 1): v -> M'v - pi sum(v) keeps every eigenvalue of M but the unit
+    one, which it sends to 0; one ARPACK call to machine precision
+    (`stochastic._dominant_eigenpair`) finds its dominant eigenvalue, real,
+    negative or one of a complex pair, and a rank-one chain's null deflated
+    operator gives 0. One state gives 0. Periodic or reducible chains raise
+    NotErgodic, and an ARPACK run that hits its iteration cap raises
+    FailedToConverge.
     """
     pi = stationary(matrix)
     if matrix.n == 1:
         return 0.0
-    if matrix.n <= DENSE_EIGEN_LIMIT and _detailed_balance(matrix) is not None:
+    if matrix.n <= stochastic.DENSE_EIGEN_LIMIT:
+        if _detailed_balance(matrix) is None:
+            return float(np.sort(np.abs(np.linalg.eigvals(matrix.dense())))[-2])
         root = np.sqrt(pi)
         s = root[:, None] * matrix.dense() / root
         w = eigvalsh(0.5 * (s + s.T))
         return float(max(abs(w[0]), abs(w[-2])))
     pt = matrix.csr.T
-    value, _ = _dominant_eigenpair(lambda v: pt @ v - pi * v.sum(), matrix.n)
-    return float(abs(value))
+    return float(abs(_dominant_eigenpair(lambda v: pt @ v - pi * v.sum(), matrix.n)[0]))
 
 
 def spectral_bounds(lambda2: float, states: int, epsilon: float) -> tuple[float, float]:

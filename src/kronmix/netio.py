@@ -380,13 +380,14 @@ def _run_point(config: ExperimentConfig, index: int, value: int,
                     row["lower_bound"], row["upper_bound"] = mixing.spectral_bounds(
                         lam2, n * m, config.epsilon)
             try:
-                t_mix, report = system_mixing_time(system, config.epsilon), structural_limit(system)
+                row["t_mix"] = system_mixing_time(system, config.epsilon)
             except TooLarge as exc:
-                blank.append(f"t_mix, limit_consensus ({exc})")
-            else:
-                row["t_mix"] = t_mix
-                if report.consensus is not None:
-                    row["limit_consensus"] = report.consensus
+                blank.append(f"t_mix ({exc})")
+            try:
+                consensus = structural_limit(system).consensus
+                row["limit_consensus"] = "" if consensus is None else consensus
+            except TooLarge as exc:
+                blank.append(f"limit_consensus ({exc})")
     except (KronmixError, ValueError, OSError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     if blank:

@@ -27,6 +27,11 @@ from .errors import DanglingNode, FailedToConverge, NotErgodic, NotStochastic, S
 from .graphs import DirectedGraph, SccDecomposition, scc_decompose
 
 ROW_SUM_TOL = 1e-9
+# chains up to this many states take pi and |lambda_2| densely, not by ARPACK.
+# On random sparse non-reversible chains (one BLAS thread), dense against
+# ARPACK: pi 1.35 / 2.15 ms and |lambda_2| 21 / 15 ms at 256 states, 6.8 / 2.8
+# and 105 / 9.5 ms at 512
+DENSE_EIGEN_LIMIT = 256
 # states up to which `stationary` solves densely when ARPACK fails: at most
 # three n x n float64 arrays at once, 96 MB at the cap
 DENSE_STATIONARY_LIMIT = 2000
@@ -175,15 +180,10 @@ def _dominant_eigenpair(matvec, n: int) -> tuple[complex, np.ndarray]:
     """Largest-modulus eigenpair of the real n x n operator v -> matvec(v).
 
     One ARPACK call iterated to machine precision (tol=0) from a fixed seeded
-    start, so results are deterministic. ARPACK needs k < n - 1, so fewer
-    than 3 states take a dense eig of the same operator. An operator that
-    maps the start to zero is null, and ARPACK cannot start from it: that
-    gives eigenvalue 0.
+    start, so results are deterministic; ARPACK needs n >= 3, which every
+    chain above DENSE_EIGEN_LIMIT has. An operator that maps the start to
+    zero is null, and ARPACK cannot start from it: that gives eigenvalue 0.
     """
-    if n < 3:
-        vals, vecs = np.linalg.eig(np.column_stack([matvec(e) for e in np.eye(n)]))
-        top = int(np.argmax(np.abs(vals)))
-        return vals[top], vecs[:, top]
     v0 = np.random.Generator(np.random.Philox(np.random.SeedSequence(0x5EED))).random(n)
     if not matvec(v0).any():
         return 0.0, v0
@@ -269,12 +269,11 @@ def _balance_vector(matrix: StochasticMatrix) -> np.ndarray | None:
 def stationary(matrix: StochasticMatrix) -> np.ndarray:
     """Stationary distribution: the Perron vector of M', renormalised.
 
-    The first call on a matrix solves it (`_perron_vector`): by detailed
-    balance for a reversible chain and as the uniform vector for a doubly
-    stochastic one, with no eigen-solve, and otherwise by ARPACK, with a
-    dense solve up to DENSE_STATIONARY_LIMIT states where ARPACK fails. The
-    matrix keeps the result, and every call returns that one read-only
-    array. Periodic or reducible chains raise NotErgodic; no error is kept.
+    The first call on a matrix solves it (`_perron_vector`) by detailed
+    balance, as the uniform vector, by a dense solve up to DENSE_EIGEN_LIMIT
+    states, or by ARPACK. The matrix keeps the result, and every call
+    returns that one read-only array. Periodic or reducible chains raise
+    NotErgodic; no error is kept.
     """
     if matrix._pi is None:
         ergodicity_check(matrix)
@@ -288,16 +287,16 @@ def _perron_vector(matrix: StochasticMatrix) -> np.ndarray:
     """The stationary vector of an ergodic chain, by the first route that holds.
 
     A reversible chain takes its `_detailed_balance` vector, normalised to
-    sum 1, with no eigen-solve: it is pi up to the rounding of a product
-    along a tree path. Next, the uniform vector, if it passes `_balanced`:
-    its residual is sum_j |colsum_j - 1| / n, so every doubly stochastic
-    chain, a directed ring included, takes it. Any other chain makes one
-    ARPACK call to machine precision (`_dominant_eigenpair`), whose error is
-    about machine epsilon over the spectral gap, so slow chains lose
-    digits. When ARPACK hits its iteration cap, a chain of up to
-    DENSE_STATIONARY_LIMIT states solves (I - M') pi = 0 densely, with one
-    row replaced by sum(pi) = 1; a larger one raises FailedToConverge (a
-    sparse LU of that system fills in on social graphs).
+    sum 1: pi up to the rounding of a product along a tree path. Next, the
+    uniform vector, if it passes `_balanced`: its residual is
+    sum_j |colsum_j - 1| / n, so every doubly stochastic chain, a directed
+    ring included, takes it. Any other chain of up to DENSE_EIGEN_LIMIT
+    states (read at call time) solves (I - M') pi = 0 densely, one row
+    replaced by sum(pi) = 1. A larger one makes one ARPACK call to machine
+    precision (`_dominant_eigenpair`), whose error is about machine epsilon
+    over the spectral gap; where that hits its iteration cap, the dense
+    solve serves up to DENSE_STATIONARY_LIMIT states, and a larger chain
+    raises FailedToConverge (a sparse LU fills in on social graphs).
     """
     n = matrix.n
     balance = _detailed_balance(matrix)
@@ -306,15 +305,16 @@ def _perron_vector(matrix: StochasticMatrix) -> np.ndarray:
     uniform = np.full(n, 1.0 / n)
     if _balanced(matrix, uniform):
         return uniform
-    try:
-        _, vec = _dominant_eigenpair(matrix.csr.T.dot, n)
-    except FailedToConverge:
-        if n > DENSE_STATIONARY_LIMIT:
-            raise
-        system = np.eye(n) - matrix.csr.T.toarray()
-        system[-1] = 1.0  # an irreducible chain's balance rows have rank n - 1
-        vec = np.linalg.solve(system, np.r_[np.zeros(n - 1), 1.0])
-    pi = np.abs(vec)
+    if n > DENSE_EIGEN_LIMIT:
+        try:
+            pi = np.abs(_dominant_eigenpair(matrix.csr.T.dot, n)[1])
+            return pi / pi.sum()
+        except FailedToConverge:
+            if n > DENSE_STATIONARY_LIMIT:
+                raise
+    system = np.eye(n) - matrix.csr.T.toarray()
+    system[-1] = 1.0  # an irreducible chain's balance rows have rank n - 1
+    pi = np.abs(np.linalg.solve(system, np.r_[np.zeros(n - 1), 1.0]))
     return pi / pi.sum()
 
 

@@ -272,8 +272,8 @@ class TestSimulate:
             simulate(cycle_path_system(4), check_convergence=False)
         assert 0 < len(calls) <= 300
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"stop_delta": -1.0},
-                                        {"stop_delta": np.nan}])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"max_iter": 2.5},
+                                        {"stop_delta": -1.0}, {"stop_delta": np.nan}])
     def test_bad_arguments_raise(self, kwargs, monkeypatch):
         monkeypatch.setattr(beliefs, "update", None)  # rejected before any step
         # the periodic 4-cycle system: arguments are checked before the verdict

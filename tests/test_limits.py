@@ -249,7 +249,8 @@ class TestStubbornLimit:
         with pytest.raises(NoUniqueFixedPoint):
             stubborn_limit(system, max_iter=5000)
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"tol": -1e-10}, {"tol": np.nan}])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -1}, {"max_iter": 2.5}, {"tol": -1e-10},
+                                        {"tol": np.nan}])
     def test_bad_arguments_raise(self, kwargs):
         with pytest.raises(ValueError):
             stubborn_limit(cycle_path_system(lam=np.full(5, 0.5)), **kwargs)

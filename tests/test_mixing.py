@@ -20,8 +20,9 @@ from kronmix.mixing import (coupling_bound, estimate_coupling_time, expected_abs
                             second_eigenvalue, spectral_bounds, system_mixing_time,
                             theorem_bound)
 from kronmix.stochastic import StochasticMatrix, equal_weight_matrix, stationary
-from oracles import (dense_system_operator, distance_to_limit_curve, mc_absorption_time,
-                     pair_chain_coupling, pair_chain_expectations, product_mixing_time)
+from oracles import (_dense_stationary, dense_system_operator, distance_to_limit_curve,
+                     mc_absorption_time, pair_chain_coupling, pair_chain_expectations,
+                     product_mixing_time)
 
 
 def lazy_chain(family, n, alpha=0.5, seed=0, **kwargs):
@@ -502,13 +503,46 @@ class TestEigenBounds:
             return
         assert got == pytest.approx(exact, abs=1e-12)
 
+    def test_dense_route_below_the_cap(self, monkeypatch):
+        # no chain of DENSE_EIGEN_LIMIT states or fewer calls ARPACK, for pi or
+        # |lambda_2|. Random non-reversible chains from 3 to 256 states, most
+        # with a complex dominant pair, against a least-squares pi and the
+        # largest modulus of M - 1 pi'; the chord ring; and the rings on which
+        # ARPACK fails (lazy directed 100-cycle, Eulerian ring at n = 200)
+        for module in (stochastic, mixing):
+            monkeypatch.setattr(module, "_dominant_eigenpair", no_eigensolve)
+        rng = np.random.default_rng(31)
+        cases, complex_pairs = [], 0
+        for n in (3, 4, 9, 40, 100, 255, 256):
+            raw = rng.random((n, n)) * (rng.random((n, n)) < 0.3) + 0.01 * rng.random((n, n))
+            dense = raw / raw.sum(axis=1, keepdims=True)
+            pi = _dense_stationary(dense)
+            deflated = np.linalg.eigvals(dense - pi)
+            complex_pairs += abs(deflated[np.argmax(np.abs(deflated))].imag) > 1e-9
+            cases.append((StochasticMatrix(dense), pi, float(np.abs(deflated).max())))
+        assert complex_pairs >= 4
+        ring = chord_ring(200)
+        want = np.r_[1.0, np.full(99, 0.5), np.ones(100)] / 150.5
+        cases.append((ring, want, float(np.abs(np.linalg.eigvals(ring.dense() - want)).max())))
+        cases.append((lazy_chain("cycle", 100, directed=True), np.full(100, 0.01),
+                      math.cos(math.pi / 100)))
+        for n in (50, 150, 200):
+            w = np.exp(2j * np.pi * np.arange(1, n) / n)
+            cases.append((lazy_chain("eulerian-ring", n, k=3, directed=True), np.full(n, 1 / n),
+                          float(np.abs(0.5 + (w + w ** 2 + w ** 3) / 6).max())))
+        for m, pi, lam2 in cases:
+            assert stochastic._detailed_balance(m) is None
+            assert np.abs(stationary(m) - pi).max() <= 1e-12
+            assert second_eigenvalue(m) == pytest.approx(lam2, abs=1e-12)
+
     def test_arpack_cap_is_failed_to_converge(self, monkeypatch):
-        # a lazy directed cycle is not reversible, so |lambda_2| takes ARPACK
-        # (its uniform pi takes none)
+        # a lazy directed cycle is not reversible, so above the dense cap
+        # |lambda_2| takes ARPACK (its uniform pi takes none)
         def capped(*args, **kwargs):
             raise spla.ArpackNoConvergence("cap", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(spla, "eigs", capped)
+        monkeypatch.setattr(stochastic, "DENSE_EIGEN_LIMIT", 10)
         with pytest.raises(FailedToConverge):
             second_eigenvalue(lazy_chain("cycle", 11, directed=True))
 
@@ -534,7 +568,7 @@ class TestEigenBounds:
             return real(matvec, n)
 
         monkeypatch.setattr(mixing, "_dominant_eigenpair", counting)
-        monkeypatch.setattr(mixing, "DENSE_EIGEN_LIMIT", 100)
+        monkeypatch.setattr(stochastic, "DENSE_EIGEN_LIMIT", 100)
         got = second_eigenvalue(lazy_chain("cycle", 101))
         assert calls == [101]
         assert got == pytest.approx(0.5 + 0.5 * math.cos(2 * math.pi / 101), abs=1e-12)
@@ -753,9 +787,11 @@ class TestCouplingExact:
         ring = lazy_chain(family, n, directed=True, **kwargs)
         assert np.abs(stationary(ring) - 1.0 / n).max() <= 1e-15
 
-    def test_dense_stationary_fallback(self):
+    def test_dense_stationary_fallback(self, monkeypatch):
         # the chord ring is neither reversible nor doubly stochastic, and
-        # ARPACK fails on it: the dense solve gives its closed-form pi
+        # ARPACK fails on it: above the dense cap, the dense solve that
+        # follows gives its closed-form pi
+        monkeypatch.setattr(stochastic, "DENSE_EIGEN_LIMIT", 199)
         ring = chord_ring(200)
         with pytest.raises(FailedToConverge):
             stochastic._dominant_eigenpair(ring.csr.T.dot, 200)
@@ -763,6 +799,7 @@ class TestCouplingExact:
         assert np.abs(stationary(ring) - want).max() <= 1e-15
 
     def test_dense_stationary_fallback_capped(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "DENSE_EIGEN_LIMIT", 199)
         monkeypatch.setattr(stochastic, "DENSE_STATIONARY_LIMIT", 199)
         with pytest.raises(FailedToConverge, match="ARPACK"):
             stationary(chord_ring(200))
@@ -770,8 +807,9 @@ class TestCouplingExact:
     def test_chain_off_balance_takes_arpack(self, monkeypatch):
         # 1e-11 of one row moved keeps every edge balanced within
         # _BALANCE_TOL (8e-11 relative), but leaves the balance pi a residual
-        # of 2e-12, far above its rounding bound of 1.8e-14: pi and
-        # |lambda_2| come from ARPACK, and coupling from BiCGSTAB
+        # of 2e-12, far above its rounding bound of 1.8e-14: above the dense
+        # cap, pi and |lambda_2| come from ARPACK, and coupling from BiCGSTAB
+        monkeypatch.setattr(stochastic, "DENSE_EIGEN_LIMIT", 6)
         calls, real = [], stochastic._dominant_eigenpair
 
         def counting(matvec, n):

@@ -498,10 +498,10 @@ class TestRunExperiment:
         out, err = capsys.readouterr()
         assert "(0 with errors)" in out
         assert err.splitlines() == [
-            "sweep point 7: blank t_mix, limit_consensus (limit matrix of a 42-state "
+            "sweep point 7: blank t_mix (limit matrix of a 42-state "
             "system; the cap is 40 states)",
             "sweep point 9: blank coupling_L, coupling_se, theorem_bound (coupling time on "
-            "9 states needs about 0.00259 MB; the cap is 8 states); t_mix, limit_consensus "
+            "9 states needs about 0.00259 MB; the cap is 8 states); t_mix "
             "(limit matrix of a 54-state system; the cap is 40 states)"]
         with open(tmp_path / "capped" / "experiment.csv", encoding="utf-8") as fh:
             assert fh.readline().rstrip("\n") == CSV_HEADER
@@ -680,6 +680,17 @@ class TestCli:
         # 4/25 each step, so L = 25/4
         assert re.search(r"^coupling L = 6.25 \(exact, error <= [0-9.e-]+, cg, "
                          r"[0-9]+ iterations\)$", out, re.MULTILINE)
+
+    def test_mixing_command_on_a_directed_ring(self, capsys):
+        # not reversible, and ARPACK finds no |lambda_2| of it: the dense route
+        # gives cos(pi / 100), and two lazy walks meet after n^2 / 2 steps
+        assert main(["mixing", "--family", "cycle", "--directed", "--n", "100",
+                     "--alpha", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "t_mix(0.25) = 1898\n|lambda_2| = 0.999507\n" in out
+        mean, error = re.search(r"^coupling L = (\S+) \(exact, error <= (\S+),", out,
+                                re.MULTILINE).groups()
+        assert abs(float(mean) - 5000) <= float(error)
 
     def test_mixing_command_above_the_t_mix_cap(self, capsys):
         # every start or a typed error: exit 4 before any solve or stepping
