@@ -22,12 +22,13 @@ from .stochastic import StochasticMatrix
 
 @dataclass
 class BeliefSystem:
-    """(A, C, lambda, x0) bundle; immutable once assembled."""
+    """(A, C, lambda, x0) bundle; immutable once assembled. Keeps `limits._limit_map`."""
 
     a: StochasticMatrix  # n x n social influence
     c: StochasticMatrix  # m x m multi-issue dependence
     lam: np.ndarray  # stubbornness diagonal, entries in [0, 1]
     x0: np.ndarray  # n x m initial beliefs in [0, 1]
+    _limit: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -63,11 +64,11 @@ class ConvergenceVerdict:
 
 
 def assemble(a, c, lam, x0) -> BeliefSystem:
-    """Validate the pieces and bundle them into a BeliefSystem."""
+    """Validate the pieces and bundle read-only copies of them into a BeliefSystem."""
     a = a if isinstance(a, StochasticMatrix) else StochasticMatrix(a)
     c = c if isinstance(c, StochasticMatrix) else StochasticMatrix(c)
-    lam = np.asarray(lam, dtype=np.float64).ravel()
-    x0 = np.asarray(x0, dtype=np.float64)
+    lam = np.array(lam, dtype=np.float64).ravel()
+    x0 = np.array(x0, dtype=np.float64)
     if lam.size != a.n:
         raise ValueError(f"lambda has {lam.size} entries for {a.n} agents")
     if x0.shape != (a.n, c.n):
@@ -77,7 +78,8 @@ def assemble(a, c, lam, x0) -> BeliefSystem:
         raise ValueError("lambda entries must lie in [0, 1]")
     if not np.all((x0 >= 0) & (x0 <= 1)):
         raise ValueError("initial beliefs must lie in [0, 1]")
-    return BeliefSystem(a, c, lam.copy(), x0.copy())
+    lam.flags.writeable = x0.flags.writeable = False
+    return BeliefSystem(a, c, lam, x0)
 
 
 def system_matrix(system: BeliefSystem) -> sp.csr_matrix:

@@ -121,16 +121,6 @@ class SccDecomposition:
     def closed_components(self) -> list[int]:
         return [c for c in range(self.count) if self.closed[c]]
 
-    def transient_nodes(self) -> np.ndarray:
-        """Nodes in open components, in ascending index order."""
-        open_mask = ~self.closed[self.component_of] if self.count else np.zeros(0, bool)
-        return np.flatnonzero(open_mask)
-
-    def recurrent_nodes(self) -> np.ndarray:
-        if not self.count:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.closed[self.component_of])
-
 
 def scc_decompose(graph: DirectedGraph) -> SccDecomposition:
     """Strong components plus closed flags and periods.

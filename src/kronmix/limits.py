@@ -1,11 +1,11 @@
 """Where the belief system converges.
 
-Structural limits from the factors. The agents that hear no stubborn one
-(the oblivious set O) take A_O^inf (x) C^inf, each factor's limit kept on
-its chain (`stochastic.power_limit`); the other agents' pairs take one
-sparse solve over their own |N| m pairs; the 2nm system operator is never
-built. Also absorbing probabilities, the fixed-point iteration for stubborn
-systems, and social power.
+Structural limits from the factors, by one limit map kept on each system
+(`_limit_map`). The agents that hear no stubborn one (the oblivious set O)
+take A_O^inf (x) C^inf, each factor's limit kept on its chain; the other
+agents' pairs take one sparse factorisation over their own |N| m pairs;
+the 2nm system operator is never built. Also absorbing probabilities, the
+fixed-point iteration for stubborn systems, and social power.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import scipy.sparse as sp
 from .beliefs import BeliefSystem, _anchored_iteration, oblivious_set
 from .errors import NoUniqueFixedPoint, StructuralError, TooLarge
 from .kron import MATERIALIZE_CAP
-from .stochastic import StochasticMatrix, _basis, _solve_fundamental, power_limit, stationary
+from .stochastic import (StochasticMatrix, _absorption, _basis, _fundamental, power_limit,
+                         stationary)
 
 LIMIT_MATRIX_CAP = 4000
 
@@ -61,14 +62,13 @@ class SocialPower:
 def absorbing_probabilities(matrix: StochasticMatrix) -> TransientBlock:
     """Absorption probability matrix N R for the transient block of `matrix.scc`.
 
-    N R comes from one sparse solve with R's columns as right-hand sides.
+    R's columns are solved on the block's kept factorisation (`_absorption`).
     """
-    transient = matrix.scc.transient_nodes()
-    recurrent = matrix.scc.recurrent_nodes()
+    absorption = _absorption(matrix)
+    transient, recurrent = absorption.transient, np.flatnonzero(absorption.label >= 0)
     if transient.size == 0:
         raise StructuralError("no transient states: the absorbing block is empty")
-    z = matrix.minor(transient, transient)
-    absorb = _solve_fundamental(z, matrix.minor(transient, recurrent).toarray())
+    absorb = absorption.solve(matrix.minor(transient, recurrent).toarray())
     return TransientBlock(transient, recurrent, absorb)
 
 
@@ -80,7 +80,7 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
     it and its stationary vector for the next call. The value is
     (pi_A (x) pi_C)' applied to the class's initial beliefs, pairs in
     agent-major order; a periodic factor class raises NotErgodic. The
-    library's limits no longer call it (`_apply_limit` reads the factors'
+    library's limits no longer call it (`_limit_map` reads the factors'
     `power_limit`); only tests and the benchmark's tracer do.
     """
     agents = np.asarray(agents, dtype=np.int64)
@@ -90,58 +90,64 @@ def closed_limit(system: BeliefSystem, agents, topics) -> ClosedLimit:
     return ClosedLimit(float(pi @ x0_s), pi)
 
 
-def _apply_limit(system: BeliefSystem, x: np.ndarray) -> np.ndarray:
-    """W^inf x for a 2nm x w block x, W the system operator.
+def _limit_map(system: BeliefSystem):
+    """x -> W^inf x for 2nm x w blocks x, W the system operator; the system keeps it.
 
     Anchors keep their rows. The oblivious agents O (`oblivious_set`) hear
     no stubborn agent and no edge leaves them, so their pairs' block of W^k
-    is (A_O (x) C)^k = A_O^k (x) C^k, whose limit is A_O^inf (x) C^inf:
-    their beliefs are A_O^inf X_O C^inf' from the two factors' kept
-    `power_limit`s, A_O = `a.restrict(O)`, with no pair-sized solve. A
+    is (A_O (x) C)^k = A_O^k (x) C^k, whose limit A_O^inf (x) C^inf comes
+    from the two factors' kept `power_limit`s, A_O = `a.restrict(O)`; a
     periodic closed class of either raises NotErgodic. Every other agent
     (N) reaches a stubborn one inside N, so (Lambda A)[N, N] (x) C has
-    spectral radius below 1, and the one pair solve left is over N's |N| m
-    pairs: (I - (Lambda A)[N, N] (x) C) y_N = (Lambda A)[N, O] Y_O
-    + (1 - lambda_N) x_anchor[N], where Y_O C' = Y_O as C C^inf = C^inf.
-    MATERIALIZE_CAP guards those rows only; with every agent oblivious
-    there is no pair solve.
+    spectral radius below 1; its |N| m pair rows, which MATERIALIZE_CAP
+    guards, are factored once for (I - (Lambda A)[N, N] (x) C) y_N =
+    (Lambda A)[N, O] Y_O + (1 - lambda_N) x_anchor[N], Y_O C' = Y_O as
+    C C^inf = C^inf. A build that raises keeps nothing. The map never
+    refers to the system: that cycle would keep each system until a gc pass.
     """
-    n, m, w = system.n, system.m, x.shape[1]
-    nm = n * m
-    top, anchors = x[:nm].reshape(n, m, w), x[nm:]
-    y = np.zeros((n, m * w))
-    oblivious = np.zeros(n, dtype=bool)
-    oblivious[list(oblivious_set(system))] = True
-    agents, rest = np.flatnonzero(oblivious), np.flatnonzero(~oblivious)
+    if system._limit is not None:
+        return system._limit
+    a, c, lam, n, m = system.a, system.c, system.lam, system.n, system.m
+    agents = np.array(sorted(oblivious_set(system)), dtype=np.int64)
+    rest = np.setdiff1d(np.arange(n), agents)
     if agents.size:
-        by_topic = top[agents].transpose(1, 0, 2).reshape(m, agents.size * w)
-        by_agent = power_limit(system.c).apply(by_topic).reshape(m, agents.size, w)
-        by_agent = by_agent.transpose(1, 0, 2).reshape(agents.size, m * w)
-        y[agents] = power_limit(system.a.restrict(agents)).apply(by_agent)
+        limit_c, limit_o = power_limit(c), power_limit(a.restrict(agents))
     if rest.size:
-        inner = system.a.minor(rest)
-        if inner.nnz * system.c.nnz > MATERIALIZE_CAP:
-            raise TooLarge(f"transient rows need ~{inner.nnz * system.c.nnz} nonzeros")
-        lam = sp.diags(system.lam[rest])
-        rows = sp.kron(lam @ inner, system.c.csr, format="csr")
-        rhs = (1.0 - system.lam[rest])[:, None] * anchors.reshape(n, m * w)[rest]
+        inner = a.minor(rest)
+        if inner.nnz * c.nnz > MATERIALIZE_CAP:
+            raise TooLarge(f"transient rows need ~{inner.nnz * c.nnz} nonzeros")
+        pull = sp.diags(lam[rest])
+        solve = _fundamental(sp.kron(pull @ inner, c.csr, format="csr"))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        w = x.shape[1]
+        top, anchors = x[:n * m].reshape(n, m, w), x[n * m:]
+        y = np.zeros((n, m * w))
         if agents.size:
-            rhs += lam @ system.a.minor(rest, agents) @ y[agents]
-        y[rest] = _solve_fundamental(rows, rhs.reshape(rest.size * m, w)).reshape(rest.size, -1)
-    return np.concatenate([y.reshape(nm, w), anchors])
+            by_topic = top[agents].transpose(1, 0, 2).reshape(m, agents.size * w)
+            by_agent = limit_c.apply(by_topic).reshape(m, agents.size, w)
+            by_agent = by_agent.transpose(1, 0, 2).reshape(agents.size, m * w)
+            y[agents] = limit_o.apply(by_agent)
+        if rest.size:
+            rhs = (1.0 - lam[rest])[:, None] * anchors.reshape(n, m * w)[rest]
+            if agents.size:
+                rhs += pull @ a.minor(rest, agents) @ y[agents]
+            y[rest] = solve(rhs.reshape(rest.size * m, w)).reshape(rest.size, -1)
+        return np.concatenate([y.reshape(n * m, w), anchors])
+
+    system._limit = apply
+    return apply
 
 
 def structural_limit(system: BeliefSystem) -> LimitReport:
     """Full-system limit from the factor structure (no iteration).
 
-    `_apply_limit` on the stacked (x0, x0). The oblivious agents O get
-    A_O^inf X0_O C^inf' from the factors' limits, so each closed class
-    settles on its stationary-weighted consensus; the pair solve remains
-    only for the agents that hear a stubborn one, over their |N| m pairs.
+    The system's `_limit_map` on the stacked (x0, x0): each closed class of
+    the oblivious agents settles on its stationary-weighted consensus, and
+    only the agents that hear a stubborn one take the pair solve.
     """
-    stacked = np.concatenate([system.x0.ravel(), system.x0.ravel()])
-    beliefs = _apply_limit(system, stacked[:, None])[: system.n * system.m, 0]
-    beliefs = beliefs.reshape(system.n, system.m)
+    stacked = np.tile(system.x0.ravel(), 2)[:, None]
+    beliefs = _limit_map(system)(stacked)[: system.n * system.m, 0].reshape(system.n, system.m)
     return LimitReport(beliefs, _consensus_value(beliefs))
 
 
@@ -183,12 +189,12 @@ def limit_matrix(system: BeliefSystem, columns=None) -> np.ndarray:
 
     `columns` picks which columns to build (all by default); the result is
     dim x len(columns), so a sampled caller never holds the dim x dim matrix.
-    The columns come from `_apply_limit`: the oblivious agents' rows from
-    A_O^inf (x) C^inf, the other agents' from one pair solve over their
-    |N| m pairs with len(columns) right-hand sides.
+    The columns come from the system's `_limit_map`: the oblivious agents'
+    rows from A_O^inf (x) C^inf, the other agents' from one pair solve over
+    their |N| m pairs with len(columns) right-hand sides.
     """
     if system.dim > LIMIT_MATRIX_CAP:
         raise TooLarge(f"limit matrix of a {system.dim}-state system; "
                        f"the cap is {LIMIT_MATRIX_CAP} states")
     cols = np.arange(system.dim) if columns is None else np.asarray(columns, dtype=np.int64)
-    return _apply_limit(system, _basis(system.dim, cols))
+    return _limit_map(system)(_basis(system.dim, cols))

@@ -37,8 +37,8 @@ from .beliefs import BeliefSystem, _step_count, closed_factor_classes, update
 from .errors import FailedToConverge, StructuralError, TooLarge
 from .limits import limit_matrix
 from .stochastic import (_BALANCE_TOL, StochasticMatrix, _absorption, _basis,
-                         _detailed_balance, _dominant_eigenpair, _solve_fundamental,
-                         ergodicity_check, stationary)
+                         _detailed_balance, _dominant_eigenpair, _fundamental,
+                         ergodicity_check, power_limit, stationary)
 
 EXACT_START_LIMIT = 2000
 SYSTEM_EXACT_START_LIMIT = 256  # kronbench's `_sweep_t_mix` reproduces its columns
@@ -679,8 +679,8 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
     and kept on the matrix), is solved
     by conjugate gradients (`_cg`), one matvec an iteration; any other by
     BiCGSTAB (`_bicgstab`), two. After a breakdown or _KRYLOV_ITERATIONS
-    iterations, the explicit pair chain is factored (`_solve_fundamental`)
-    if P (x) P has at most _DIRECT_NNZ nonzeros; otherwise FailedToConverge.
+    iterations, the explicit pair chain is factored (`_fundamental`) and
+    solved if P (x) P has at most _DIRECT_NNZ nonzeros; otherwise FailedToConverge.
 
     `mean` is L and `start_pair` a pair that attains it. `stderr` bounds
     |mean - L|: as (I - Z)^-1 1 = T, a residual r of T~ gives
@@ -728,7 +728,7 @@ def estimate_coupling_time(matrix: StochasticMatrix, trials: int = 1000,
             raise FailedToConverge(
                 f"coupling solve stopped at residual {_inf_norm(r):.3g} after {iterations} "
                 f"iterations; the pair chain is too large to factor")
-        x, method = _solve_fundamental(op.chain(), np.ones(x.size)), "direct"
+        x, method = _fundamental(op.chain())(np.ones(x.size)), "direct"
     np.subtract(1.0, op(x, r), out=r)  # the explicit residual
     slack = _inf_norm(r) + rounding(x)
     if slack >= 1.0:
@@ -868,17 +868,17 @@ def system_mixing_time(system: BeliefSystem, epsilon: float = 0.25,
     start = (np.vstack([_basis(n, i), _basis(m, u)]), np.zeros((nm, anchor.size)))
     jump = None
     if top.size and not anchor.size:
-        jump = _bound_jump(system, lam_a, u, top_target, step, epsilon, max_steps)
+        jump = _bound_jump(system, lam_a, u, marginals, step, epsilon, max_steps)
     return _first_within(step, start, gap, epsilon, max_steps, screen=screen, jump=jump)
 
 
 def _bound_jump(system: BeliefSystem, lam_a: sp.csr_matrix, u: np.ndarray,
-                top_target: np.ndarray, step, epsilon: float, max_steps: int):
+                marginals, step, epsilon: float, max_steps: int):
     """The `jump` of `system_mixing_time`'s scan of top columns (i, u), or None.
 
     The limits: for u in a closed class K of C, gamma_j[u] is pi_K[u], so
-    gamma_j is the target fold's column sums scaled to that entry, and
-    alpha_j its row sums over g_j = 1'gamma_j. A column whose limit is 0
+    gamma_j is the target fold's column sums (`_marginals`) scaled to that
+    entry, and alpha_j its row sums over g_j = 1'gamma_j. A column whose limit is 0
     gives no bound, and None means no column does. The bound: with
     e_j(k) = mu' |a_k - alpha_j| and delta_j = m |c_K - gamma_j|_1 at the
     jump point K, no column of a power of C sums above m, so
@@ -922,24 +922,21 @@ def _bound_jump(system: BeliefSystem, lam_a: sp.csr_matrix, u: np.ndarray,
     if (levels + 1) * (n * n + m * m) > _POWER_BUDGET:
         return None
     check = math.ceil(max(s * cost - 2 ** (s - 1) for s in range(1, levels + 2)))
-    agents, topics = closed_factor_classes(system)
-    mu, pi_c = np.zeros(n), np.zeros(m)
-    for members, _ in agents:
+    mu = np.zeros(n)
+    for members, _ in closed_factor_classes(system)[0]:
         pi = stationary(system.a.restrict(members))
         mu[members] = pi / pi.max()
     if not mu.any():
         return None
-    for members, _ in topics:
-        pi_c[members] = stationary(system.c.restrict(members))
-    folded = top_target.reshape(n, m, w)
-    col_sums = folded.sum(axis=0)
+    pi_c = np.asarray(power_limit(system.c).weights.sum(axis=0)).ravel()
+    row_sums, col_sums = np.split(marginals[0], [n])
     at_u = col_sums[u, np.arange(w)]
     live = (pi_c[u] > 0) & (at_u > 0)
     if not live.any():
         return None
     gamma = col_sums[:, live] * (pi_c[u[live]] / at_u[live])
     g = gamma.sum(axis=0)
-    alpha = folded.sum(axis=1)[:, live] / g
+    alpha = row_sums[:, live] / g
     mass = np.abs(alpha).sum(axis=0)
     drift_a = mu @ np.abs(lam_a @ alpha - alpha)
     drift_c = m * np.abs(system.c.csr @ gamma - gamma).sum(axis=0)

@@ -6,8 +6,8 @@ graph module: a chain at state i steps to j with probability M[i, j]. A
 strong components of its nonzero pattern (`scc`), its detailed-balance
 vector (read through `_detailed_balance`), its stationary vector (read
 through `stationary`), the limit of its powers (read through `power_limit`),
-the one transient-block solve that gives both that limit and its expected
-absorbing times (`_absorption`, also read through
+the one factorisation of its transient block that gives that limit and its
+expected absorbing times (`_absorption`, also read through
 `mixing.expected_absorbing_time`) and its restrictions to the node sets
 that no edge leaves (`restrict`), each built on first use and kept, and, for
 a Kronecker product, the two factors that `kron.kron` built it from
@@ -52,8 +52,8 @@ class StochasticMatrix:
     of the nonzero pattern; the detailed-balance vector of
     `_detailed_balance`, or the mark that the chain is not reversible; the
     stationary vector that `stationary` returns; the limit that
-    `power_limit` returns; the solve on the transient block that gives both
-    that limit and the absorbing times of `mixing.expected_absorbing_time`
+    `power_limit` returns; the factorisation of the transient block that
+    gives that limit and the absorbing times of `mixing.expected_absorbing_time`
     (`_absorption`); and each chain that `restrict` returns. The seventh,
     `factors`, is set only by `kron.kron` on the product it returns; every
     other matrix, a restriction of a product or one built from its CSR
@@ -349,7 +349,7 @@ def power_limit(matrix: StochasticMatrix) -> PowerLimit:
 
     Each closed class of `matrix.scc` gives the stationary vector of its
     `restrict` (a periodic class raises NotErgodic, which is not kept). The
-    absorption probabilities come from the matrix's one solve on its
+    absorption probabilities come from the matrix's one factorisation of its
     transient block (`_absorption`). The first call builds the limit; the
     matrix keeps it.
     """
@@ -368,28 +368,29 @@ def power_limit(matrix: StochasticMatrix) -> PowerLimit:
 
 @dataclass(frozen=True)
 class _Absorption:
-    """What one solve on a chain's transient block gives (Kemeny & Snell, ch. 3).
+    """What one factorisation of a chain's transient block gives (Kemeny & Snell, ch. 3).
 
     `label` holds each state's closed class, in the order of `scc`'s closed
     components, and -1 on transient states; `transient` lists those states
     in ascending order. Row i of `probabilities` (|T| x k) is the chance
-    that a walk from transient[i] ends in each class, and `steps[i]` its
-    expected steps until it enters one.
+    that a walk from transient[i] ends in each class, `steps[i]` its
+    expected steps until it enters one, and `solve` solves on the block.
     """
 
     label: np.ndarray
     transient: np.ndarray
     probabilities: np.ndarray
     steps: np.ndarray
+    solve: object
 
 
 def _absorption(matrix: StochasticMatrix) -> _Absorption:
-    """The absorption of `matrix`, from one solve that the matrix keeps.
+    """The absorption of `matrix`, from one factorisation that the matrix keeps.
 
     (I - Z) X = [R 1] on the transient block Z, R its one-step mass into
     each closed class: the first k columns of X are the absorption
-    probabilities and the last the expected absorbing times, so `power_limit`
-    and `mixing.expected_absorbing_time` share one factorisation.
+    probabilities and the last the expected absorbing times, so `power_limit`,
+    `mixing.expected_absorbing_time` and absorption probabilities share it.
     """
     if matrix._absorption is None:
         dec = matrix.scc
@@ -398,15 +399,16 @@ def _absorption(matrix: StochasticMatrix) -> _Absorption:
         for j, cid in enumerate(closed):
             label[dec.components[cid]] = j
         transient = np.flatnonzero(label < 0)
-        solved = np.zeros((transient.size, closed.size + 1))
+        solved, solve = np.zeros((transient.size, closed.size + 1)), None
         if transient.size:
             recurrent = np.flatnonzero(label >= 0)
             into = sp.csr_matrix((np.ones(recurrent.size), (recurrent, label[recurrent])),
                                  shape=(matrix.n, closed.size))
             rhs = np.ones_like(solved)
             rhs[:, :-1] = (matrix.csr[transient] @ into).toarray()
-            solved = _solve_fundamental(matrix.minor(transient), rhs)
-        matrix._absorption = _Absorption(label, transient, solved[:, :-1], solved[:, -1])
+            solve = _fundamental(matrix.minor(transient))
+            solved = solve(rhs)
+        matrix._absorption = _Absorption(label, transient, solved[:, :-1], solved[:, -1], solve)
     return matrix._absorption
 
 
@@ -417,18 +419,21 @@ def _basis(n: int, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_fundamental(z: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Z) x = rhs for a vector or a t x k block of right-hand sides.
+def _fundamental(z: sp.spmatrix):
+    """Factor I - Z once (`splu`); return the solve of (I - Z) x = rhs.
 
-    The result has rhs's shape; a singular system marks a misclassified block.
+    x has rhs's shape (a vector or t x k); a singular system marks a misclassified block.
     """
     system = (sp.eye(z.shape[0]) - z).tocsc()
     try:
-        x = spla.spsolve(system, rhs)
-    except RuntimeError as exc:
-        raise StructuralError(f"(I - Z) solve failed: {exc}") from exc
-    x = np.asarray(x, dtype=np.float64).reshape(rhs.shape)
-    residual = np.abs(system @ x - rhs).max() if rhs.size else 0.0
-    if not np.all(np.isfinite(x)) or residual > 1e-6:
-        raise StructuralError("(I - Z) is singular; a closed block leaked into Z")
-    return x
+        lu = spla.splu(system)
+    except RuntimeError as exc:  # scipy's "Factor is exactly singular"
+        raise StructuralError("(I - Z) is singular; a closed block leaked into Z") from exc
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = lu.solve(np.asarray(rhs, dtype=np.float64))
+        if rhs.size and not np.abs(system @ x - rhs).max() <= 1e-6:  # NaN or inf fails
+            raise StructuralError("(I - Z) is singular; a closed block leaked into Z")
+        return x
+
+    return solve

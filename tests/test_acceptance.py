@@ -347,7 +347,7 @@ def test_ac8_absorbing_machinery():
         dense[sink, sink] = 1.0
         matrix = StochasticMatrix(dense / dense.sum(axis=1, keepdims=True))
         decomp = scc_decompose(matrix.to_graph())
-        transient = decomp.transient_nodes()
+        transient = np.flatnonzero(~decomp.closed[decomp.component_of])
         if transient.size == 0:
             continue
         block = absorbing_probabilities(matrix)

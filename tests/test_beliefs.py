@@ -94,6 +94,15 @@ class TestAssemble:
         np.testing.assert_array_equal(system.lam, np.ones(3))
         np.testing.assert_array_equal(system.x0, np.zeros((3, 2)))
 
+    def test_kept_inputs_are_read_only(self):
+        # the limit map that a system keeps was built from its lambda, so an
+        # in-place write must not be able to make it stale
+        system = cycle_path_system(lam=np.r_[0.5, np.ones(4)])
+        structural_limit(system)
+        for values in (system.lam, system.x0):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.25
+
 
 class TestStep:
     def test_matches_dense_operator(self):

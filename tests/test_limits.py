@@ -1,6 +1,8 @@
+import gc
 import re
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -49,7 +51,7 @@ class TestAbsorbingProbabilities:
             raw[-2, -2] = raw[-1, -1] = 1.0
             m = StochasticMatrix(raw / raw.sum(axis=1, keepdims=True))
             decomp = scc_decompose(m.to_graph())
-            if decomp.transient_nodes().size == 0:
+            if np.flatnonzero(~decomp.closed[decomp.component_of]).size == 0:
                 continue
             block = absorbing_probabilities(m)
             np.testing.assert_allclose(block.absorb.sum(axis=1), 1.0, atol=1e-9)
@@ -472,18 +474,19 @@ class TestFactorSpaceLimit:
 
 
 def count_limit_work(monkeypatch):
-    """Counts of `sp.kron` builds and `(I - Z)` solves made inside `limits._apply_limit`.
+    """Counts of `sp.kron` builds and `(I - Z)` factorisations made inside `limits._limit_map`.
 
-    The solves are recorded by their unknown counts, from the limits' own
-    binding (the pair solve) and from the factors' (`power_limit`).
+    The factorisations are recorded by their unknown counts, from the
+    limits' own binding (the pair rows) and from the factors'
+    (`power_limit`).
     """
     inside, counts = [0], {"kron": 0, "pair": [], "factor": []}
-    real_apply, real_kron = limits._apply_limit, sp.kron
+    real_map, real_kron = limits._limit_map, sp.kron
 
-    def apply(*args):
+    def limit_map(*args):
         inside[0] += 1
         try:
-            return real_apply(*args)
+            return real_map(*args)
         finally:
             inside[0] -= 1
 
@@ -491,15 +494,15 @@ def count_limit_work(monkeypatch):
         counts["kron"] += bool(inside[0])
         return real_kron(*args, **kwargs)
 
-    monkeypatch.setattr(limits, "_apply_limit", apply)
+    monkeypatch.setattr(limits, "_limit_map", limit_map)
     monkeypatch.setattr(sp, "kron", kron)
     for module, key in ((limits, "pair"), (stochastic, "factor")):
-        def solve(z, rhs, key=key, real=module._solve_fundamental):
+        def factor(z, key=key, real=module._fundamental):
             if inside[0]:
                 counts[key].append(z.shape[0])
-            return real(z, rhs)
+            return real(z)
 
-        monkeypatch.setattr(module, "_solve_fundamental", solve)
+        monkeypatch.setattr(module, "_fundamental", factor)
     return counts
 
 
@@ -579,6 +582,35 @@ class TestLimitsFromTheFactors:
         # the pair rows and solve of agents 4 and 5; agent 2's absorption
         # into {0, 1} and {3}, the only transient factor state
         assert counts == {"kron": 1, "pair": [2 * system.m], "factor": [1]}
+
+    def test_map_is_built_once_and_kept(self, monkeypatch):
+        counts = count_limit_work(monkeypatch)
+        system = oblivious_and_stubborn_system(
+            equal_weight_matrix(lazify(generate(TopologySpec("cycle", 3)), 0.5)))
+        first = structural_limit(system).beliefs
+        nm = system.n * system.m
+        columns = limit_matrix(system, np.r_[0, nm + 4 * system.m])
+        again = structural_limit(system).beliefs
+        assert counts == {"kron": 1, "pair": [2 * system.m], "factor": [1]}
+        assert again.tolist() == first.tolist()
+        assert columns.shape == (system.dim, 2)
+
+    def test_kept_map_does_not_keep_its_system(self):
+        # a map that referred to its system would make a cycle, and only a gc
+        # pass would free the system and the chains it holds
+        system = oblivious_and_stubborn_system(
+            equal_weight_matrix(lazify(generate(TopologySpec("cycle", 3)), 0.5)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            structural_limit(system)
+            assert system._limit is not None
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cap_guards_only_the_pair_rows(self, monkeypatch):
         oblivious = cycle_path_system(7)

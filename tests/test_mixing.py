@@ -911,15 +911,15 @@ def test_analyze_mixing_rng_changes_nothing():
 
 class TestAbsorbing:
     def test_kept_on_the_matrix(self, monkeypatch):
-        # one solve, which the power limit shares; a second call makes no
-        # solve and returns equal times, read-only
-        solves, real = [], stochastic._solve_fundamental
+        # one factorisation, which the power limit shares; a second call
+        # makes none and returns equal times, read-only
+        solves, real = [], stochastic._fundamental
 
-        def counting(z, rhs):
+        def counting(z):
             solves.append(z.shape[0])
-            return real(z, rhs)
+            return real(z)
 
-        monkeypatch.setattr(stochastic, "_solve_fundamental", counting)
+        monkeypatch.setattr(stochastic, "_fundamental", counting)
         m = lazy_chain("path", 6, directed=True)
         times = expected_absorbing_time(m)
         again = expected_absorbing_time(m)
@@ -982,7 +982,7 @@ class TestAbsorbing:
             decomp = scc_decompose(m.to_graph())
             times = expected_absorbing_time(m)
             assert decomp.count - len(decomp.closed_components()) == sizes.size
-            transient = decomp.transient_nodes()
+            transient = np.flatnonzero(~decomp.closed[decomp.component_of])
             z = mat[np.ix_(transient, transient)]
             want = np.zeros(n)
             want[transient] = np.linalg.solve(np.eye(transient.size) - z, np.ones(transient.size))
@@ -1006,8 +1006,9 @@ class TestAbsorbing:
         z = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
         z *= 0.9 / np.maximum(z.sum(axis=1, keepdims=True), 1.0)
         dense = np.eye(6) - z
+        solve = mixing._fundamental(sp.csr_matrix(z))
         for rhs in (rng.random(6), rng.random((6, 1)), rng.random((6, 4))):
-            x = mixing._solve_fundamental(sp.csr_matrix(z), rhs)
+            x = solve(rhs)
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=0, atol=1e-13)
 

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from kronmix import limits, mixing, netio, stochastic
+from kronmix import beliefs, limits, mixing, netio, stochastic
 from kronmix.cli import build_parser, main
 from kronmix.errors import EmptyGraph, ParseError, SpecError
 from kronmix.generators import TopologySpec
@@ -325,7 +325,7 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
     # the fixed path's chain is built once and shared by every point, so the
     # three cycles, the path and its sink are each decomposed once, the
     # cycles and the sink each get one Perron solve, by any route, and the
-    # path's transient block (its 9 states) is solved once, for its
+    # path's transient block (its 9 states) is factored once, for its
     # absorbing times and its absorption into the sink together
     calls = {"scc_decompose": 0, "_perron_vector": 0}
     for name in calls:
@@ -336,13 +336,13 @@ def test_sweep_decomposes_and_solves_each_chain_once(tmp_path, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(stochastic, name, counting)
-    absorbing, real_solve = [], stochastic._solve_fundamental
+    absorbing, real_factor = [], stochastic._fundamental
 
-    def solve(z, rhs):
+    def factor(z):
         absorbing.append(z.shape[0])
-        return real_solve(z, rhs)
+        return real_factor(z)
 
-    monkeypatch.setattr(stochastic, "_solve_fundamental", solve)
+    monkeypatch.setattr(stochastic, "_fundamental", factor)
     run_experiment(ExperimentConfig(agent=TopologySpec("cycle", 11),
                                     constraint=TopologySpec("path", 10, directed=True),
                                     sweep="n", sweep_start=11, sweep_stop=31, sweep_stride=10,
@@ -357,13 +357,13 @@ def test_readme_sweep_limits_come_from_the_factors(tmp_path, monkeypatch):
     # absorption into its sink is solved once, for all ten points, in the
     # solve that gives its absorbing times, before any limit is taken
     counts = count_limit_work(monkeypatch)
-    solves, counted = [], stochastic._solve_fundamental
+    solves, counted = [], stochastic._fundamental
 
-    def solve(z, rhs):
+    def factor(z):
         solves.append(z.shape[0])
-        return counted(z, rhs)
+        return counted(z)
 
-    monkeypatch.setattr(stochastic, "_solve_fundamental", solve)
+    monkeypatch.setattr(stochastic, "_fundamental", factor)
     rows = run_experiment(ExperimentConfig(
         agent=TopologySpec("cycle", 11), constraint=TopologySpec("path", 10, directed=True),
         sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10, epsilon=0.25, seed=1,
@@ -371,6 +371,34 @@ def test_readme_sweep_limits_come_from_the_factors(tmp_path, monkeypatch):
     assert [int(row["t_mix"]) for row in rows] == README_SWEEP_T_MIX
     assert counts == {"kron": 0, "pair": [], "factor": []}
     assert solves == [9]
+
+
+@pytest.mark.parametrize("lambda_policy", ["oblivious", "0.5"])
+def test_readme_sweep_builds_each_limit_map_once(tmp_path, monkeypatch, lambda_policy):
+    # `system_mixing_time` (through `limit_matrix`) and `structural_limit`
+    # share one limit map a point: with every agent oblivious, its build is
+    # the only `oblivious_set` pass besides the verdict's; with lambda = 0.5
+    # every agent is in N, and its pair rows are built and factored once
+    counts = count_limit_work(monkeypatch)
+    passes, real = [], beliefs.oblivious_set
+
+    def oblivious_set(system):
+        passes.append(system.n)
+        return real(system)
+
+    for module in (beliefs, limits):
+        monkeypatch.setattr(module, "oblivious_set", oblivious_set)
+    rows = run_experiment(ExperimentConfig(
+        agent=TopologySpec("cycle", 11), constraint=TopologySpec("path", 10, directed=True),
+        sweep="n", sweep_start=11, sweep_stop=101, sweep_stride=10, epsilon=0.25, seed=1,
+        alpha=0.5, lambda_policy=lambda_policy, outdir=str(tmp_path / "out")))
+    ns = list(range(11, 102, 10))
+    assert [row["error"] for row in rows] == [""] * 10
+    assert passes == [n for n in ns for _ in range(2)]
+    if lambda_policy == "oblivious":
+        assert counts == {"kron": 0, "pair": [], "factor": []}
+    else:
+        assert counts == {"kron": 10, "pair": [10 * n for n in ns], "factor": []}
 
 
 class TestRunExperiment:
